@@ -285,6 +285,7 @@ def contract(
     Edge weights between nodes follow the sum rule; edges interior to a group
     vanish.  Returns the contracted graph and the total vertex-to-node map.
     """
+    adj = graph._adj
     node_of: dict[int, int] = {}
     for group in groups:
         members = set(group)
@@ -292,23 +293,38 @@ def contract(
             raise ValueError("groups must be non-empty")
         rep = min(members)
         for v in members:
-            if v not in graph.vertices:
+            if v not in adj:
                 raise UnknownVertex(f"vertex {v} not in graph")
             if v in node_of:
                 raise OverlappingGroups(f"vertex {v} appears in two groups")
             node_of[v] = rep
-    for v in graph.vertices:
+    moved = {v for v, rep in node_of.items() if v != rep}
+    for v in adj:
         node_of.setdefault(v, v)
 
-    result = DynamicGraph(vertices=set(node_of.values()))
-    acc: dict[Pair, int] = {}
-    for u, v, w in graph.edges():
-        nu, nv = node_of[u], node_of[v]
-        if nu != nv:
-            key = pair_key(nu, nv)
-            acc[key] = acc.get(key, 0) + w
-    for (nu, nv), w in acc.items():
-        result.add_edge(nu, nv, w)
+    # A vertex that names its own node starts from a copy of its row, with
+    # the neighbours that moved into a group re-keyed to their node; the row
+    # of each moved vertex is then added to its node's row.  Edges inside a
+    # node are dropped, and every sum is met from both ends.
+    qadj: dict[int, dict[int, int]] = {}
+    for u, nbrs in adj.items():
+        if node_of[u] != u:
+            continue
+        row = qadj[u] = nbrs.copy()
+        for v in nbrs.keys() & moved:
+            w = row.pop(v)
+            nv = node_of[v]
+            if nv != u:
+                row[nv] = row.get(nv, 0) + w
+    for u in moved:
+        nu = node_of[u]
+        row = qadj[nu]
+        for v, w in adj[u].items():
+            nv = node_of[v]
+            if nv != nu:
+                row[nv] = row.get(nv, 0) + w
+    result = DynamicGraph()
+    result._adj = qadj
     return result, node_of
 
 

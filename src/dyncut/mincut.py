@@ -3,14 +3,20 @@
 Every call to :func:`min_cut` is one "cut computation" - the unit of cost the
 rest of the package accounts for.  The returned side is canonical: the set of
 vertices reachable from ``s`` in the residual network of a maximum flow,
-which is the same set for every maximum flow, so results are deterministic
-for a fixed graph.
+which is the same set for every maximum flow.  It is the smallest minimum
+s-t cut side, and it depends neither on vertex or edge order nor on how the
+flow is routed, so results are deterministic for a fixed graph.
+
+The kernel is integer Dinic on a residual copy of the graph's adjacency
+dicts, with no sorting or renumbering.  Flow is first pushed greedily along
+the s-t edge and every two-edge path s-x-t; each phase then builds its
+admissible-arc lists during the breadth-first layering, and the layering
+that fails to reach t yields the side.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 from .errors import SameVertex, VertexMissing
 from .graph import Cut, DynamicGraph
@@ -52,87 +58,99 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
         raise VertexMissing(f"missing endpoint in ({s}, {t})")
     counter.increment()
 
-    verts = sorted(graph.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    head: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    cap: list[int] = []
-    for u, v, w in sorted(graph.edges()):
-        iu, iv = index[u], index[v]
-        head[iu].append(len(to))
-        to.append(iv)
-        cap.append(w)
-        head[iv].append(len(to))
-        to.append(iu)
-        cap.append(w)
-
-    si, ti = index[s], index[t]
-    flow = _dinic(n, head, to, cap, si, ti)
-
-    reach = _residual_reachable(n, head, to, cap, si)
-    side = frozenset(verts[i] for i in reach)
-    return Cut(side, flow)
-
-
-def _residual_reachable(n, head, to, cap, s) -> set[int]:
-    seen = {s}
-    dq = deque([s])
-    while dq:
-        x = dq.popleft()
-        for a in head[x]:
-            y = to[a]
-            if cap[a] > 0 and y not in seen:
-                seen.add(y)
-                dq.append(y)
-    return seen
-
-
-def _dinic(n, head, to, cap, s, t) -> int:
-    total = 0
+    # res[x][y] is the residual capacity of arc x->y; an undirected edge of
+    # weight w is two arcs of capacity w, and pushing f along one adds f to
+    # the other.
+    res = {x: nbrs.copy() for x, nbrs in graph._adj.items()}
+    flow = _prepush(res, s, t)
     while True:
-        level = [-1] * n
-        level[s] = 0
-        dq = deque([s])
-        while dq:
-            x = dq.popleft()
-            for a in head[x]:
-                y = to[a]
-                if cap[a] > 0 and level[y] < 0:
-                    level[y] = level[x] + 1
-                    dq.append(y)
-        if level[t] < 0:
-            return total
-        ptr = [0] * n
-        stack_v = [s]
-        stack_a: list[int] = []
-        while stack_v:
-            x = stack_v[-1]
-            if x == t:
-                aug = min(cap[a] for a in stack_a)
-                for a in stack_a:
-                    cap[a] -= aug
-                    cap[a ^ 1] += aug
-                total += aug
-                for i, a in enumerate(stack_a):
-                    if cap[a] == 0:
-                        del stack_v[i + 1 :]
-                        del stack_a[i:]
-                        break
-                continue
-            arcs = head[x]
-            advanced = False
-            while ptr[x] < len(arcs):
-                a = arcs[ptr[x]]
-                y = to[a]
-                if cap[a] > 0 and level[y] == level[x] + 1:
-                    stack_v.append(y)
-                    stack_a.append(a)
-                    advanced = True
-                    break
-                ptr[x] += 1
-            if not advanced:
-                level[x] = -1
-                stack_v.pop()
-                if stack_a:
-                    stack_a.pop()
+        level, adm = _levels(res, s, t)
+        if t not in level:
+            return Cut(frozenset(level), flow)
+        flow += _blocking_flow(res, adm, s, t)
+
+
+def _prepush(res, s, t) -> int:
+    """Saturate the s-t edge, then push greedily along every path s-x-t."""
+    rs, rt = res[s], res[t]
+    flow = rs.get(t, 0)
+    if flow:
+        rs[t] = 0
+        rt[s] += flow
+    for x, c in rs.items():
+        d = res[x].get(t) if c else None
+        if d:
+            f = min(c, d)
+            rs[x] = c - f
+            res[x][s] += f
+            res[x][t] = d - f
+            rt[x] += f
+            flow += f
+    return flow
+
+
+def _levels(res, s, t):
+    """Breadth-first layers of the residual graph, up to t's layer.
+
+    Returns the level of each vertex reached and, for each vertex below t's
+    layer, the heads of its admissible arcs (residual, one level up).  When
+    t is unreachable the levels hold exactly the vertices reachable from s.
+    """
+    level = {s: 0}
+    adm: dict[int, list[int]] = {}
+    layer = [s]
+    last: list[int] = []
+    while layer and t not in level:
+        depth = level[layer[0]] + 1
+        nxt = []
+        for x in layer:
+            ax = adm[x] = []
+            for y, c in res[x].items():
+                if c:
+                    ly = level.get(y)
+                    if ly is None:
+                        level[y] = depth
+                        nxt.append(y)
+                        ax.append(y)
+                    elif ly == depth:
+                        ax.append(y)
+        last, layer = layer, nxt
+    if t in level:
+        # t's layer is not scanned, so the layer before it keeps only arcs into t
+        for x in last:
+            adm[x] = [t] if res[x].get(t) else []
+    return level, adm
+
+
+def _blocking_flow(res, adm, s, t) -> int:
+    """Augment along admissible s-t paths until none is left.
+
+    ``adm[x]`` is consumed from its end: an arc is dropped once saturated or
+    once its head turns out to be a dead end.
+    """
+    total = 0
+    path = [s]
+    while path:
+        x = path[-1]
+        if x == t:
+            arcs = list(zip(path, path[1:]))
+            f = min(res[a][b] for a, b in arcs)
+            total += f
+            first_full = None
+            for i, (a, b) in enumerate(arcs):
+                res[a][b] -= f
+                res[b][a] += f
+                if first_full is None and not res[a][b]:
+                    first_full = i
+            del path[first_full + 1 :]
+            continue
+        ax, rx = adm[x], res[x]
+        while ax and not rx[ax[-1]]:
+            ax.pop()
+        if ax:
+            path.append(ax[-1])
+        else:
+            path.pop()
+            if path:
+                adm[path[-1]].pop()
+    return total

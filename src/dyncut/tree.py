@@ -429,10 +429,14 @@ def _split_node(tree: IntermediateTree, graph: DynamicGraph, node: set[int]) -> 
     side_u = {w for w in node if w in cut.side}
     side_v = node - side_u
 
+    # The node's thin edges, read from its members' adjacency in the order
+    # tree.edges() would yield them, which fixes the order they are relinked.
     old_thin = [
         (a, b, rec.cost)
-        for a, b, rec in tree.edges()
-        if not rec.fat and a in node and b in node
+        for a in tree.vertices
+        if a in node
+        for b, rec in tree.neighbors(a).items()
+        if a < b and not rec.fat and b in node
     ]
     for a, b, _ in old_thin:
         tree.remove_edge(a, b)

@@ -129,6 +129,63 @@ class TestContract:
         vertex_side = set().union(*chosen) if chosen else set()
         assert cut_cost(q, node_side) == cut_cost(g, vertex_side)
 
+    @given(graphs(), st.integers(0, 10**6))
+    def test_matches_reference_contraction(self, g, seed):
+        groups = _random_groups(g, random.Random(seed))
+        before = g.copy()
+        q, node_of = contract(g, groups)
+        assert g == before
+        ref, ref_node_of = _reference_contract(g, groups)
+        assert node_of == ref_node_of
+        assert q == ref
+
+    @given(graphs(), st.integers(0, 10**6))
+    def test_invalid_groups_raise_and_leave_graph_unchanged(self, g, seed):
+        rng = random.Random(seed)
+        groups = _random_groups(g, rng) or [{min(g.vertices)}]
+        before = g.copy()
+        bad = groups + [{max(g.vertices) + 1}]
+        with pytest.raises(UnknownVertex):
+            contract(g, bad)
+        taken = rng.choice(sorted(set().union(*groups)))
+        with pytest.raises(OverlappingGroups):
+            contract(g, groups + [{taken}])
+        with pytest.raises(ValueError):
+            contract(g, groups + [[]])
+        assert g == before
+
+
+def _random_groups(g, rng):
+    """Disjoint groups over a random subset of the vertices."""
+    verts = sorted(g.vertices)
+    rng.shuffle(verts)
+    chosen = verts[: rng.randint(0, len(verts))]
+    groups: list[set[int]] = []
+    for v in chosen:
+        if groups and rng.random() < 0.6:
+            rng.choice(groups).add(v)
+        else:
+            groups.append({v})
+    return groups
+
+
+def _reference_contract(g, groups):
+    """Contraction by the sum rule, one edge at a time through the public API."""
+    node_of = {v: v for v in g.vertices}
+    for grp in groups:
+        for v in grp:
+            node_of[v] = min(grp)
+    q = DynamicGraph(vertices=node_of.values())
+    for u, v, w in g.edges():
+        a, b = node_of[u], node_of[v]
+        if a == b:
+            continue
+        if q.has_edge(a, b):
+            q.increase_weight(a, b, w)
+        else:
+            q.add_edge(a, b, w)
+    return q, node_of
+
 
 class TestCutCost:
     def test_t3_values(self, t3):

@@ -1,9 +1,11 @@
 import itertools
+import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from dyncut import DynamicGraph, all_pairs_connectivity, cut_cost, min_cut
+from dyncut import Cut, DynamicGraph, all_pairs_connectivity, cut_cost, min_cut
 from dyncut.errors import SameVertex, VertexMissing
 from dyncut.mincut import counter
 from helpers import graphs
@@ -84,3 +86,38 @@ def test_connectivity_triangle_inequality(g):
         assert get(u, w) >= min(get(u, v), get(v, w))
         assert get(u, v) >= min(get(u, w), get(w, v))
         assert get(v, w) >= min(get(v, u), get(u, w))
+
+
+def _smallest_min_cut_side(g, u, v):
+    """Cost and intersection of every minimum u-v cut side holding u, by enumeration."""
+    others = sorted(set(g.vertices) - {u, v})
+    best, common = None, None
+    for k in range(len(others) + 1):
+        for extra in itertools.combinations(others, k):
+            side = frozenset((u, *extra))
+            cost = cut_cost(g, side)
+            if best is None or cost < best:
+                best, common = cost, side
+            elif cost == best:
+                common &= side
+    return best, common
+
+
+@given(graphs(max_vertices=7))
+def test_side_is_the_smallest_minimum_cut_side(g):
+    for u, v in itertools.permutations(sorted(g.vertices), 2):
+        cost, side = _smallest_min_cut_side(g, u, v)
+        assert min_cut(g, u, v) == Cut(side, cost)
+
+
+@given(graphs(max_vertices=7), st.integers(0, 10**6))
+def test_cut_ignores_vertex_and_edge_order(g, seed):
+    rng = random.Random(seed)
+    verts = list(g.vertices)
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edges()]
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    shuffled = DynamicGraph(vertices=verts, edges=edges)
+    assert shuffled == g
+    for u, v in itertools.permutations(sorted(g.vertices), 2):
+        assert min_cut(shuffled, u, v) == min_cut(g, u, v)
