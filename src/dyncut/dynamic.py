@@ -71,7 +71,10 @@ def detect_bridge(tree: CutTree, graph: DynamicGraph, b: int, d: int) -> str:
     its endpoints; {b, d} is a new bridge iff the endpoints are currently
     disconnected (connectivity zero).
     """
-    lam = query_value(tree, b, d)
+    return _bridge_kind(graph, b, d, query_value(tree, b, d))
+
+
+def _bridge_kind(graph: DynamicGraph, b: int, d: int, lam: int) -> str:
     if graph.has_edge(b, d) and graph.weight(b, d) == lam and lam > 0:
         return EXISTING_BRIDGE
     if lam == 0:
@@ -134,7 +137,12 @@ def update_increase(
         else ChangeEvent.add_edge(b, d, delta)
     )
     static_eq = max(0, new_graph.vertex_count - 1)
-    kind = detect_bridge(tree, old_graph, b, d)
+    # one path search serves the bridge test and the rebuild
+    verts = tree.path_vertices(b, d)
+    pedges = list(zip(verts, verts[1:]))
+    costs = [tree.cost(x, y) for x, y in pedges]
+    lam = min(costs)
+    kind = _bridge_kind(old_graph, b, d, lam)
 
     if kind == EXISTING_BRIDGE:
         t = tree.copy()
@@ -145,33 +153,22 @@ def update_increase(
 
     if kind == NEW_BRIDGE:
         t = tree.copy()
-        verts = t.path_vertices(b, d)
-        for x, y in zip(verts, verts[1:]):
-            if t.cost(x, y) == 0:
-                t.remove_edge(x, y)
-                t.add_edge(b, d, new_graph.weight(b, d))
-                break
-        else:
-            raise InternalInvariantViolation(
-                "zero connectivity but no zero-cost edge on the path"
-            )
+        x, y = pedges[costs.index(0)]
+        t.remove_edge(x, y)
+        t.add_edge(b, d, new_graph.weight(b, d))
         return t, UpdateStats(event, 0, static_eq, {RULE_NEW_BRIDGE: 1})
 
     # General route: every edge off the b-d path keeps its cut; the cheapest
     # path edge (nearest to b on ties) is a minimum b-d cut, so it stays
     # valid with cost +delta and is kept fat with {b, d} as its certified
     # pair.  The remaining path edges are rebuilt.
-    verts = tree.path_vertices(b, d)
-    pedges = list(zip(verts, verts[1:]))
-    chosen = min(pedges, key=lambda e: tree.cost(*e))
+    chosen = pedges[costs.index(lam)]
     work = IntermediateTree.from_cut_tree(tree)
     for x, y in pedges:
         if (x, y) != chosen:
             work.mark_thin(x, y)
-    rec = work.edge(*chosen)
-    rec.cost += delta
-    if {b, d} != set(chosen):
-        rec.pair = (b, d)
+    work.set_cost(*chosen, tree.cost(*chosen) + delta)
+    work.set_cut_pair(*chosen, (b, d))
     before = counter.value
     result = complete(work, new_graph, verify=verify)
     cuts = counter.value - before
@@ -211,10 +208,12 @@ def update_decrease(
         event = ChangeEvent.decrease_weight(b, d, delta)
     static_eq = max(0, new_graph.vertex_count - 1)
 
-    if detect_bridge(tree, old_graph, b, d) == EXISTING_BRIDGE:
+    # one path search serves the bridge test and the whole stale-cost walk
+    pverts = tree.path_vertices(b, d)
+    pedges = list(zip(pverts, pverts[1:]))
+    lam = min(tree.cost(x, y) for x, y in pedges)
+    if _bridge_kind(old_graph, b, d, lam) == EXISTING_BRIDGE:
         t = tree.copy()
-        verts = t.path_vertices(b, d)
-        pedges = list(zip(verts, verts[1:]))
         for x, y in pedges:
             t.set_cost(x, y, t.cost(x, y) - delta)
         accepted = tuple(
@@ -227,13 +226,12 @@ def update_decrease(
     # Stale-cost walk: path edges stay valid at cost -delta; everything else
     # turns thin and is re-certified most-expensive-first.
     work = IntermediateTree.from_cut_tree(tree)
-    verts0 = tree.path_vertices(b, d)
-    path_pairs = {pair_key(x, y) for x, y in zip(verts0, verts0[1:])}
-    for x, y, rec in work.edges():
-        if pair_key(x, y) in path_pairs:
-            rec.cost -= delta
+    path_pairs = {pair_key(x, y) for x, y in pedges}
+    for x, y, c in tree.edges():
+        if (x, y) in path_pairs:
+            work.set_cost(x, y, c - delta)
         else:
-            rec.fat = False
+            work.mark_thin(x, y)
     initial_thin = (tree.vertex_count - 1) - len(path_pairs)
 
     lam_old = lam_new = None
@@ -251,7 +249,6 @@ def update_decrease(
         thin = work.thin_edges()
         if not thin:
             break
-        pverts = work.path_vertices(b, d)
         pset = set(pverts)
         eligible = []
         for x, y, cost in thin:
@@ -273,7 +270,7 @@ def update_decrease(
 
         vi = pverts.index(v)
         flanks = [pverts[i] for i in (vi - 1, vi + 1) if 0 <= i < len(pverts)]
-        threshold = min(work.edge(x, v).cost for x in flanks)
+        threshold = min(work.cost(x, v) for x in flanks)
 
         rule = None
         if stale == 0:
@@ -289,8 +286,11 @@ def update_decrease(
             accepted.append((pair_key(u, v), stale, rule))
             accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
         else:
+            # a leaf is a one-vertex subtree, which contract leaves as it is
             groups = [
-                work.subtree(x, v) for x in sorted(work.neighbors(v)) if x != u
+                work.subtree(x, v)
+                for x in work.neighbors(v)
+                if x != u and len(work.neighbors(x)) > 1
             ]
             quotient, node_of = contract(new_graph, groups)
             cut = min_cut(quotient, u, v)
@@ -308,19 +308,23 @@ def update_decrease(
             else:
                 work.mark_fat(u, v, cut.cost)
                 breakdown[RULE_RECOMPUTED] = breakdown.get(RULE_RECOMPUTED, 0) + 1
-                moved_flanks = 0
+                moved_flanks = []
                 for x in sorted(work.neighbors(v)):
                     if x == u:
                         continue
                     if node_of[x] in cut.side:
                         work.move_endpoint(x, v, u)
                         if x in flanks:
-                            moved_flanks += 1
-                if moved_flanks != 1:
+                            moved_flanks.append(x)
+                if len(moved_flanks) != 1:
                     raise InternalInvariantViolation(
                         "reshaped cut must pull exactly one path neighbor across"
                     )
+                # u now sits on the path between the moved flank and v
+                pverts.insert(max(vi, pverts.index(moved_flanks[0])), u)
         if verify:
+            if pverts != work.path_vertices(b, d):
+                raise InternalInvariantViolation("tracked b-d path went stale")
             _check_loop_state(work, old_graph, new_graph, lam_old, lam_new)
 
     if cuts > initial_thin:
@@ -336,24 +340,21 @@ def _fatten_subtree(work: IntermediateTree, u: int, v: int) -> list[tuple[Pair, 
     """Certify {u, v} and every stale edge of the subtree hanging at u."""
     work.mark_fat(u, v)
     sub = work.subtree(u, v)
-    inherited = []
-    for x, y, rec in work.edges():
-        if not rec.fat and x in sub and y in sub:
-            rec.fat = True
-            inherited.append((pair_key(x, y), rec.cost))
+    inherited = sorted(((x, y), c) for x, y, c in work.thin_edges() if x in sub and y in sub)
+    for (x, y), _ in inherited:
+        work.mark_fat(x, y)
     return inherited
 
 
 def _check_loop_state(work, old_graph, new_graph, lam_old, lam_new) -> None:
     """Fat edges must be minimum cuts of the new graph, thin ones of the old."""
-    for x, y, rec in work.edges():
-        side = work.cut_side(x, y)
-        key = pair_key(x, y)
-        graph, lam = (new_graph, lam_new) if rec.fat else (old_graph, lam_old)
-        induced = cut_cost(graph, side)
-        if induced != rec.cost or lam[key] != rec.cost:
-            kind = "fat" if rec.fat else "thin"
+    for x, y, c in work.edges():
+        thin = work.is_thin(x, y)
+        graph, lam = (old_graph, lam_old) if thin else (new_graph, lam_new)
+        induced = cut_cost(graph, work.cut_side(x, y))
+        if induced != c or lam[x, y] != c:
+            kind = "thin" if thin else "fat"
             raise InternalInvariantViolation(
-                f"{kind} edge {key}: label {rec.cost}, induced {induced}, "
-                f"connectivity {lam[key]}"
+                f"{kind} edge {(x, y)}: label {c}, induced {induced}, "
+                f"connectivity {lam[x, y]}"
             )

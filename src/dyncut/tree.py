@@ -9,12 +9,19 @@ kinds: *fat* edges stand for already-certified minimum separating cuts of
 the current graph, *thin* edges only group vertices into compound nodes and
 carry stale costs.  :func:`complete` unfolds such a tree node by node until
 every edge is fat, spending one min-cut computation per thin edge.
+
+Both tree types keep their costs in the same plain adjacency rows
+(``dict[int, dict[int, int]]``), so converting and copying a tree copies
+dicts.  A partial tree adds the set of its thin edges' pair keys and a
+small map of certified cut pairs that differ from an edge's endpoints.
+Finding the next compound node and its thin edges reads only that set;
+each split walks the rest of the tree once, to gather the subtrees it
+contracts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -26,7 +33,7 @@ from .errors import (
     VertexExists,
     VertexMissing,
 )
-from .graph import Cut, DynamicGraph, Pair, contract, cut_cost
+from .graph import Cut, DynamicGraph, Pair, contract, cut_cost, pair_key
 from .mincut import min_cut
 
 
@@ -55,34 +62,25 @@ def _path_in_adj(adj: dict, u: int, v: int) -> list[int]:
     return out
 
 
-def _side_in_adj(adj: dict, root: int, banned: int) -> set[int]:
-    """Component of ``root`` when the tree edge {root, banned} is ignored."""
-    seen = {root}
-    dq = deque([root])
-    while dq:
-        x = dq.popleft()
-        for y in adj[x]:
-            if y == banned and x == root:
-                continue
+def _reach(nbrs: dict, start: int, seen: set[int]) -> list[int]:
+    """Vertices reachable from ``start`` without entering ``seen``; marks them seen.
+
+    In a tree, ``seen = {banned}`` gives start's side of the edge {start, banned}.
+    """
+    seen.add(start)
+    found = [start]
+    for x in found:
+        for y in nbrs.get(x, ()):
             if y not in seen:
                 seen.add(y)
-                dq.append(y)
-    return seen
+                found.append(y)
+    return found
 
 
-class CutTree:
-    """Weighted tree on the graph's vertices encoding all-pairs minimum cuts."""
+class _TreeRows:
+    """Adjacency rows shared by both tree types: ``_adj[u][v]`` is the cost of {u, v}."""
 
     __slots__ = ("_adj",)
-
-    def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
-        self._adj: dict[int, dict[int, int]] = {}
-        for v in vertices:
-            self._adj.setdefault(v, {})
-        for u, v, c in edges:
-            self._adj.setdefault(u, {})
-            self._adj.setdefault(v, {})
-            self.add_edge(u, v, c)
 
     @property
     def vertices(self):
@@ -117,6 +115,36 @@ class CutTree:
         except KeyError:
             raise VertexMissing(f"no vertex {v}") from None
 
+    def set_cost(self, u: int, v: int, c: int) -> None:
+        self.cost(u, v)
+        if c < 0:
+            raise ValueError("tree edge costs are non-negative")
+        self._adj[u][v] = c
+        self._adj[v][u] = c
+
+    def cut_side(self, u: int, v: int) -> frozenset[int]:
+        """Vertex set on u's side when tree edge {u, v} is removed."""
+        self.cost(u, v)
+        return frozenset(_reach(self._adj, u, {v}))
+
+    def _copy_rows(self) -> dict[int, dict[int, int]]:
+        return {v: dict(nbrs) for v, nbrs in self._adj.items()}
+
+
+class CutTree(_TreeRows):
+    """Weighted tree on the graph's vertices encoding all-pairs minimum cuts."""
+
+    __slots__ = ()
+
+    def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
+        self._adj: dict[int, dict[int, int]] = {}
+        for v in vertices:
+            self._adj.setdefault(v, {})
+        for u, v, c in edges:
+            self._adj.setdefault(u, {})
+            self._adj.setdefault(v, {})
+            self.add_edge(u, v, c)
+
     def add_vertex(self, v: int) -> None:
         if v in self._adj:
             raise VertexExists(f"vertex {v} already present")
@@ -146,24 +174,12 @@ class CutTree:
         del self._adj[u][v]
         del self._adj[v][u]
 
-    def set_cost(self, u: int, v: int, c: int) -> None:
-        self.cost(u, v)
-        if c < 0:
-            raise ValueError("tree edge costs are non-negative")
-        self._adj[u][v] = c
-        self._adj[v][u] = c
-
     def path_vertices(self, u: int, v: int) -> list[int]:
         return _path_in_adj(self._adj, u, v)
 
-    def cut_side(self, u: int, v: int) -> frozenset[int]:
-        """Vertex set on u's side when tree edge {u, v} is removed."""
-        self.cost(u, v)
-        return frozenset(_side_in_adj(self._adj, u, v))
-
     def copy(self) -> "CutTree":
         t = CutTree()
-        t._adj = {v: dict(n) for v, n in self._adj.items()}
+        t._adj = self._copy_rows()
         return t
 
     def __eq__(self, other) -> bool:
@@ -207,207 +223,169 @@ def query_cut(tree: CutTree, u: int, v: int) -> Cut:
     return Cut(tree.cut_side(a, b), c)
 
 
-@dataclass
-class _EdgeRec:
-    """Shared attribute record of one intermediate-tree edge.
+class IntermediateTree(_TreeRows):
+    """Spanning tree with fat/thin edge kinds used during construction.
 
-    ``pair`` overrides the endpoints as the edge's certified cut pair; it is
-    only needed while an edge is anchored at vertices other than the pair
-    whose minimum cut it represents.
+    Costs live in :class:`CutTree`'s adjacency rows.  ``_thin`` holds the
+    pair keys of the thin edges; every other edge is fat.  ``_pair`` maps
+    the pair key of a fat edge to its certified cut pair, only while that
+    pair is not the edge's own endpoints.
     """
 
-    fat: bool
-    cost: int
-    pair: Pair | None = None
-
-
-class IntermediateTree:
-    """Spanning tree with fat/thin edge kinds used during construction."""
-
-    __slots__ = ("_adj",)
+    __slots__ = ("_thin", "_pair")
 
     def __init__(self, vertices: Iterable[int] = ()):
-        self._adj: dict[int, dict[int, _EdgeRec]] = {}
-        for v in vertices:
-            self._adj.setdefault(v, {})
+        self._adj: dict[int, dict[int, int]] = {v: {} for v in vertices}
+        self._thin: set[Pair] = set()
+        self._pair: dict[Pair, Pair] = {}
 
     @classmethod
     def star(cls, vertices: Iterable[int]) -> "IntermediateTree":
         """All-thin star centered on the smallest vertex."""
-        t = cls()
         verts = sorted(vertices)
-        for v in verts:
-            t._adj[v] = {}
-        if verts:
-            hub = verts[0]
-            for v in verts[1:]:
-                t._link(hub, v, _EdgeRec(fat=False, cost=0))
+        t = cls(verts)
+        for v in verts[1:]:
+            t.add_edge(verts[0], v, fat=False, cost=0)
         return t
 
     @classmethod
     def from_cut_tree(cls, tree: CutTree) -> "IntermediateTree":
         """All-fat copy of a finished cut tree."""
         t = cls()
-        for v in tree.vertices:
-            t._adj[v] = {}
-        for u, v, c in tree.edges():
-            t._link(u, v, _EdgeRec(fat=True, cost=c))
+        t._adj = tree._copy_rows()
         return t
 
-    def _link(self, u: int, v: int, rec: _EdgeRec) -> None:
-        self._adj[u][v] = rec
-        self._adj[v][u] = rec
-
-    @property
-    def vertices(self):
-        return self._adj.keys()
-
-    def neighbors(self, v: int) -> dict[int, _EdgeRec]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise VertexMissing(f"no vertex {v}") from None
-
-    def edge(self, u: int, v: int) -> _EdgeRec:
-        try:
-            return self._adj[u][v]
-        except KeyError:
-            raise EdgeMissing(f"no tree edge {{{u},{v}}}") from None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-    def edges(self) -> Iterator[tuple[int, int, _EdgeRec]]:
-        for u, nbrs in self._adj.items():
-            for v, rec in nbrs.items():
-                if u < v:
-                    yield u, v, rec
+    def is_thin(self, u: int, v: int) -> bool:
+        self.cost(u, v)
+        return pair_key(u, v) in self._thin
 
     def thin_edges(self) -> list[tuple[int, int, int]]:
-        return [(u, v, rec.cost) for u, v, rec in self.edges() if not rec.fat]
+        """Every thin edge as ``(u, v, cost)`` with u < v, in no fixed order."""
+        adj = self._adj
+        return [(u, v, adj[u][v]) for u, v in self._thin]
 
-    def has_thin_edges(self) -> bool:
-        return any(not rec.fat for _, _, rec in self.edges())
+    def set_cut_pair(self, u: int, v: int, pair: Pair) -> None:
+        """Record ``pair`` as the pair whose minimum cut fat edge {u, v} certifies."""
+        self.cost(u, v)
+        key = pair_key(u, v)
+        if pair_key(*pair) == key:
+            self._pair.pop(key, None)
+        else:
+            self._pair[key] = pair
 
-    def add_edge(self, u: int, v: int, *, fat: bool, cost: int, pair: Pair | None = None) -> None:
+    def add_edge(self, u: int, v: int, *, fat: bool, cost: int) -> None:
         if u == v:
             raise SameVertex("tree edges need distinct endpoints")
+        if u not in self._adj or v not in self._adj:
+            raise VertexMissing(f"endpoint of {{{u},{v}}} missing")
         if v in self._adj[u]:
             raise EdgeExists(f"tree edge {{{u},{v}}} already present")
-        self._link(u, v, _EdgeRec(fat=fat, cost=cost, pair=pair))
+        self._adj[u][v] = cost
+        self._adj[v][u] = cost
+        if not fat:
+            self._thin.add(pair_key(u, v))
 
     def remove_edge(self, u: int, v: int) -> None:
-        self.edge(u, v)
+        self.cost(u, v)
         del self._adj[u][v]
         del self._adj[v][u]
+        key = pair_key(u, v)
+        self._thin.discard(key)
+        self._pair.pop(key, None)
 
     def mark_fat(self, u: int, v: int, cost: int | None = None) -> None:
-        rec = self.edge(u, v)
-        rec.fat = True
+        self.cost(u, v)
+        self._thin.discard(pair_key(u, v))
         if cost is not None:
-            rec.cost = cost
+            self.set_cost(u, v, cost)
 
     def mark_thin(self, u: int, v: int) -> None:
-        self.edge(u, v).fat = False
-
-    def set_cost(self, u: int, v: int, cost: int) -> None:
-        self.edge(u, v).cost = cost
+        self.cost(u, v)
+        self._thin.add(pair_key(u, v))
 
     def move_endpoint(self, far: int, old_near: int, new_near: int) -> None:
-        """Reconnect edge {far, old_near} as {far, new_near}, keeping its record."""
-        rec = self.edge(far, old_near)
+        """Reconnect edge {far, old_near} as {far, new_near}, keeping its cost and kind."""
+        c = self.cost(far, old_near)
         if far == new_near or self.has_edge(far, new_near):
             raise EdgeExists(f"cannot move edge onto {{{far},{new_near}}}")
         del self._adj[far][old_near]
         del self._adj[old_near][far]
-        self._link(far, new_near, rec)
+        self._adj[far][new_near] = c
+        self._adj[new_near][far] = c
+        old, new = pair_key(far, old_near), pair_key(far, new_near)
+        if old in self._thin:
+            self._thin.remove(old)
+            self._thin.add(new)
+        if old in self._pair:
+            self._pair[new] = self._pair.pop(old)
 
     def thin_component(self, v: int) -> set[int]:
         """The compound node containing v: vertices connected by thin edges."""
         if v not in self._adj:
             raise VertexMissing(f"no vertex {v}")
-        seen = {v}
-        dq = deque([v])
-        while dq:
-            x = dq.popleft()
-            for y, rec in self._adj[x].items():
-                if not rec.fat and y not in seen:
-                    seen.add(y)
-                    dq.append(y)
-        return seen
+        thin_nbrs: dict[int, list[int]] = {}
+        for a, b in self._thin:
+            thin_nbrs.setdefault(a, []).append(b)
+            thin_nbrs.setdefault(b, []).append(a)
+        return set(_reach(thin_nbrs, v, set()))
 
     def next_multi_node(self) -> set[int] | None:
         """Compound node to process next: the one holding the smallest vertex."""
-        for v in sorted(self._adj):
-            if any(not rec.fat for rec in self._adj[v].values()):
-                return self.thin_component(v)
-        return None
+        if not self._thin:
+            return None
+        return self.thin_component(min(self._thin)[0])
 
     def subtree(self, root: int, banned: int) -> set[int]:
         """Vertices on root's side when tree edge {root, banned} is ignored."""
-        self.edge(root, banned)
-        return _side_in_adj(self._adj, root, banned)
+        self.cost(root, banned)
+        return set(_reach(self._adj, root, {banned}))
 
     def path_vertices(self, u: int, v: int) -> list[int]:
         return _path_in_adj(self._adj, u, v)
 
-    def cut_side(self, u: int, v: int) -> frozenset[int]:
-        self.edge(u, v)
-        return frozenset(_side_in_adj(self._adj, u, v))
-
     def copy(self) -> "IntermediateTree":
         t = IntermediateTree()
-        for v in self._adj:
-            t._adj[v] = {}
-        for u, v, rec in self.edges():
-            t._link(u, v, _EdgeRec(rec.fat, rec.cost, rec.pair))
+        t._adj = self._copy_rows()
+        t._thin = self._thin.copy()
+        t._pair = self._pair.copy()
         return t
 
     def to_cut_tree(self) -> CutTree:
         """Strip edge kinds; requires every edge to be fat."""
-        out = CutTree(vertices=self._adj.keys())
-        for u, v, rec in self.edges():
-            if not rec.fat:
-                raise InvalidIntermediate(f"thin edge {{{u},{v}}} remains")
-            out.add_edge(u, v, rec.cost)
+        if self._thin:
+            u, v = min(self._thin)
+            raise InvalidIntermediate(f"thin edge {{{u},{v}}} remains")
+        out = CutTree()
+        out._adj = self._copy_rows()
         return out
 
 
 def _check_induced_costs(tree: IntermediateTree, graph: DynamicGraph) -> None:
-    for u, v, rec in tree.edges():
-        if not rec.fat:
+    for u, v, c in tree.edges():
+        if tree.is_thin(u, v):
             continue
-        side = tree.cut_side(u, v)
-        actual = cut_cost(graph, side)
-        if actual != rec.cost:
+        actual = cut_cost(graph, tree.cut_side(u, v))
+        if actual != c:
             raise InvalidIntermediate(
-                f"fat edge {{{u},{v}}} labelled {rec.cost} but induces a cut of cost {actual}"
+                f"fat edge {{{u},{v}}} labelled {c} but induces a cut of cost {actual}"
             )
 
 
 def _relink_thin(tree: IntermediateTree, part: set[int], kept: list[tuple[int, int, int]]) -> None:
     """Rebuild a thin spanning forest on ``part`` and join its pieces."""
+    thin_nbrs: dict[int, list[int]] = {w: [] for w in part}
     for a, b, c in kept:
         tree.add_edge(a, b, fat=False, cost=c)
-    # union pieces: walk thin-reachability inside part
-    base = min(part)
-    assigned: set[int] = set()
-    pieces: list[set[int]] = []
-    for v in sorted(part):
-        if v in assigned:
+        thin_nbrs[a].append(b)
+        thin_nbrs[b].append(a)
+    order = sorted(part)
+    seen: set[int] = set()
+    for w in order:
+        if w in seen:
             continue
-        piece = {v}
-        dq = deque([v])
-        while dq:
-            x = dq.popleft()
-            for y, rec in tree.neighbors(x).items():
-                if not rec.fat and y in part and y not in piece:
-                    piece.add(y)
-                    dq.append(y)
-        assigned |= piece
-        pieces.append(piece)
-    for piece in pieces[1:]:
-        tree.add_edge(base, min(piece), fat=False, cost=0)
+        if seen:
+            tree.add_edge(order[0], w, fat=False, cost=0)
+        _reach(thin_nbrs, w, seen)
 
 
 def _split_node(tree: IntermediateTree, graph: DynamicGraph, node: set[int]) -> None:
@@ -415,50 +393,43 @@ def _split_node(tree: IntermediateTree, graph: DynamicGraph, node: set[int]) -> 
     members = sorted(node)
     u, v = members[0], members[1]
 
-    # fat edges leaving the node, each with the whole subtree hanging off it
-    links: list[tuple[int, int, _EdgeRec, set[int]]] = []
-    for near in members:
-        for far in sorted(tree.neighbors(near)):
-            if far in node:
-                continue
-            rec = tree.edge(near, far)
-            links.append((far, near, rec, tree.subtree(far, near)))
+    # Fat edges leaving the node, each with the whole subtree hanging off it.
+    # The node is connected, so each subtree meets it by one edge only and a
+    # single traversal with a shared ``seen`` set gathers them all.
+    adj = tree._adj
+    links = [(far, near) for near in members for far in adj[near] if far not in node]
+    seen = set(node)
+    subtrees = [_reach(adj, far, seen) for far, _ in links]
 
-    quotient, node_of = contract(graph, [sub for *_, sub in links])
+    quotient, node_of = contract(graph, [sub for sub in subtrees if len(sub) > 1])
     cut = min_cut(quotient, u, v)
     side_u = {w for w in node if w in cut.side}
     side_v = node - side_u
 
-    # The node's thin edges, read from its members' adjacency in the order
-    # tree.edges() would yield them, which fixes the order they are relinked.
-    old_thin = [
-        (a, b, rec.cost)
-        for a in tree.vertices
-        if a in node
-        for b, rec in tree.neighbors(a).items()
-        if a < b and not rec.fat and b in node
-    ]
+    # Every thin edge touching the node lies inside it.
+    old_thin = [(a, b, adj[a][b]) for a, b in sorted(k for k in tree._thin if k[0] in node)]
     for a, b, _ in old_thin:
         tree.remove_edge(a, b)
     tree.add_edge(u, v, fat=True, cost=cut.cost)
     for part in (side_u, side_v):
-        if len(part) > 1:
-            kept = [(a, b, c) for a, b, c in old_thin if a in part and b in part]
-            _relink_thin(tree, part, kept)
+        kept = [(a, b, c) for a, b, c in old_thin if a in part and b in part]
+        _relink_thin(tree, part, kept)
 
     # Reconnect each hanging subtree to the side its contracted node landed
     # on; the certified cut pair follows the split (if the near pair vertex
     # fell on the wrong side, the step vertex replaces it).
-    for far, near, rec, _sub in links:
+    pairs = tree._pair
+    for far, near in links:
         target, step = (side_u, u) if node_of[far] in cut.side else (side_v, v)
-        p, q = rec.pair if rec.pair is not None else (near, far)
+        p, q = pairs.get((near, far) if near < far else (far, near), (near, far))
         if p not in node:
             p, q = q, p
         new_p = p if p in target else step
         new_near = near if near in target else new_p
         if new_near != near:
             tree.move_endpoint(far, near, new_near)
-        rec.pair = None if {new_p, q} == {new_near, far} else (new_p, q)
+        if (new_p, new_near) != (p, near):  # else the recorded pair still holds
+            tree.set_cut_pair(far, new_near, (new_p, q))
 
 
 def complete(tree: IntermediateTree, graph: DynamicGraph, verify: bool = False) -> CutTree:

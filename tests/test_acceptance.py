@@ -30,7 +30,7 @@ from dyncut import (
 )
 from dyncut.dynamic import EXISTING_BRIDGE, NON_BRIDGE
 from dyncut.mincut import counter
-from dyncut.stream import BALANCED_EDGE_MIX
+from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
 from helpers import SCENARIO_MIX, dispatch_update, random_graph
 
 SUITE1_SCENARIOS = 1000
@@ -197,6 +197,23 @@ def test_criterion_5_savings_on_generated_stream():
         "savings demonstration",
         ok,
         f"dynamic {report.cum_dynamic} / static {report.cum_static} cuts, "
+        f"ratio {ratio:.6f} < 0.5",
+    )
+
+
+def test_savings_gate_spends_cuts():
+    # Criterion 5's stream never holds more than 14 edges and spends no cut,
+    # so its ratio bound cannot fail; this dense stream spends thousands.
+    mix = dict(zip(MIX_ORDER, (0, 0, 0.5, 0.1, 0.2, 0.2)))
+    params = GenParams(n_vertices=30, n_events=600, weight_max=8, mix=mix)
+    report = replay(generate(params, seed=1))
+    ratio = report.ratio
+    ok = report.cum_dynamic >= 1000 and ratio < 0.5
+    _report(
+        "5b",
+        "savings with cuts spent",
+        ok,
+        f"dynamic {report.cum_dynamic} >= 1000 / static {report.cum_static} cuts, "
         f"ratio {ratio:.6f} < 0.5",
     )
 

@@ -140,6 +140,16 @@ class TestContract:
         assert q == ref
 
     @given(graphs(), st.integers(0, 10**6))
+    def test_singleton_groups_change_nothing(self, g, seed):
+        rng = random.Random(seed)
+        groups = _random_groups(g, rng)
+        grouped = set().union(*groups)
+        groups += [{v} for v in g.vertices if v not in grouped and rng.random() < 0.5]
+        rng.shuffle(groups)
+        multi = [grp for grp in groups if len(grp) > 1]
+        assert contract(g, groups) == contract(g, multi)
+
+    @given(graphs(), st.integers(0, 10**6))
     def test_invalid_groups_raise_and_leave_graph_unchanged(self, g, seed):
         rng = random.Random(seed)
         groups = _random_groups(g, rng) or [{min(g.vertices)}]

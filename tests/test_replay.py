@@ -1,15 +1,24 @@
+import pickle
+from hashlib import sha256
+
 import pytest
 
 from dyncut import (
+    NON_BRIDGE,
     CutTree,
     GenParams,
+    IntermediateTree,
+    complete,
+    detect_bridge,
     generate,
     parse_stream,
+    path,
     replay,
+    update_increase,
 )
 from dyncut.errors import VerificationFailed
 from dyncut.replay import CSV_HEADER
-from dyncut.stream import BALANCED_EDGE_MIX
+from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
 T3_BUILD = "av 1\nav 2\nav 3\nae 1 2 1\nae 2 3 2\nae 1 3 3\n"
@@ -97,3 +106,67 @@ def test_per_kind_totals():
     assert report.per_kind["re"].count == 1
     total = sum(t.cuts for t in report.per_kind.values())
     assert total == report.cum_dynamic
+
+
+# fractions of av, rv, ae, re, iw, dw, as for ``dyncut gen --mix``
+GROW_MIX = dict(zip(MIX_ORDER, (0, 0, 0.6, 0, 0.4, 0)))
+CHURN_MIX = dict(zip(MIX_ORDER, (0, 0, 0.5, 0.1, 0.2, 0.2)))
+
+
+def _digest(text):
+    return sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "mix, seed, csv_digest, tree_digest",
+    [
+        (
+            GROW_MIX,
+            5,
+            "ff96ff8f6ec824e4ad7226700c128f68b29849daaaa511f7b1bb367f5fe882b8",
+            "327cd1dce2c7f0170c3944028b91cbd11930a90768e3a53f8b796f26aea6300a",
+        ),
+        (
+            CHURN_MIX,
+            1,
+            "9c0ac9f5d23fd6a6bfab21e333262ac34c220b4b294074d0e6346efdab1da80e",
+            "d57692bec72f46f6a3dc402b12f4c9c64b01321c4c6753c7a6f450e107c5dbd1",
+        ),
+    ],
+    ids=["grow_increase", "dense_churn"],
+)
+def test_golden_replay_digests(mix, seed, csv_digest, tree_digest):
+    # pinned digests: any change to a cut side, a cost or the tree shape shows here
+    stream = generate(GenParams(n_vertices=40, n_events=400, mix=mix), seed=seed)
+    report = replay(stream)
+    assert _digest(report.csv_text()) == csv_digest
+    assert _digest("\n".join(report.final_tree.to_lines())) == tree_digest
+
+
+def test_complete_and_update_increase_leave_inputs_unchanged():
+    report = replay(generate(GenParams(n_vertices=40, n_events=400, mix=GROW_MIX), seed=5))
+    tree, graph = report.final_tree, report.final_graph
+    rebuilt = 0
+    for b, d, _ in sorted(graph.edges())[::7]:
+        raised = graph.copy()
+        raised.increase_weight(b, d, 3)
+        before = (tree.copy(), graph.copy(), raised.copy())
+        result, _ = update_increase(tree, graph, raised, b, d, 3)
+        assert (tree, graph, raised) == before
+
+        # the partial tree update_increase hands to complete
+        pedges = path(tree, b, d)
+        chosen = min(pedges, key=lambda e: tree.cost(*e))
+        work = IntermediateTree.from_cut_tree(tree)
+        for e in pedges:
+            if e != chosen:
+                work.mark_thin(*e)
+        work.set_cost(*chosen, tree.cost(*chosen) + 3)
+        work.set_cut_pair(*chosen, (b, d))
+        state = pickle.dumps(work)
+        done = complete(work, raised)
+        assert pickle.dumps(work) == state
+        if detect_bridge(tree, graph, b, d) == NON_BRIDGE:
+            assert done == result
+            rebuilt += 1
+    assert rebuilt >= 5

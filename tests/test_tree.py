@@ -106,15 +106,15 @@ class TestComplete:
         verts = tree.path_vertices(a, b)
         on_path = {frozenset(e) for e in zip(verts, verts[1:])}
         work = IntermediateTree.from_cut_tree(tree)
-        for u, v, rec in work.edges():
+        for u, v, _ in work.edges():
             if {u, v} in on_path:
-                rec.fat = False
+                work.mark_thin(u, v)
         anchor = min(g.vertices)
         fat_before = {
             (frozenset(work.cut_side(u, v) if anchor not in work.cut_side(u, v)
-                       else set(g.vertices) - work.cut_side(u, v)), rec.cost)
-            for u, v, rec in work.edges()
-            if rec.fat
+                       else set(g.vertices) - work.cut_side(u, v)), c)
+            for u, v, c in work.edges()
+            if not work.is_thin(u, v)
         }
         done = complete(work, g)
         fat_after = {
@@ -205,4 +205,4 @@ class TestIntermediateTree:
         work.move_endpoint(2, 3, 1)
         assert work.has_edge(1, 2)
         assert not work.has_edge(2, 3)
-        assert work.edge(1, 2).cost == 3
+        assert work.cost(1, 2) == 3
