@@ -38,10 +38,9 @@ from .oracle import (
     VerifyReport,
     Violation,
     all_pairs_connectivity,
-    bend_cut,
     verify_cut_tree,
 )
-from .replay import ReplayReport, ReplayRow, replay
+from .replay import ReplayReport, ReplayRow, apply_event, replay
 from .stream import (
     BALANCED_EDGE_MIX,
     EventStream,
@@ -49,11 +48,9 @@ from .stream import (
     format_stream,
     generate,
     parse_stream,
-    random_event,
 )
 from .tree import (
     CutTree,
-    IntermediateTree,
     complete,
     path,
     query_cut,
@@ -76,7 +73,6 @@ __all__ = [
     "EXISTING_BRIDGE",
     "GenParams",
     "INCREASE_WEIGHT",
-    "IntermediateTree",
     "NEW_BRIDGE",
     "NON_BRIDGE",
     "REMOVE_EDGE",
@@ -88,7 +84,7 @@ __all__ = [
     "Violation",
     "all_pairs_connectivity",
     "apply_change",
-    "bend_cut",
+    "apply_event",
     "complete",
     "contract",
     "counter",
@@ -101,7 +97,6 @@ __all__ = [
     "path",
     "query_cut",
     "query_value",
-    "random_event",
     "replay",
     "static_build",
     "update_add_vertex",

@@ -7,6 +7,10 @@ rebuilds the rest.  A weight decrease or deletion walks the stale cuts in
 order of decreasing cost and re-certifies each one by a cost threshold, a
 bridge/zero-cost rule, or (only when those fail) a fresh min-cut on a
 contracted graph, reshaping the tree along the new cut when it is cheaper.
+
+The increase and decrease routines take the graph after the change.  The
+old weight of the changed edge follows from the change itself, and no
+other weight differs, so neither routine needs the graph from before.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .graph import (
     pair_key,
 )
 from .mincut import counter, min_cut
-from .tree import CutTree, IntermediateTree, complete, query_value
+from .tree import CutTree, complete, query_value
 
 EXISTING_BRIDGE = "existing-bridge"
 NEW_BRIDGE = "new-bridge"
@@ -71,11 +75,13 @@ def detect_bridge(tree: CutTree, graph: DynamicGraph, b: int, d: int) -> str:
     its endpoints; {b, d} is a new bridge iff the endpoints are currently
     disconnected (connectivity zero).
     """
-    return _bridge_kind(graph, b, d, query_value(tree, b, d))
+    w = graph.weight(b, d) if graph.has_edge(b, d) else 0
+    return _bridge_kind(w, query_value(tree, b, d))
 
 
-def _bridge_kind(graph: DynamicGraph, b: int, d: int, lam: int) -> str:
-    if graph.has_edge(b, d) and graph.weight(b, d) == lam and lam > 0:
+def _bridge_kind(w_before: int, lam: int) -> str:
+    """Classify {b, d} from its weight before the change (0 if absent)."""
+    if w_before == lam and lam > 0:
         return EXISTING_BRIDGE
     if lam == 0:
         return NEW_BRIDGE
@@ -118,31 +124,35 @@ def update_remove_vertex(tree: CutTree, vertex: int) -> CutTree:
 
 def update_increase(
     tree: CutTree,
-    old_graph: DynamicGraph,
-    new_graph: DynamicGraph,
+    graph: DynamicGraph,
     b: int,
     d: int,
     delta: int,
     verify: bool = False,
 ) -> tuple[CutTree, UpdateStats]:
-    """Carry the tree across an edge insertion or weight increase by delta."""
+    """Carry the tree across an edge insertion or weight increase by delta.
+
+    ``graph`` is the graph after the change; {b, d} weighed ``weight - delta``
+    before it, and was absent if that is zero.
+    """
     if delta <= 0:
         raise InvalidDelta("delta must be positive")
-    old_w = old_graph.weight(b, d) if old_graph.has_edge(b, d) else 0
-    if not new_graph.has_edge(b, d) or new_graph.weight(b, d) != old_w + delta:
-        raise ValueError("new_graph is not old_graph with {b,d} increased by delta")
+    new_w = graph.weight(b, d)
+    if new_w < delta:
+        raise InvalidDelta(f"weight {new_w} of {{{b},{d}}} is below delta {delta}")
+    old_w = new_w - delta
     event = (
         ChangeEvent.increase_weight(b, d, delta)
         if old_w
         else ChangeEvent.add_edge(b, d, delta)
     )
-    static_eq = max(0, new_graph.vertex_count - 1)
+    static_eq = max(0, graph.vertex_count - 1)
     # one path search serves the bridge test and the rebuild
     verts = tree.path_vertices(b, d)
     pedges = list(zip(verts, verts[1:]))
     costs = [tree.cost(x, y) for x, y in pedges]
     lam = min(costs)
-    kind = _bridge_kind(old_graph, b, d, lam)
+    kind = _bridge_kind(old_w, lam)
 
     if kind == EXISTING_BRIDGE:
         t = tree.copy()
@@ -155,7 +165,7 @@ def update_increase(
         t = tree.copy()
         x, y = pedges[costs.index(0)]
         t.remove_edge(x, y)
-        t.add_edge(b, d, new_graph.weight(b, d))
+        t.add_edge(b, d, new_w)
         return t, UpdateStats(event, 0, static_eq, {RULE_NEW_BRIDGE: 1})
 
     # General route: every edge off the b-d path keeps its cut; the cheapest
@@ -163,14 +173,14 @@ def update_increase(
     # valid with cost +delta and is kept fat with {b, d} as its certified
     # pair.  The remaining path edges are rebuilt.
     chosen = pedges[costs.index(lam)]
-    work = IntermediateTree.from_cut_tree(tree)
+    work = tree.copy()
     for x, y in pedges:
         if (x, y) != chosen:
             work.mark_thin(x, y)
     work.set_cost(*chosen, tree.cost(*chosen) + delta)
     work.set_cut_pair(*chosen, (b, d))
     before = counter.value
-    result = complete(work, new_graph, verify=verify)
+    result = complete(work, graph, verify=verify)
     cuts = counter.value - before
     if cuts != len(pedges) - 1:
         raise InternalInvariantViolation(
@@ -182,8 +192,7 @@ def update_increase(
 
 def update_decrease(
     tree: CutTree,
-    old_graph: DynamicGraph,
-    new_graph: DynamicGraph,
+    graph: DynamicGraph,
     b: int,
     d: int,
     delta: int,
@@ -191,28 +200,27 @@ def update_decrease(
 ) -> tuple[CutTree, UpdateStats]:
     """Carry the tree across a weight decrease by delta or an edge deletion.
 
-    ``delta`` equal to the old weight means the edge was deleted.  With
-    ``verify`` on (small graphs only), the fat/thin cut invariants are
-    re-checked against brute-force connectivities after every loop step.
+    ``graph`` is the graph after the change; {b, d} weighed ``weight + delta``
+    before it.  An edge missing from ``graph`` was deleted, and ``delta`` is
+    its old weight.  With ``verify`` on (small graphs only), the fat/thin cut
+    invariants are re-checked against brute-force connectivities after every
+    loop step.
     """
-    old_w = old_graph.weight(b, d)
-    if delta <= 0 or delta > old_w:
-        raise InvalidDelta(f"delta must be in [1, {old_w}]")
-    if delta == old_w:
-        if new_graph.has_edge(b, d):
-            raise ValueError("full-cost decrease must remove the edge")
-        event = ChangeEvent.remove_edge(b, d)
-    else:
-        if not new_graph.has_edge(b, d) or new_graph.weight(b, d) != old_w - delta:
-            raise ValueError("new_graph is not old_graph with {b,d} decreased by delta")
+    if delta <= 0:
+        raise InvalidDelta("delta must be positive")
+    if graph.has_edge(b, d):
+        old_w = graph.weight(b, d) + delta
         event = ChangeEvent.decrease_weight(b, d, delta)
-    static_eq = max(0, new_graph.vertex_count - 1)
+    else:
+        old_w = delta
+        event = ChangeEvent.remove_edge(b, d)
+    static_eq = max(0, graph.vertex_count - 1)
 
     # one path search serves the bridge test and the whole stale-cost walk
     pverts = tree.path_vertices(b, d)
     pedges = list(zip(pverts, pverts[1:]))
     lam = min(tree.cost(x, y) for x, y in pedges)
-    if _bridge_kind(old_graph, b, d, lam) == EXISTING_BRIDGE:
+    if _bridge_kind(old_w, lam) == EXISTING_BRIDGE:
         t = tree.copy()
         for x, y in pedges:
             t.set_cost(x, y, t.cost(x, y) - delta)
@@ -225,7 +233,7 @@ def update_decrease(
 
     # Stale-cost walk: path edges stay valid at cost -delta; everything else
     # turns thin and is re-certified most-expensive-first.
-    work = IntermediateTree.from_cut_tree(tree)
+    work = tree.copy()
     path_pairs = {pair_key(x, y) for x, y in pedges}
     for x, y, c in tree.edges():
         if (x, y) in path_pairs:
@@ -238,9 +246,14 @@ def update_decrease(
     if verify:
         from .oracle import all_pairs_connectivity
 
-        lam_old = all_pairs_connectivity(old_graph, method="enumerate")
-        lam_new = all_pairs_connectivity(new_graph, method="enumerate")
-        _check_loop_state(work, old_graph, new_graph, lam_old, lam_new)
+        graph_before = graph.copy()
+        if old_w == delta:
+            graph_before.add_edge(b, d, delta)
+        else:
+            graph_before.increase_weight(b, d, delta)
+        lam_old = all_pairs_connectivity(graph_before, method="enumerate")
+        lam_new = all_pairs_connectivity(graph, method="enumerate")
+        _check_loop_state(work, graph_before, graph, lam_old, lam_new)
 
     cuts = 0
     breakdown: dict[str, int] = {}
@@ -265,8 +278,7 @@ def update_decrease(
             raise InternalInvariantViolation(
                 "thin edges remain but none touches the path"
             )
-        eligible.sort(key=lambda r: (-r[0], r[1], r[2]))
-        stale, _, _, u, v = eligible[0]
+        stale, _, _, u, v = min(eligible, key=lambda r: (-r[0], r[1], r[2]))
 
         vi = pverts.index(v)
         flanks = [pverts[i] for i in (vi - 1, vi + 1) if 0 <= i < len(pverts)]
@@ -275,7 +287,9 @@ def update_decrease(
         rule = None
         if stale == 0:
             rule = RULE_ZERO_OR_BRIDGE
-        elif old_graph.has_edge(u, v) and old_graph.weight(u, v) == stale:
+        # u is off the b-d path and b, d are on it, so {u, v} is not the
+        # changed edge and its weight is the same before and after
+        elif graph.has_edge(u, v) and graph.weight(u, v) == stale:
             rule = RULE_ZERO_OR_BRIDGE
         elif threshold >= stale:
             rule = RULE_THRESHOLD
@@ -292,7 +306,7 @@ def update_decrease(
                 for x in work.neighbors(v)
                 if x != u and len(work.neighbors(x)) > 1
             ]
-            quotient, node_of = contract(new_graph, groups)
+            quotient, node_of = contract(graph, groups)
             cut = min_cut(quotient, u, v)
             cuts += 1
             if cut.cost > stale:
@@ -325,18 +339,18 @@ def update_decrease(
         if verify:
             if pverts != work.path_vertices(b, d):
                 raise InternalInvariantViolation("tracked b-d path went stale")
-            _check_loop_state(work, old_graph, new_graph, lam_old, lam_new)
+            _check_loop_state(work, graph_before, graph, lam_old, lam_new)
 
     if cuts > initial_thin:
         raise InternalInvariantViolation(
             f"{cuts} cuts used, more than the {initial_thin} stale edges"
         )
-    return work.to_cut_tree(), UpdateStats(
+    return work.copy(), UpdateStats(
         event, cuts, static_eq, breakdown, tuple(accepted)
     )
 
 
-def _fatten_subtree(work: IntermediateTree, u: int, v: int) -> list[tuple[Pair, int]]:
+def _fatten_subtree(work: CutTree, u: int, v: int) -> list[tuple[Pair, int]]:
     """Certify {u, v} and every stale edge of the subtree hanging at u."""
     work.mark_fat(u, v)
     sub = work.subtree(u, v)
@@ -346,11 +360,11 @@ def _fatten_subtree(work: IntermediateTree, u: int, v: int) -> list[tuple[Pair, 
     return inherited
 
 
-def _check_loop_state(work, old_graph, new_graph, lam_old, lam_new) -> None:
+def _check_loop_state(work, graph_before, graph_after, lam_old, lam_new) -> None:
     """Fat edges must be minimum cuts of the new graph, thin ones of the old."""
     for x, y, c in work.edges():
         thin = work.is_thin(x, y)
-        graph, lam = (old_graph, lam_old) if thin else (new_graph, lam_new)
+        graph, lam = (graph_before, lam_old) if thin else (graph_after, lam_new)
         induced = cut_cost(graph, work.cut_side(x, y))
         if induced != c or lam[x, y] != c:
             kind = "thin" if thin else "fat"

@@ -23,7 +23,9 @@ from .graph import (
     ADD_VERTEX,
     DECREASE_WEIGHT,
     INCREASE_WEIGHT,
+    REMOVE_EDGE,
     REMOVE_VERTEX,
+    ChangeEvent,
     DynamicGraph,
     apply_change,
 )
@@ -96,6 +98,28 @@ class ReplayReport:
         return "\n".join(lines)
 
 
+def apply_event(
+    tree: CutTree, graph: DynamicGraph, ev: ChangeEvent
+) -> tuple[CutTree, UpdateStats]:
+    """Apply one event to ``graph`` in place and carry ``tree`` across it.
+
+    Returns the new tree and the event's accounting; ``tree`` is left as it
+    was.  An invalid event raises before either is changed.
+    """
+    removed_w = graph.weight(ev.u, ev.v) if ev.kind == REMOVE_EDGE else 0
+    apply_change(graph, ev)
+    if ev.kind == ADD_VERTEX:
+        tree = update_add_vertex(tree, ev.u)
+    elif ev.kind == REMOVE_VERTEX:
+        tree = update_remove_vertex(tree, ev.u)
+    elif ev.kind in (ADD_EDGE, INCREASE_WEIGHT):
+        return update_increase(tree, graph, ev.u, ev.v, ev.delta)
+    else:
+        delta = ev.delta if ev.kind == DECREASE_WEIGHT else removed_w
+        return update_decrease(tree, graph, ev.u, ev.v, delta)
+    return tree, UpdateStats(ev, 0, max(0, graph.vertex_count - 1))
+
+
 def replay(
     stream: EventStream,
     *,
@@ -112,19 +136,7 @@ def replay(
     tree = CutTree()
     report = ReplayReport()
     for step, ev in enumerate(stream.events, start=1):
-        old = graph.copy()
-        apply_change(graph, ev)
-        if ev.kind == ADD_VERTEX:
-            tree = update_add_vertex(tree, ev.u)
-            st = UpdateStats(ev, 0, max(0, graph.vertex_count - 1))
-        elif ev.kind == REMOVE_VERTEX:
-            tree = update_remove_vertex(tree, ev.u)
-            st = UpdateStats(ev, 0, max(0, graph.vertex_count - 1))
-        elif ev.kind in (ADD_EDGE, INCREASE_WEIGHT):
-            tree, st = update_increase(tree, old, graph, ev.u, ev.v, ev.delta)
-        else:
-            delta = ev.delta if ev.kind == DECREASE_WEIGHT else old.weight(ev.u, ev.v)
-            tree, st = update_decrease(tree, old, graph, ev.u, ev.v, delta)
+        tree, st = apply_event(tree, graph, ev)
         if verify:
             check = verify_cut_tree(tree, graph)
             if not check.ok:

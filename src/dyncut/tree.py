@@ -4,19 +4,19 @@ A cut tree (Gomory-Hu tree) spans the graph's vertices; each tree edge, when
 removed, induces a minimum cut between its endpoints, and the cheapest edge
 on the tree path between any two vertices gives their connectivity.
 
-Partially built trees are represented at the vertex level with two edge
-kinds: *fat* edges stand for already-certified minimum separating cuts of
-the current graph, *thin* edges only group vertices into compound nodes and
-carry stale costs.  :func:`complete` unfolds such a tree node by node until
-every edge is fat, spending one min-cut computation per thin edge.
+One tree type serves finished and partially built trees.  Its edges come
+in two kinds: *fat* edges stand for already-certified minimum separating
+cuts of the current graph, *thin* edges only group vertices into compound
+nodes and carry stale costs.  A finished cut tree has only fat edges.
+:func:`complete` unfolds a partial tree node by node until every edge is
+fat, spending one min-cut computation per thin edge.
 
-Both tree types keep their costs in the same plain adjacency rows
-(``dict[int, dict[int, int]]``), so converting and copying a tree copies
-dicts.  A partial tree adds the set of its thin edges' pair keys and a
-small map of certified cut pairs that differ from an edge's endpoints.
-Finding the next compound node and its thin edges reads only that set;
-each split walks the rest of the tree once, to gather the subtrees it
-contracts.
+Costs live in plain adjacency rows (``dict[int, dict[int, int]]``), so a
+copy copies dicts.  Beside them a tree keeps the set of its thin edges'
+pair keys and a small map of certified cut pairs that differ from an
+edge's endpoints.  Finding the next compound node and its thin edges reads
+only that set; each split walks the rest of the tree once, to gather the
+subtrees it contracts.
 """
 
 from __future__ import annotations
@@ -77,10 +77,36 @@ def _reach(nbrs: dict, start: int, seen: set[int]) -> list[int]:
     return found
 
 
-class _TreeRows:
-    """Adjacency rows shared by both tree types: ``_adj[u][v]`` is the cost of {u, v}."""
+class CutTree:
+    """Weighted tree on the graph's vertices encoding all-pairs minimum cuts.
 
-    __slots__ = ("_adj",)
+    ``_adj[u][v]`` is the cost of tree edge {u, v}.  ``_thin`` holds the pair
+    keys of the thin edges; every other edge is fat, and a finished tree has
+    none.  ``_pair`` maps the pair key of a fat edge to its certified cut
+    pair, only while that pair is not the edge's own endpoints.
+    """
+
+    __slots__ = ("_adj", "_thin", "_pair")
+
+    def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
+        self._adj: dict[int, dict[int, int]] = {}
+        self._thin: set[Pair] = set()
+        self._pair: dict[Pair, Pair] = {}
+        for v in vertices:
+            self._adj.setdefault(v, {})
+        for u, v, c in edges:
+            self._adj.setdefault(u, {})
+            self._adj.setdefault(v, {})
+            self.add_edge(u, v, c)
+
+    @classmethod
+    def star(cls, vertices: Iterable[int]) -> "CutTree":
+        """All-thin star centered on the smallest vertex."""
+        verts = sorted(vertices)
+        t = cls(verts)
+        for v in verts[1:]:
+            t.add_edge(verts[0], v, 0, thin=True)
+        return t
 
     @property
     def vertices(self):
@@ -127,24 +153,6 @@ class _TreeRows:
         self.cost(u, v)
         return frozenset(_reach(self._adj, u, {v}))
 
-    def _copy_rows(self) -> dict[int, dict[int, int]]:
-        return {v: dict(nbrs) for v, nbrs in self._adj.items()}
-
-
-class CutTree(_TreeRows):
-    """Weighted tree on the graph's vertices encoding all-pairs minimum cuts."""
-
-    __slots__ = ()
-
-    def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
-        self._adj: dict[int, dict[int, int]] = {}
-        for v in vertices:
-            self._adj.setdefault(v, {})
-        for u, v, c in edges:
-            self._adj.setdefault(u, {})
-            self._adj.setdefault(v, {})
-            self.add_edge(u, v, c)
-
     def add_vertex(self, v: int) -> None:
         if v in self._adj:
             raise VertexExists(f"vertex {v} already present")
@@ -154,10 +162,10 @@ class CutTree(_TreeRows):
         if v not in self._adj:
             raise VertexMissing(f"no vertex {v}")
         for x in list(self._adj[v]):
-            del self._adj[x][v]
+            self.remove_edge(v, x)
         del self._adj[v]
 
-    def add_edge(self, u: int, v: int, c: int) -> None:
+    def add_edge(self, u: int, v: int, c: int, thin: bool = False) -> None:
         if u == v:
             raise SameVertex("tree edges need distinct endpoints")
         if u not in self._adj or v not in self._adj:
@@ -168,121 +176,7 @@ class CutTree(_TreeRows):
             raise ValueError("tree edge costs are non-negative")
         self._adj[u][v] = c
         self._adj[v][u] = c
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self.cost(u, v)
-        del self._adj[u][v]
-        del self._adj[v][u]
-
-    def path_vertices(self, u: int, v: int) -> list[int]:
-        return _path_in_adj(self._adj, u, v)
-
-    def copy(self) -> "CutTree":
-        t = CutTree()
-        t._adj = self._copy_rows()
-        return t
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CutTree):
-            return NotImplemented
-        return self._adj == other._adj
-
-    def __repr__(self) -> str:
-        return f"CutTree({self.vertex_count} vertices)"
-
-    def to_lines(self) -> list[str]:
-        """One ``u v cost`` line per edge, sorted by endpoint pair."""
-        return [f"{u} {v} {c}" for u, v, c in sorted(self.edges())]
-
-
-def path(tree, u: int, v: int) -> list[Pair]:
-    """Tree path from u to v as an ordered edge list."""
-    verts = tree.path_vertices(u, v)
-    return list(zip(verts, verts[1:]))
-
-
-def query_value(tree: CutTree, u: int, v: int) -> int:
-    """Connectivity of {u, v}: the cheapest edge cost on the tree path."""
-    verts = tree.path_vertices(u, v)
-    return min(tree.cost(a, b) for a, b in zip(verts, verts[1:]))
-
-
-def query_cut(tree: CutTree, u: int, v: int) -> Cut:
-    """Minimum u-v cut read off the tree.
-
-    Removes the cheapest edge on the u-v path (ties: nearest to u) and
-    returns the side containing u.
-    """
-    verts = tree.path_vertices(u, v)
-    best = None
-    for a, b in zip(verts, verts[1:]):
-        c = tree.cost(a, b)
-        if best is None or c < best[0]:
-            best = (c, a, b)
-    c, a, b = best
-    return Cut(tree.cut_side(a, b), c)
-
-
-class IntermediateTree(_TreeRows):
-    """Spanning tree with fat/thin edge kinds used during construction.
-
-    Costs live in :class:`CutTree`'s adjacency rows.  ``_thin`` holds the
-    pair keys of the thin edges; every other edge is fat.  ``_pair`` maps
-    the pair key of a fat edge to its certified cut pair, only while that
-    pair is not the edge's own endpoints.
-    """
-
-    __slots__ = ("_thin", "_pair")
-
-    def __init__(self, vertices: Iterable[int] = ()):
-        self._adj: dict[int, dict[int, int]] = {v: {} for v in vertices}
-        self._thin: set[Pair] = set()
-        self._pair: dict[Pair, Pair] = {}
-
-    @classmethod
-    def star(cls, vertices: Iterable[int]) -> "IntermediateTree":
-        """All-thin star centered on the smallest vertex."""
-        verts = sorted(vertices)
-        t = cls(verts)
-        for v in verts[1:]:
-            t.add_edge(verts[0], v, fat=False, cost=0)
-        return t
-
-    @classmethod
-    def from_cut_tree(cls, tree: CutTree) -> "IntermediateTree":
-        """All-fat copy of a finished cut tree."""
-        t = cls()
-        t._adj = tree._copy_rows()
-        return t
-
-    def is_thin(self, u: int, v: int) -> bool:
-        self.cost(u, v)
-        return pair_key(u, v) in self._thin
-
-    def thin_edges(self) -> list[tuple[int, int, int]]:
-        """Every thin edge as ``(u, v, cost)`` with u < v, in no fixed order."""
-        adj = self._adj
-        return [(u, v, adj[u][v]) for u, v in self._thin]
-
-    def set_cut_pair(self, u: int, v: int, pair: Pair) -> None:
-        """Record ``pair`` as the pair whose minimum cut fat edge {u, v} certifies."""
-        self.cost(u, v)
-        key = pair_key(u, v)
-        if pair_key(*pair) == key:
-            self._pair.pop(key, None)
-        else:
-            self._pair[key] = pair
-
-    def add_edge(self, u: int, v: int, *, fat: bool, cost: int) -> None:
-        if u == v:
-            raise SameVertex("tree edges need distinct endpoints")
-        if u not in self._adj or v not in self._adj:
-            raise VertexMissing(f"endpoint of {{{u},{v}}} missing")
-        if v in self._adj[u]:
-            raise EdgeExists(f"tree edge {{{u},{v}}} already present")
-        self._adj[u][v] = cost
-        self._adj[v][u] = cost
-        if not fat:
+        if thin:
             self._thin.add(pair_key(u, v))
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -293,6 +187,15 @@ class IntermediateTree(_TreeRows):
         self._thin.discard(key)
         self._pair.pop(key, None)
 
+    def is_thin(self, u: int, v: int) -> bool:
+        self.cost(u, v)
+        return pair_key(u, v) in self._thin
+
+    def thin_edges(self) -> list[tuple[int, int, int]]:
+        """Every thin edge as ``(u, v, cost)`` with u < v, in no fixed order."""
+        adj = self._adj
+        return [(u, v, adj[u][v]) for u, v in self._thin]
+
     def mark_fat(self, u: int, v: int, cost: int | None = None) -> None:
         self.cost(u, v)
         self._thin.discard(pair_key(u, v))
@@ -302,6 +205,15 @@ class IntermediateTree(_TreeRows):
     def mark_thin(self, u: int, v: int) -> None:
         self.cost(u, v)
         self._thin.add(pair_key(u, v))
+
+    def set_cut_pair(self, u: int, v: int, pair: Pair) -> None:
+        """Record ``pair`` as the pair whose minimum cut fat edge {u, v} certifies."""
+        self.cost(u, v)
+        key = pair_key(u, v)
+        if pair_key(*pair) == key:
+            self._pair.pop(key, None)
+        else:
+            self._pair[key] = pair
 
     def move_endpoint(self, far: int, old_near: int, new_near: int) -> None:
         """Reconnect edge {far, old_near} as {far, new_near}, keeping its cost and kind."""
@@ -343,24 +255,61 @@ class IntermediateTree(_TreeRows):
     def path_vertices(self, u: int, v: int) -> list[int]:
         return _path_in_adj(self._adj, u, v)
 
-    def copy(self) -> "IntermediateTree":
-        t = IntermediateTree()
-        t._adj = self._copy_rows()
+    def copy(self) -> "CutTree":
+        """Independent copy; its rows drop the space that removed entries left."""
+        t = CutTree()
+        t._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         t._thin = self._thin.copy()
         t._pair = self._pair.copy()
         return t
 
-    def to_cut_tree(self) -> CutTree:
-        """Strip edge kinds; requires every edge to be fat."""
-        if self._thin:
-            u, v = min(self._thin)
-            raise InvalidIntermediate(f"thin edge {{{u},{v}}} remains")
-        out = CutTree()
-        out._adj = self._copy_rows()
-        return out
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CutTree):
+            return NotImplemented
+        return (self._adj, self._thin, self._pair) == (other._adj, other._thin, other._pair)
+
+    def __repr__(self) -> str:
+        return f"CutTree({self.vertex_count} vertices)"
+
+    def to_lines(self) -> list[str]:
+        """One ``u v cost`` line per edge, sorted by endpoint pair."""
+        return [f"{u} {v} {c}" for u, v, c in sorted(self.edges())]
 
 
-def _check_induced_costs(tree: IntermediateTree, graph: DynamicGraph) -> None:
+def path(tree, u: int, v: int) -> list[Pair]:
+    """Tree path from u to v as an ordered edge list."""
+    verts = tree.path_vertices(u, v)
+    return list(zip(verts, verts[1:]))
+
+
+def query_value(tree: CutTree, u: int, v: int) -> int:
+    """Connectivity of {u, v}: the cheapest edge cost on the tree path."""
+    verts = tree.path_vertices(u, v)
+    return min(tree.cost(a, b) for a, b in zip(verts, verts[1:]))
+
+
+def query_cut(tree: CutTree, u: int, v: int) -> Cut:
+    """Minimum u-v cut read off the tree.
+
+    Removes the cheapest edge on the u-v path (ties: nearest to u) and
+    returns the side containing u.
+    """
+    verts = tree.path_vertices(u, v)
+    best = None
+    for a, b in zip(verts, verts[1:]):
+        c = tree.cost(a, b)
+        if best is None or c < best[0]:
+            best = (c, a, b)
+    c, a, b = best
+    return Cut(tree.cut_side(a, b), c)
+
+
+# Partial trees were once a type of their own; perfbench/tracer.py still
+# looks this name up.
+IntermediateTree = CutTree
+
+
+def _check_induced_costs(tree: CutTree, graph: DynamicGraph) -> None:
     for u, v, c in tree.edges():
         if tree.is_thin(u, v):
             continue
@@ -371,11 +320,11 @@ def _check_induced_costs(tree: IntermediateTree, graph: DynamicGraph) -> None:
             )
 
 
-def _relink_thin(tree: IntermediateTree, part: set[int], kept: list[tuple[int, int, int]]) -> None:
+def _relink_thin(tree: CutTree, part: set[int], kept: list[tuple[int, int, int]]) -> None:
     """Rebuild a thin spanning forest on ``part`` and join its pieces."""
     thin_nbrs: dict[int, list[int]] = {w: [] for w in part}
     for a, b, c in kept:
-        tree.add_edge(a, b, fat=False, cost=c)
+        tree.add_edge(a, b, c, thin=True)
         thin_nbrs[a].append(b)
         thin_nbrs[b].append(a)
     order = sorted(part)
@@ -384,11 +333,11 @@ def _relink_thin(tree: IntermediateTree, part: set[int], kept: list[tuple[int, i
         if w in seen:
             continue
         if seen:
-            tree.add_edge(order[0], w, fat=False, cost=0)
+            tree.add_edge(order[0], w, 0, thin=True)
         _reach(thin_nbrs, w, seen)
 
 
-def _split_node(tree: IntermediateTree, graph: DynamicGraph, node: set[int]) -> None:
+def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
     """One construction step: split a compound node along a minimum cut."""
     members = sorted(node)
     u, v = members[0], members[1]
@@ -410,7 +359,7 @@ def _split_node(tree: IntermediateTree, graph: DynamicGraph, node: set[int]) -> 
     old_thin = [(a, b, adj[a][b]) for a, b in sorted(k for k in tree._thin if k[0] in node)]
     for a, b, _ in old_thin:
         tree.remove_edge(a, b)
-    tree.add_edge(u, v, fat=True, cost=cut.cost)
+    tree.add_edge(u, v, cut.cost)
     for part in (side_u, side_v):
         kept = [(a, b, c) for a, b, c in old_thin if a in part and b in part]
         _relink_thin(tree, part, kept)
@@ -432,8 +381,8 @@ def _split_node(tree: IntermediateTree, graph: DynamicGraph, node: set[int]) -> 
             tree.set_cut_pair(far, new_near, (new_p, q))
 
 
-def complete(tree: IntermediateTree, graph: DynamicGraph, verify: bool = False) -> CutTree:
-    """Unfold an intermediate tree into a proper cut tree of ``graph``.
+def complete(tree: CutTree, graph: DynamicGraph, verify: bool = False) -> CutTree:
+    """Unfold a partial tree into a finished cut tree of ``graph``.
 
     Spends exactly one min-cut computation per thin edge of the input.  With
     ``verify`` on, every fat edge's induced-cut cost is checked against its
@@ -449,11 +398,13 @@ def complete(tree: IntermediateTree, graph: DynamicGraph, verify: bool = False) 
         _split_node(work, graph, node)
         if verify:
             _check_induced_costs(work, graph)
-    return work.to_cut_tree()
+    # a leftover cut pair would steer later splits of this tree
+    work._pair.clear()
+    return work.copy()
 
 
 def static_build(graph: DynamicGraph) -> CutTree:
     """Build a cut tree from scratch with n-1 min-cut computations."""
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a cut tree of an empty graph")
-    return complete(IntermediateTree.star(graph.vertices), graph)
+    return complete(CutTree.star(graph.vertices), graph)

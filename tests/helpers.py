@@ -12,10 +12,6 @@ from dyncut import (
     REMOVE_EDGE,
     REMOVE_VERTEX,
     DynamicGraph,
-    update_add_vertex,
-    update_decrease,
-    update_increase,
-    update_remove_vertex,
 )
 
 SCENARIO_MIX = {
@@ -51,25 +47,6 @@ def random_graph(rng: random.Random, n_min=4, n_max=10, edge_prob=0.5, max_weigh
             if rng.random() < edge_prob:
                 g.add_edge(u, v, rng.randint(1, max_weight))
     return g
-
-
-def dispatch_update(tree, old_graph, new_graph, event):
-    """Route one already-applied event to the matching tree update.
-
-    Returns (tree, stats); stats is None for vertex events.
-    """
-    if event.kind == ADD_VERTEX:
-        return update_add_vertex(tree, event.u), None
-    if event.kind == REMOVE_VERTEX:
-        return update_remove_vertex(tree, event.u), None
-    if event.kind in (ADD_EDGE, INCREASE_WEIGHT):
-        return update_increase(tree, old_graph, new_graph, event.u, event.v, event.delta)
-    delta = (
-        event.delta
-        if event.kind == DECREASE_WEIGHT
-        else old_graph.weight(event.u, event.v)
-    )
-    return update_decrease(tree, old_graph, new_graph, event.u, event.v, delta)
 
 
 def inverse_event(graph, event):

@@ -15,13 +15,11 @@ from dyncut import (
     DynamicGraph,
     GenParams,
     all_pairs_connectivity,
-    apply_change,
-    bend_cut,
+    apply_event,
     cut_cost,
     detect_bridge,
     generate,
     min_cut,
-    random_event,
     replay,
     static_build,
     update_decrease,
@@ -30,8 +28,9 @@ from dyncut import (
 )
 from dyncut.dynamic import EXISTING_BRIDGE, NON_BRIDGE
 from dyncut.mincut import counter
-from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
-from helpers import SCENARIO_MIX, dispatch_update, random_graph
+from dyncut.oracle import bend_cut
+from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER, random_event
+from helpers import SCENARIO_MIX, random_graph
 
 SUITE1_SCENARIOS = 1000
 SUITE1_EVENTS = 40
@@ -64,20 +63,17 @@ def suite1():
             continue
         for step in range(SUITE1_EVENTS):
             ev = random_event(g, rng, SCENARIO_MIX, weight_max=8, max_vertices=12)
-            old = g.copy()
-            apply_change(g, ev)
-            tree, stats = dispatch_update(tree, old, g, ev)
+            tree, stats = apply_event(tree, g, ev)
             lam = all_pairs_connectivity(g) if g.vertex_count > 1 else {}
             report = verify_cut_tree(tree, g, lam=lam)
             events_checked += 1
             if not report.ok:
                 failures.append((seed, step, ev, str(report)))
                 break
-            if stats is not None:
-                for pair, stale, rule in stats.accepted_stale:
-                    stale_checked += 1
-                    if lam[pair] != stale:
-                        audit_failures.append((seed, step, ev, pair, stale, lam[pair], rule))
+            for pair, stale, rule in stats.accepted_stale:
+                stale_checked += 1
+                if lam[pair] != stale:
+                    audit_failures.append((seed, step, ev, pair, stale, lam[pair], rule))
     return {
         "failures": failures,
         "audit_failures": audit_failures,
@@ -127,7 +123,7 @@ def test_criterion_3_increase_contract():
                 new.add_edge(u, v, delta)
             kind = detect_bridge(tree, g, u, v)
             plen = len(tree.path_vertices(u, v)) - 1
-            out, stats = update_increase(tree, g, new, u, v, delta)
+            out, stats = update_increase(tree, new, u, v, delta)
             if kind == NON_BRIDGE:
                 non_bridge += 1
                 if stats.cuts_used != plen - 1:
@@ -168,7 +164,7 @@ def test_criterion_4_decrease_contract():
             kind = detect_bridge(tree, g, u, v)
             plen = len(tree.path_vertices(u, v)) - 1
             n = g.vertex_count
-            out, stats = update_decrease(tree, g, new, u, v, delta)
+            out, stats = update_decrease(tree, new, u, v, delta)
             checked += 1
             if stats.cuts_used > n - 1 - plen:
                 bad.append((u, v, stats.cuts_used, n, plen))

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from dyncut import (
+    ChangeEvent,
     CutTree,
     DynamicGraph,
     all_pairs_connectivity,
-    apply_change,
+    apply_event,
     cut_cost,
     detect_bridge,
     query_value,
-    random_event,
     static_build,
     update_add_vertex,
     update_decrease,
@@ -27,7 +27,15 @@ from dyncut.dynamic import (
     RULE_REVALIDATED,
     RULE_THRESHOLD,
 )
-from dyncut.errors import VertexExists, VertexMissing, VertexNotIsolated
+from dyncut.errors import (
+    DynCutError,
+    EdgeExists,
+    EdgeMissing,
+    InvalidDelta,
+    VertexExists,
+    VertexMissing,
+    VertexNotIsolated,
+)
 from dyncut.graph import (
     ADD_EDGE,
     ADD_VERTEX,
@@ -36,7 +44,8 @@ from dyncut.graph import (
     pair_key,
 )
 from dyncut.mincut import counter
-from helpers import SCENARIO_MIX, dispatch_update, random_graph
+from dyncut.stream import random_event
+from helpers import SCENARIO_MIX, random_graph
 
 
 class TestVertexUpdates:
@@ -102,7 +111,7 @@ class TestIncrease:
     def test_existing_bridge_only_bumps_the_edge(self, p3, p3_tree):
         new = p3.copy()
         new.increase_weight(2, 3, 5)
-        tree, stats = update_increase(p3_tree, p3, new, 2, 3, 5)
+        tree, stats = update_increase(p3_tree, new, 2, 3, 5)
         assert tree == CutTree(edges=[(1, 2, 3), (2, 3, 7)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_BRIDGE: 1}
@@ -112,7 +121,7 @@ class TestIncrease:
         tree = CutTree(edges=[(1, 2, 0)])
         new = old.copy()
         new.add_edge(1, 2, 4)
-        out, stats = update_increase(tree, old, new, 1, 2, 4)
+        out, stats = update_increase(tree, new, 1, 2, 4)
         assert out == CutTree(edges=[(1, 2, 4)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_NEW_BRIDGE: 1}
@@ -120,7 +129,7 @@ class TestIncrease:
     def test_non_bridge_uses_path_minus_one_cuts(self, t3, t3_tree):
         new = t3.copy()
         new.increase_weight(1, 2, 2)
-        tree, stats = update_increase(t3_tree, t3, new, 1, 2, 2)
+        tree, stats = update_increase(t3_tree, new, 1, 2, 2)
         assert stats.cuts_used == 1
         assert verify_cut_tree(tree, new).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
@@ -133,7 +142,7 @@ class TestIncrease:
         old = new.copy()
         new.add_edge(1, 2, 1)
         tree2 = static_build(old)
-        _, stats = update_increase(tree2, old, new, 1, 2, 1)
+        _, stats = update_increase(tree2, new, 1, 2, 1)
         assert stats.event.kind == ADD_EDGE
 
 
@@ -141,7 +150,7 @@ class TestDecrease:
     def test_threshold_reuse(self, t3, t3_tree):
         new = t3.copy()
         new.decrease_weight(1, 3, 1)
-        tree, stats = update_decrease(t3_tree, t3, new, 1, 3, 1, verify=True)
+        tree, stats = update_decrease(t3_tree, new, 1, 3, 1, verify=True)
         assert tree == CutTree(edges=[(1, 3, 3), (2, 3, 3)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_THRESHOLD: 1}
@@ -150,7 +159,7 @@ class TestDecrease:
     def test_revalidation_keeps_structure(self, t3, t3_tree):
         new = t3.copy()
         new.decrease_weight(2, 3, 1)
-        tree, stats = update_decrease(t3_tree, t3, new, 2, 3, 1, verify=True)
+        tree, stats = update_decrease(t3_tree, new, 2, 3, 1, verify=True)
         assert tree == CutTree(edges=[(1, 3, 4), (2, 3, 2)])
         assert stats.cuts_used == 1
         assert stats.reuse_breakdown == {RULE_REVALIDATED: 1}
@@ -158,7 +167,7 @@ class TestDecrease:
     def test_bridge_deletion(self, p3, p3_tree):
         new = p3.copy()
         new.remove_edge(2, 3)
-        tree, stats = update_decrease(p3_tree, p3, new, 2, 3, 2)
+        tree, stats = update_decrease(p3_tree, new, 2, 3, 2)
         assert tree == CutTree(edges=[(1, 2, 3), (2, 3, 0)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_BRIDGE: 1}
@@ -166,9 +175,53 @@ class TestDecrease:
     def test_deletion_reports_remove_edge_event(self, t3, t3_tree):
         new = t3.copy()
         new.remove_edge(2, 3)
-        _, stats = update_decrease(t3_tree, t3, new, 2, 3, 2)
+        _, stats = update_decrease(t3_tree, new, 2, 3, 2)
         assert stats.event.kind == "remove-edge"
         assert stats.event.delta is None
+
+
+class TestDeltaChecks:
+    def test_increase_rejects_the_graph_before_the_change(self, p3, p3_tree):
+        # {2,3} weighs 2, so it cannot already hold an increase by 5
+        with pytest.raises(InvalidDelta):
+            update_increase(p3_tree, p3, 2, 3, 5)
+
+    @pytest.mark.parametrize("delta", [0, -1])
+    @pytest.mark.parametrize(
+        "update, deleted",
+        [(update_increase, False), (update_decrease, False), (update_decrease, True)],
+    )
+    def test_non_positive_delta_rejected(self, p3, p3_tree, update, deleted, delta):
+        if deleted:
+            p3.remove_edge(2, 3)
+        with pytest.raises(InvalidDelta):
+            update(p3_tree, p3, 2, 3, delta)
+
+
+# on t3 with an isolated vertex 4 added
+INVALID_EVENTS = {
+    "av-existing": (ChangeEvent.add_vertex(2), VertexExists),
+    "rv-missing": (ChangeEvent.remove_vertex(9), VertexMissing),
+    "rv-not-isolated": (ChangeEvent.remove_vertex(1), VertexNotIsolated),
+    "ae-existing": (ChangeEvent.add_edge(1, 2, 4), EdgeExists),
+    "ae-missing-endpoint": (ChangeEvent.add_edge(1, 9, 4), VertexMissing),
+    "re-missing": (ChangeEvent.remove_edge(1, 4), EdgeMissing),
+    "iw-missing": (ChangeEvent.increase_weight(1, 4, 2), EdgeMissing),
+    "dw-equal-weight": (ChangeEvent.decrease_weight(1, 3, 3), InvalidDelta),
+    "dw-above-weight": (ChangeEvent.decrease_weight(1, 3, 5), InvalidDelta),
+}
+
+
+@pytest.mark.parametrize("ev, error", INVALID_EVENTS.values(), ids=INVALID_EVENTS.keys())
+def test_apply_event_rejects_invalid_event_unchanged(t3, t3_tree, ev, error):
+    assert issubclass(error, DynCutError)
+    t3.add_vertex(4)
+    tree = update_add_vertex(t3_tree, 4)
+    graph_before, tree_before = t3.copy(), tree.copy()
+    with pytest.raises(error):
+        apply_event(tree, t3, ev)
+    assert t3 == graph_before
+    assert tree == tree_before
 
 
 def _run_scenario(seed, events=15, check_contracts=True):
@@ -178,19 +231,16 @@ def _run_scenario(seed, events=15, check_contracts=True):
     assert verify_cut_tree(tree, g).ok
     for _ in range(events):
         ev = random_event(g, rng, SCENARIO_MIX, weight_max=8, max_vertices=12)
-        old = g.copy()
-        apply_change(g, ev)
         if check_contracts and ev.kind not in (ADD_VERTEX, REMOVE_VERTEX):
             plen = len(tree.path_vertices(ev.u, ev.v)) - 1
-            kind = detect_bridge(tree, old, ev.u, ev.v)
-            n_before = old.vertex_count
+            kind = detect_bridge(tree, g, ev.u, ev.v)
+            n_before = g.vertex_count
         before = counter.value
-        tree, stats = dispatch_update(tree, old, g, ev)
+        tree, stats = apply_event(tree, g, ev)
         used = counter.value - before
-        if stats is not None:
-            assert stats.cuts_used == used
-            assert stats.cuts_used <= stats.static_equivalent
-            assert sum(stats.reuse_breakdown.values()) >= stats.cuts_used
+        assert stats.cuts_used == used
+        assert stats.cuts_used <= stats.static_equivalent
+        assert sum(stats.reuse_breakdown.values()) >= stats.cuts_used
         if check_contracts:
             if ev.kind in (ADD_VERTEX, REMOVE_VERTEX):
                 assert used == 0
@@ -204,9 +254,8 @@ def _run_scenario(seed, events=15, check_contracts=True):
         lam = all_pairs_connectivity(g) if g.vertex_count > 1 else {}
         report = verify_cut_tree(tree, g, lam=lam)
         assert report.ok, (seed, ev, str(report))
-        if stats is not None:
-            for pair, stale, rule in stats.accepted_stale:
-                assert lam[pair] == stale, (seed, ev, pair, rule)
+        for pair, stale, rule in stats.accepted_stale:
+            assert lam[pair] == stale, (seed, ev, pair, rule)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -229,7 +278,7 @@ def test_decrease_verify_mode_on_random_cases():
             new.remove_edge(u, v)
         else:
             new.decrease_weight(u, v, delta)
-        out, _ = update_decrease(tree, g, new, u, v, delta, verify=True)
+        out, _ = update_decrease(tree, new, u, v, delta, verify=True)
         assert verify_cut_tree(out, new).ok
         done += 1
 
@@ -261,7 +310,7 @@ def test_increase_keeps_off_path_cuts():
             side = tree.cut_side(u, v)
             assert cut_cost(new, side) == c
             assert lam_new[pair_key(u, v)] == c
-        out, _ = update_increase(tree, g, new, b, d, delta)
+        out, _ = update_increase(tree, new, b, d, delta)
         assert verify_cut_tree(out, new, lam=lam_new).ok
         done += 1
 

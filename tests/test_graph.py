@@ -10,7 +10,6 @@ from dyncut import (
     apply_change,
     contract,
     cut_cost,
-    random_event,
 )
 from dyncut.errors import (
     EdgeExists,
@@ -22,6 +21,7 @@ from dyncut.errors import (
     VertexMissing,
     VertexNotIsolated,
 )
+from dyncut.stream import random_event
 from helpers import ALL_KINDS_MIX, graphs, inverse_event
 
 

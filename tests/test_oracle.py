@@ -8,12 +8,12 @@ from dyncut import (
     CutTree,
     DynamicGraph,
     all_pairs_connectivity,
-    bend_cut,
     cut_cost,
     min_cut,
     verify_cut_tree,
 )
 from dyncut.errors import EmptyGraph, EnumerationTooLarge, UnknownVertex, VertexSetMismatch
+from dyncut.oracle import bend_cut
 from helpers import graphs, random_graph
 
 

@@ -7,7 +7,6 @@ from dyncut import (
     NON_BRIDGE,
     CutTree,
     GenParams,
-    IntermediateTree,
     complete,
     detect_bridge,
     generate,
@@ -151,13 +150,13 @@ def test_complete_and_update_increase_leave_inputs_unchanged():
         raised = graph.copy()
         raised.increase_weight(b, d, 3)
         before = (tree.copy(), graph.copy(), raised.copy())
-        result, _ = update_increase(tree, graph, raised, b, d, 3)
+        result, _ = update_increase(tree, raised, b, d, 3)
         assert (tree, graph, raised) == before
 
         # the partial tree update_increase hands to complete
         pedges = path(tree, b, d)
         chosen = min(pedges, key=lambda e: tree.cost(*e))
-        work = IntermediateTree.from_cut_tree(tree)
+        work = tree.copy()
         for e in pedges:
             if e != chosen:
                 work.mark_thin(*e)

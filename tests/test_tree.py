@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from dyncut import (
     CutTree,
     DynamicGraph,
-    IntermediateTree,
     all_pairs_connectivity,
     complete,
     cut_cost,
@@ -65,13 +64,14 @@ class TestStaticBuild:
 
 class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
-        work = IntermediateTree.from_cut_tree(t3_tree)
+        work = t3_tree.copy()
+        work.set_cut_pair(2, 3, (2, 1))  # also a minimum 1-2 cut; not kept
         before = counter.value
         assert complete(work, t3, verify=True) == t3_tree
         assert counter.value == before
 
     def test_all_thin_star_equals_static_build(self, p3):
-        star = IntermediateTree.star(p3.vertices)
+        star = CutTree.star(p3.vertices)
         before = counter.value
         tree = complete(star, p3)
         assert counter.value - before == 2
@@ -81,9 +81,9 @@ class TestComplete:
         # triangle with {1,2} raised to 3: one certified cut, one stale edge
         raised = t3.copy()
         raised.increase_weight(1, 2, 2)
-        work = IntermediateTree(vertices=(1, 2, 3))
-        work.add_edge(2, 3, fat=True, cost=5)
-        work.add_edge(1, 3, fat=False, cost=4)
+        work = CutTree(vertices=(1, 2, 3))
+        work.add_edge(2, 3, 5)
+        work.add_edge(1, 3, 4, thin=True)
         before = counter.value
         tree = complete(work, raised, verify=True)
         assert counter.value - before == 1
@@ -92,7 +92,7 @@ class TestComplete:
             assert query_value(tree, a, b) == 5
 
     def test_lying_fat_label_caught_in_verify_mode(self, t3):
-        work = IntermediateTree.from_cut_tree(CutTree(edges=[(1, 3, 9), (2, 3, 3)]))
+        work = CutTree(edges=[(1, 3, 9), (2, 3, 3)])
         with pytest.raises(InvalidIntermediate):
             complete(work, t3, verify=True)
 
@@ -105,7 +105,7 @@ class TestComplete:
         a, b = sorted(g.vertices)[:2]
         verts = tree.path_vertices(a, b)
         on_path = {frozenset(e) for e in zip(verts, verts[1:])}
-        work = IntermediateTree.from_cut_tree(tree)
+        work = tree.copy()
         for u, v, _ in work.edges():
             if {u, v} in on_path:
                 work.mark_thin(u, v)
@@ -172,7 +172,9 @@ class TestPath:
         assert path(t3_tree, 2, 3) == [(2, 3)]
 
     def test_works_on_intermediate_trees(self, t3_tree):
-        work = IntermediateTree.from_cut_tree(t3_tree)
+        work = t3_tree.copy()
+        work.mark_thin(2, 3)
+        assert work != t3_tree
         assert path(work, 1, 2) == [(1, 3), (3, 2)]
 
 
@@ -187,21 +189,15 @@ class TestSerialization:
 
 class TestIntermediateTree:
     def test_thin_component_and_subtree(self, t3_tree):
-        work = IntermediateTree.from_cut_tree(t3_tree)
+        work = t3_tree.copy()
         work.mark_thin(2, 3)
         assert work.thin_component(2) == {2, 3}
         assert work.thin_component(1) == {1}
         assert work.subtree(1, 3) == {1}
         assert work.subtree(3, 1) == {2, 3}
 
-    def test_to_cut_tree_rejects_thin_edges(self, t3_tree):
-        work = IntermediateTree.from_cut_tree(t3_tree)
-        work.mark_thin(2, 3)
-        with pytest.raises(InvalidIntermediate):
-            work.to_cut_tree()
-
     def test_move_endpoint(self, t3_tree):
-        work = IntermediateTree.from_cut_tree(t3_tree)
+        work = t3_tree.copy()
         work.move_endpoint(2, 3, 1)
         assert work.has_edge(1, 2)
         assert not work.has_edge(2, 3)
