@@ -8,9 +8,13 @@ order of decreasing cost and re-certifies each one by a cost threshold, a
 bridge/zero-cost rule, or (only when those fail) a fresh min-cut on a
 contracted graph, reshaping the tree along the new cut when it is cheaper.
 
-The increase and decrease routines take the graph after the change.  The
-old weight of the changed edge follows from the change itself, and no
-other weight differs, so neither routine needs the graph from before.
+Every routine edits the tree it is given.  The vertex routines return
+nothing; the increase and decrease routines return the event's
+:class:`UpdateStats`.  Invalid input raises before the first tree write,
+so a rejected call leaves the tree as it was.  The increase and decrease
+routines take the graph after the change.  The old weight of the changed
+edge follows from the change itself, and no other weight differs, so
+neither routine needs the graph from before.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .graph import (
     ChangeEvent,
     DynamicGraph,
     Pair,
+    check_weight,
     contract,
     cut_cost,
     pair_key,
@@ -88,19 +93,17 @@ def _bridge_kind(w_before: int, lam: int) -> str:
     return NON_BRIDGE
 
 
-def update_add_vertex(tree: CutTree, vertex: int) -> CutTree:
+def update_add_vertex(tree: CutTree, vertex: int) -> None:
     """Insert an isolated vertex, attached by a zero-cost edge."""
     if vertex in tree.vertices:
         raise VertexExists(f"vertex {vertex} already present")
-    t = tree.copy()
-    anchor = min(t.vertices) if t.vertex_count else None
-    t.add_vertex(vertex)
+    anchor = min(tree.vertices) if tree.vertex_count else None
+    tree.add_vertex(vertex)
     if anchor is not None:
-        t.add_edge(vertex, anchor, 0)
-    return t
+        tree.add_edge(vertex, anchor, 0)
 
 
-def update_remove_vertex(tree: CutTree, vertex: int) -> CutTree:
+def update_remove_vertex(tree: CutTree, vertex: int) -> None:
     """Delete an isolated vertex, starring orphaned subtrees back together.
 
     All tree edges at the vertex must carry cost zero (the tree-side
@@ -109,17 +112,15 @@ def update_remove_vertex(tree: CutTree, vertex: int) -> CutTree:
     """
     if vertex not in tree.vertices:
         raise VertexMissing(f"no vertex {vertex}")
-    t = tree.copy()
-    nbrs = sorted(t.neighbors(vertex))
+    nbrs = sorted(tree.neighbors(vertex))
     for x in nbrs:
-        if t.cost(vertex, x) != 0:
+        if tree.cost(vertex, x) != 0:
             raise VertexNotIsolated(
-                f"tree edge {{{vertex},{x}}} has nonzero cost {t.cost(vertex, x)}"
+                f"tree edge {{{vertex},{x}}} has nonzero cost {tree.cost(vertex, x)}"
             )
-    t.remove_vertex(vertex)
+    tree.remove_vertex(vertex)
     for x in nbrs[1:]:
-        t.add_edge(nbrs[0], x, 0)
-    return t
+        tree.add_edge(nbrs[0], x, 0)
 
 
 def update_increase(
@@ -129,14 +130,13 @@ def update_increase(
     d: int,
     delta: int,
     verify: bool = False,
-) -> tuple[CutTree, UpdateStats]:
+) -> UpdateStats:
     """Carry the tree across an edge insertion or weight increase by delta.
 
     ``graph`` is the graph after the change; {b, d} weighed ``weight - delta``
     before it, and was absent if that is zero.
     """
-    if delta <= 0:
-        raise InvalidDelta("delta must be positive")
+    check_weight(delta)
     new_w = graph.weight(b, d)
     if new_w < delta:
         raise InvalidDelta(f"weight {new_w} of {{{b},{d}}} is below delta {delta}")
@@ -155,39 +155,36 @@ def update_increase(
     kind = _bridge_kind(old_w, lam)
 
     if kind == EXISTING_BRIDGE:
-        t = tree.copy()
-        if not t.has_edge(b, d):
+        if not tree.has_edge(b, d):
             raise InternalInvariantViolation("a bridge must appear as a tree edge")
-        t.set_cost(b, d, t.cost(b, d) + delta)
-        return t, UpdateStats(event, 0, static_eq, {RULE_BRIDGE: 1})
+        tree.set_cost(b, d, tree.cost(b, d) + delta)
+        return UpdateStats(event, 0, static_eq, {RULE_BRIDGE: 1})
 
     if kind == NEW_BRIDGE:
-        t = tree.copy()
         x, y = pedges[costs.index(0)]
-        t.remove_edge(x, y)
-        t.add_edge(b, d, new_w)
-        return t, UpdateStats(event, 0, static_eq, {RULE_NEW_BRIDGE: 1})
+        tree.remove_edge(x, y)
+        tree.add_edge(b, d, new_w)
+        return UpdateStats(event, 0, static_eq, {RULE_NEW_BRIDGE: 1})
 
     # General route: every edge off the b-d path keeps its cut; the cheapest
     # path edge (nearest to b on ties) is a minimum b-d cut, so it stays
     # valid with cost +delta and is kept fat with {b, d} as its certified
     # pair.  The remaining path edges are rebuilt.
     chosen = pedges[costs.index(lam)]
-    work = tree.copy()
     for x, y in pedges:
         if (x, y) != chosen:
-            work.mark_thin(x, y)
-    work.set_cost(*chosen, tree.cost(*chosen) + delta)
-    work.set_cut_pair(*chosen, (b, d))
+            tree.mark_thin(x, y)
+    tree.set_cost(*chosen, lam + delta)
+    tree.set_cut_pair(*chosen, (b, d))
     before = counter.value
-    result = complete(work, graph, verify=verify)
+    complete(tree, graph, verify=verify)
     cuts = counter.value - before
     if cuts != len(pedges) - 1:
         raise InternalInvariantViolation(
             f"rebuild used {cuts} cuts, expected {len(pedges) - 1}"
         )
     breakdown = {RULE_RECOMPUTED: cuts} if cuts else {}
-    return result, UpdateStats(event, cuts, static_eq, breakdown)
+    return UpdateStats(event, cuts, static_eq, breakdown)
 
 
 def update_decrease(
@@ -197,7 +194,7 @@ def update_decrease(
     d: int,
     delta: int,
     verify: bool = False,
-) -> tuple[CutTree, UpdateStats]:
+) -> UpdateStats:
     """Carry the tree across a weight decrease by delta or an edge deletion.
 
     ``graph`` is the graph after the change; {b, d} weighed ``weight + delta``
@@ -206,8 +203,7 @@ def update_decrease(
     invariants are re-checked against brute-force connectivities after every
     loop step.
     """
-    if delta <= 0:
-        raise InvalidDelta("delta must be positive")
+    check_weight(delta)
     if graph.has_edge(b, d):
         old_w = graph.weight(b, d) + delta
         event = ChangeEvent.decrease_weight(b, d, delta)
@@ -221,25 +217,21 @@ def update_decrease(
     pedges = list(zip(pverts, pverts[1:]))
     lam = min(tree.cost(x, y) for x, y in pedges)
     if _bridge_kind(old_w, lam) == EXISTING_BRIDGE:
-        t = tree.copy()
         for x, y in pedges:
-            t.set_cost(x, y, t.cost(x, y) - delta)
+            tree.set_cost(x, y, tree.cost(x, y) - delta)
         accepted = tuple(
-            (pair_key(x, y), c, RULE_BRIDGE) for x, y, c in sorted(t.edges())
+            (pair_key(x, y), c, RULE_BRIDGE) for x, y, c in sorted(tree.edges())
         )
-        return t, UpdateStats(
-            event, 0, static_eq, {RULE_BRIDGE: len(pedges)}, accepted
-        )
+        return UpdateStats(event, 0, static_eq, {RULE_BRIDGE: len(pedges)}, accepted)
 
     # Stale-cost walk: path edges stay valid at cost -delta; everything else
     # turns thin and is re-certified most-expensive-first.
-    work = tree.copy()
     path_pairs = {pair_key(x, y) for x, y in pedges}
     for x, y, c in tree.edges():
         if (x, y) in path_pairs:
-            work.set_cost(x, y, c - delta)
+            tree.set_cost(x, y, c - delta)
         else:
-            work.mark_thin(x, y)
+            tree.mark_thin(x, y)
     initial_thin = (tree.vertex_count - 1) - len(path_pairs)
 
     lam_old = lam_new = None
@@ -253,13 +245,13 @@ def update_decrease(
             graph_before.increase_weight(b, d, delta)
         lam_old = all_pairs_connectivity(graph_before, method="enumerate")
         lam_new = all_pairs_connectivity(graph, method="enumerate")
-        _check_loop_state(work, graph_before, graph, lam_old, lam_new)
+        _check_loop_state(tree, graph_before, graph, lam_old, lam_new)
 
     cuts = 0
     breakdown: dict[str, int] = {}
     accepted: list[tuple[Pair, int, str]] = []
     while True:
-        thin = work.thin_edges()
+        thin = tree.thin_edges()
         if not thin:
             break
         pset = set(pverts)
@@ -282,7 +274,7 @@ def update_decrease(
 
         vi = pverts.index(v)
         flanks = [pverts[i] for i in (vi - 1, vi + 1) if 0 <= i < len(pverts)]
-        threshold = min(work.cost(x, v) for x in flanks)
+        threshold = min(tree.cost(x, v) for x in flanks)
 
         rule = None
         if stale == 0:
@@ -295,16 +287,16 @@ def update_decrease(
             rule = RULE_THRESHOLD
 
         if rule is not None:
-            inherited = _fatten_subtree(work, u, v)
+            inherited = _fatten_subtree(tree, u, v)
             breakdown[rule] = breakdown.get(rule, 0) + 1 + len(inherited)
             accepted.append((pair_key(u, v), stale, rule))
             accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
         else:
             # a leaf is a one-vertex subtree, which contract leaves as it is
             groups = [
-                work.subtree(x, v)
-                for x in work.neighbors(v)
-                if x != u and len(work.neighbors(x)) > 1
+                tree.subtree(x, v)
+                for x in tree.neighbors(v)
+                if x != u and len(tree.neighbors(x)) > 1
             ]
             quotient, node_of = contract(graph, groups)
             cut = min_cut(quotient, u, v)
@@ -314,20 +306,20 @@ def update_decrease(
                     f"recomputed cut {cut.cost} exceeds the stale bound {stale}"
                 )
             if cut.cost == stale:
-                inherited = _fatten_subtree(work, u, v)
+                inherited = _fatten_subtree(tree, u, v)
                 breakdown[RULE_REVALIDATED] = (
                     breakdown.get(RULE_REVALIDATED, 0) + 1 + len(inherited)
                 )
                 accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
             else:
-                work.mark_fat(u, v, cut.cost)
+                tree.mark_fat(u, v, cut.cost)
                 breakdown[RULE_RECOMPUTED] = breakdown.get(RULE_RECOMPUTED, 0) + 1
                 moved_flanks = []
-                for x in sorted(work.neighbors(v)):
+                for x in sorted(tree.neighbors(v)):
                     if x == u:
                         continue
                     if node_of[x] in cut.side:
-                        work.move_endpoint(x, v, u)
+                        tree.move_endpoint(x, v, u)
                         if x in flanks:
                             moved_flanks.append(x)
                 if len(moved_flanks) != 1:
@@ -337,35 +329,33 @@ def update_decrease(
                 # u now sits on the path between the moved flank and v
                 pverts.insert(max(vi, pverts.index(moved_flanks[0])), u)
         if verify:
-            if pverts != work.path_vertices(b, d):
+            if pverts != tree.path_vertices(b, d):
                 raise InternalInvariantViolation("tracked b-d path went stale")
-            _check_loop_state(work, graph_before, graph, lam_old, lam_new)
+            _check_loop_state(tree, graph_before, graph, lam_old, lam_new)
 
     if cuts > initial_thin:
         raise InternalInvariantViolation(
             f"{cuts} cuts used, more than the {initial_thin} stale edges"
         )
-    return work.copy(), UpdateStats(
-        event, cuts, static_eq, breakdown, tuple(accepted)
-    )
+    return UpdateStats(event, cuts, static_eq, breakdown, tuple(accepted))
 
 
-def _fatten_subtree(work: CutTree, u: int, v: int) -> list[tuple[Pair, int]]:
+def _fatten_subtree(tree: CutTree, u: int, v: int) -> list[tuple[Pair, int]]:
     """Certify {u, v} and every stale edge of the subtree hanging at u."""
-    work.mark_fat(u, v)
-    sub = work.subtree(u, v)
-    inherited = sorted(((x, y), c) for x, y, c in work.thin_edges() if x in sub and y in sub)
+    tree.mark_fat(u, v)
+    sub = tree.subtree(u, v)
+    inherited = sorted(((x, y), c) for x, y, c in tree.thin_edges() if x in sub and y in sub)
     for (x, y), _ in inherited:
-        work.mark_fat(x, y)
+        tree.mark_fat(x, y)
     return inherited
 
 
-def _check_loop_state(work, graph_before, graph_after, lam_old, lam_new) -> None:
+def _check_loop_state(tree, graph_before, graph_after, lam_old, lam_new) -> None:
     """Fat edges must be minimum cuts of the new graph, thin ones of the old."""
-    for x, y, c in work.edges():
-        thin = work.is_thin(x, y)
+    for x, y, c in tree.edges():
+        thin = tree.is_thin(x, y)
         graph, lam = (graph_before, lam_old) if thin else (graph_after, lam_new)
-        induced = cut_cost(graph, work.cut_side(x, y))
+        induced = cut_cost(graph, tree.cut_side(x, y))
         if induced != c or lam[x, y] != c:
             kind = "thin" if thin else "fat"
             raise InternalInvariantViolation(

@@ -25,8 +25,8 @@ class EdgeMissing(DynCutError):
     pass
 
 
-class InvalidDelta(DynCutError):
-    pass
+class InvalidDelta(DynCutError, ValueError):
+    """A weight or weight change that is not a positive integer, or too large."""
 
 
 class OverlappingGroups(DynCutError):

@@ -1,8 +1,10 @@
 """Undirected weighted graphs, atomic change events, contraction and cut costs.
 
-Weights are exact positive 64-bit integers, so every cut-cost comparison in
-the package is tolerance-free.  Vertex ids are caller-supplied non-negative
-integers and are never renumbered, which keeps event streams replayable.
+Weights are exact positive integers of any size, so every cut-cost
+comparison in the package is tolerance-free.  Vertex ids are caller-supplied
+non-negative integers and are never renumbered, which keeps event streams
+replayable.  :func:`check_weight` and :func:`check_vertex_id` enforce both
+at every public entry point.
 """
 
 from __future__ import annotations
@@ -45,6 +47,18 @@ _EDGE_KINDS = frozenset(EVENT_KINDS) - _VERTEX_KINDS
 _DELTA_KINDS = frozenset({ADD_EDGE, INCREASE_WEIGHT, DECREASE_WEIGHT})
 
 
+def check_vertex_id(v) -> None:
+    """Reject anything but a non-negative ``int`` as a vertex id."""
+    if not isinstance(v, int) or v < 0:
+        raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
+
+
+def check_weight(w) -> None:
+    """Reject anything but a positive ``int`` as an edge weight or weight change."""
+    if not isinstance(w, int) or w <= 0:
+        raise InvalidDelta(f"weights must be positive integers, got {w!r}")
+
+
 def pair_key(u: int, v: int) -> Pair:
     """Canonical unordered representation of an edge."""
     return (u, v) if u <= v else (v, u)
@@ -67,8 +81,9 @@ class ChangeEvent:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.u < 0 or (self.v is not None and self.v < 0):
-            raise ValueError("vertex ids must be non-negative")
+        check_vertex_id(self.u)
+        if self.v is not None:
+            check_vertex_id(self.v)
         if self.kind in _VERTEX_KINDS:
             if self.v is not None or self.delta is not None:
                 raise ValueError(f"{self.kind} takes a single vertex")
@@ -78,8 +93,9 @@ class ChangeEvent:
             if self.u == self.v:
                 raise ValueError("self-loops are not allowed")
         if self.kind in _DELTA_KINDS:
-            if self.delta is None or self.delta <= 0:
+            if self.delta is None:
                 raise InvalidDelta(f"{self.kind} needs a positive delta")
+            check_weight(self.delta)
         elif self.kind == REMOVE_EDGE and self.delta is not None:
             raise ValueError("remove-edge carries no delta")
 
@@ -138,12 +154,14 @@ class DynamicGraph:
     ):
         self._adj: dict[int, dict[int, int]] = {}
         for v in vertices:
+            check_vertex_id(v)
             self._adj.setdefault(v, {})
         for u, v, w in edges:
+            check_vertex_id(u)
+            check_vertex_id(v)
             if u == v:
                 raise ValueError("self-loops are not allowed")
-            if w <= 0:
-                raise ValueError("edge weights must be positive")
+            check_weight(w)
             self._adj.setdefault(u, {})
             self._adj.setdefault(v, {})
             self._adj[u][v] = self._adj[u].get(v, 0) + w
@@ -208,8 +226,7 @@ class DynamicGraph:
     def add_vertex(self, v: int) -> None:
         if v in self._adj:
             raise VertexExists(f"vertex {v} already present")
-        if v < 0:
-            raise ValueError("vertex ids must be non-negative")
+        check_vertex_id(v)
         self._adj[v] = {}
 
     def remove_vertex(self, v: int) -> None:
@@ -226,8 +243,7 @@ class DynamicGraph:
             raise VertexMissing(f"endpoint of {{{u},{v}}} missing")
         if v in self._adj[u]:
             raise EdgeExists(f"edge {{{u},{v}}} already present")
-        if weight <= 0:
-            raise InvalidDelta("edge weights must be positive")
+        check_weight(weight)
         self._adj[u][v] = weight
         self._adj[v][u] = weight
 
@@ -237,15 +253,15 @@ class DynamicGraph:
         del self._adj[v][u]
 
     def increase_weight(self, u: int, v: int, delta: int) -> None:
-        if delta <= 0:
-            raise InvalidDelta("delta must be positive")
+        check_weight(delta)
         w = self.weight(u, v)
         self._adj[u][v] = w + delta
         self._adj[v][u] = w + delta
 
     def decrease_weight(self, u: int, v: int, delta: int) -> None:
         w = self.weight(u, v)
-        if delta <= 0 or delta >= w:
+        check_weight(delta)
+        if delta >= w:
             raise InvalidDelta(
                 f"delta must be in [1, {w - 1}]; removing the edge expresses delta == cost"
             )

@@ -71,9 +71,12 @@ def _enumerated(graph: DynamicGraph) -> dict[Pair, int]:
         return {}
     index = {v: i for i, v in enumerate(verts)}
     bits = _bits(n)
-    costs = np.zeros(bits.shape[1], dtype=np.int64)
+    # no cut costs more than the total weight, so int64 sums are exact below
+    # 2**63; heavier graphs add Python integers instead
+    dtype = np.int64 if sum(w for _, _, w in graph.edges()) < 2**63 else object
+    costs = np.zeros(bits.shape[1], dtype=dtype)
     for u, v, w in graph.edges():
-        costs = costs + w * (bits[index[u]] ^ bits[index[v]])
+        costs += np.multiply(bits[index[u]] ^ bits[index[v]], w, dtype=dtype)
     lam: dict[Pair, int] = {}
     for i in range(n):
         bi = bits[i]

@@ -98,26 +98,24 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def apply_event(
-    tree: CutTree, graph: DynamicGraph, ev: ChangeEvent
-) -> tuple[CutTree, UpdateStats]:
-    """Apply one event to ``graph`` in place and carry ``tree`` across it.
+def apply_event(tree: CutTree, graph: DynamicGraph, ev: ChangeEvent) -> UpdateStats:
+    """Apply one event to ``graph`` and carry ``tree`` across it, both in place.
 
-    Returns the new tree and the event's accounting; ``tree`` is left as it
-    was.  An invalid event raises before either is changed.
+    Returns the event's accounting.  An invalid event raises before either
+    is changed.
     """
     removed_w = graph.weight(ev.u, ev.v) if ev.kind == REMOVE_EDGE else 0
     apply_change(graph, ev)
     if ev.kind == ADD_VERTEX:
-        tree = update_add_vertex(tree, ev.u)
+        update_add_vertex(tree, ev.u)
     elif ev.kind == REMOVE_VERTEX:
-        tree = update_remove_vertex(tree, ev.u)
+        update_remove_vertex(tree, ev.u)
     elif ev.kind in (ADD_EDGE, INCREASE_WEIGHT):
         return update_increase(tree, graph, ev.u, ev.v, ev.delta)
     else:
         delta = ev.delta if ev.kind == DECREASE_WEIGHT else removed_w
         return update_decrease(tree, graph, ev.u, ev.v, delta)
-    return tree, UpdateStats(ev, 0, max(0, graph.vertex_count - 1))
+    return UpdateStats(ev, 0, max(0, graph.vertex_count - 1))
 
 
 def replay(
@@ -136,7 +134,7 @@ def replay(
     tree = CutTree()
     report = ReplayReport()
     for step, ev in enumerate(stream.events, start=1):
-        tree, st = apply_event(tree, graph, ev)
+        st = apply_event(tree, graph, ev)
         if verify:
             check = verify_cut_tree(tree, graph)
             if not check.ok:
@@ -163,7 +161,8 @@ def replay(
         totals.cuts += st.cuts_used
         totals.static += st.static_equivalent
     report.final_graph = graph
-    report.final_tree = tree
+    # one copy per replay compacts the rows that the updates edited
+    report.final_tree = tree.copy()
     if csv_out is not None:
         Path(csv_out).write_text(report.csv_text())
     return report

@@ -8,15 +8,14 @@ One tree type serves finished and partially built trees.  Its edges come
 in two kinds: *fat* edges stand for already-certified minimum separating
 cuts of the current graph, *thin* edges only group vertices into compound
 nodes and carry stale costs.  A finished cut tree has only fat edges.
-:func:`complete` unfolds a partial tree node by node until every edge is
-fat, spending one min-cut computation per thin edge.
+:func:`complete` unfolds a partial tree node by node, in place, until
+every edge is fat, spending one min-cut computation per thin edge.
 
-Costs live in plain adjacency rows (``dict[int, dict[int, int]]``), so a
-copy copies dicts.  Beside them a tree keeps the set of its thin edges'
-pair keys and a small map of certified cut pairs that differ from an
-edge's endpoints.  Finding the next compound node and its thin edges reads
-only that set; each split walks the rest of the tree once, to gather the
-subtrees it contracts.
+Costs live in plain adjacency rows (``dict[int, dict[int, int]]``).  Beside
+them a tree keeps the set of its thin edges' pair keys and a small map of
+certified cut pairs that differ from an edge's endpoints.  Finding the next
+compound node and its thin edges reads only that set; each split walks the
+rest of the tree once, to gather the subtrees it contracts.
 """
 
 from __future__ import annotations
@@ -381,30 +380,30 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
             tree.set_cut_pair(far, new_near, (new_p, q))
 
 
-def complete(tree: CutTree, graph: DynamicGraph, verify: bool = False) -> CutTree:
-    """Unfold a partial tree into a finished cut tree of ``graph``.
+def complete(tree: CutTree, graph: DynamicGraph, verify: bool = False) -> None:
+    """Unfold a partial tree, in place, into a finished cut tree of ``graph``.
 
     Spends exactly one min-cut computation per thin edge of the input.  With
     ``verify`` on, every fat edge's induced-cut cost is checked against its
     label before and after each split.
     """
-    work = tree.copy()
     if verify:
-        _check_induced_costs(work, graph)
+        _check_induced_costs(tree, graph)
     while True:
-        node = work.next_multi_node()
+        node = tree.next_multi_node()
         if node is None:
             break
-        _split_node(work, graph, node)
+        _split_node(tree, graph, node)
         if verify:
-            _check_induced_costs(work, graph)
+            _check_induced_costs(tree, graph)
     # a leftover cut pair would steer later splits of this tree
-    work._pair.clear()
-    return work.copy()
+    tree._pair.clear()
 
 
 def static_build(graph: DynamicGraph) -> CutTree:
     """Build a cut tree from scratch with n-1 min-cut computations."""
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a cut tree of an empty graph")
-    return complete(CutTree.star(graph.vertices), graph)
+    tree = CutTree.star(graph.vertices)
+    complete(tree, graph)
+    return tree

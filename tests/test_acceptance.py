@@ -63,7 +63,7 @@ def suite1():
             continue
         for step in range(SUITE1_EVENTS):
             ev = random_event(g, rng, SCENARIO_MIX, weight_max=8, max_vertices=12)
-            tree, stats = apply_event(tree, g, ev)
+            stats = apply_event(tree, g, ev)
             lam = all_pairs_connectivity(g) if g.vertex_count > 1 else {}
             report = verify_cut_tree(tree, g, lam=lam)
             events_checked += 1
@@ -123,7 +123,7 @@ def test_criterion_3_increase_contract():
                 new.add_edge(u, v, delta)
             kind = detect_bridge(tree, g, u, v)
             plen = len(tree.path_vertices(u, v)) - 1
-            out, stats = update_increase(tree, new, u, v, delta)
+            stats = update_increase(tree, new, u, v, delta)
             if kind == NON_BRIDGE:
                 non_bridge += 1
                 if stats.cuts_used != plen - 1:
@@ -132,7 +132,7 @@ def test_criterion_3_increase_contract():
                 bridge_like += 1
                 if stats.cuts_used != 0:
                     bad.append((u, v, kind, stats.cuts_used))
-            tree, g = out, new
+            g = new
     _report(
         3,
         "increase uses |path|-1 cuts, bridges 0",
@@ -164,7 +164,7 @@ def test_criterion_4_decrease_contract():
             kind = detect_bridge(tree, g, u, v)
             plen = len(tree.path_vertices(u, v)) - 1
             n = g.vertex_count
-            out, stats = update_decrease(tree, new, u, v, delta)
+            stats = update_decrease(tree, new, u, v, delta)
             checked += 1
             if stats.cuts_used > n - 1 - plen:
                 bad.append((u, v, stats.cuts_used, n, plen))
@@ -172,7 +172,7 @@ def test_criterion_4_decrease_contract():
                 bridges += 1
                 if stats.cuts_used != 0:
                     bad.append((u, v, "bridge", stats.cuts_used))
-            tree, g = out, new
+            g = new
     _report(
         4,
         "decrease bounded by n-1-|path|, bridges 0",

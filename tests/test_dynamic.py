@@ -50,42 +50,50 @@ from helpers import SCENARIO_MIX, random_graph
 
 class TestVertexUpdates:
     def test_add_to_empty_tree(self):
-        tree = update_add_vertex(CutTree(), 1)
+        tree = CutTree()
+        update_add_vertex(tree, 1)
         assert set(tree.vertices) == {1}
         assert tree.edge_count == 0
 
     def test_add_attaches_zero_edge_to_smallest(self, t3_tree):
-        tree = update_add_vertex(t3_tree, 4)
-        assert tree.cost(4, 1) == 0
-        assert query_value(tree, 4, 2) == 0
+        update_add_vertex(t3_tree, 4)
+        assert t3_tree.cost(4, 1) == 0
+        assert query_value(t3_tree, 4, 2) == 0
 
     def test_add_existing_rejected(self, t3_tree):
+        before = t3_tree.copy()
         with pytest.raises(VertexExists):
             update_add_vertex(t3_tree, 2)
+        assert t3_tree == before
 
     def test_remove_leaf_with_zero_edge(self):
         tree = CutTree(edges=[(1, 2, 3), (2, 3, 0)])
-        out = update_remove_vertex(tree, 3)
-        assert out == CutTree(edges=[(1, 2, 3)])
+        update_remove_vertex(tree, 3)
+        assert tree == CutTree(edges=[(1, 2, 3)])
 
     def test_remove_interior_rejoins_subtrees(self):
         tree = CutTree(edges=[(1, 5, 0), (5, 3, 0), (1, 2, 4), (3, 4, 6)])
-        out = update_remove_vertex(tree, 5)
-        assert out.has_edge(1, 3)
-        assert out.cost(1, 3) == 0
-        assert out.edge_count == 3
+        update_remove_vertex(tree, 5)
+        assert tree.has_edge(1, 3)
+        assert tree.cost(1, 3) == 0
+        assert tree.edge_count == 3
 
     def test_remove_last_vertex(self):
-        tree = update_remove_vertex(CutTree(vertices=[9]), 9)
+        tree = CutTree(vertices=[9])
+        update_remove_vertex(tree, 9)
         assert tree.vertex_count == 0
 
     def test_remove_with_nonzero_edge_rejected(self, t3_tree):
+        before = t3_tree.copy()
         with pytest.raises(VertexNotIsolated):
             update_remove_vertex(t3_tree, 2)
+        assert t3_tree == before
 
     def test_remove_missing_rejected(self, t3_tree):
+        before = t3_tree.copy()
         with pytest.raises(VertexMissing):
             update_remove_vertex(t3_tree, 9)
+        assert t3_tree == before
 
 
 class TestDetectBridge:
@@ -111,8 +119,8 @@ class TestIncrease:
     def test_existing_bridge_only_bumps_the_edge(self, p3, p3_tree):
         new = p3.copy()
         new.increase_weight(2, 3, 5)
-        tree, stats = update_increase(p3_tree, new, 2, 3, 5)
-        assert tree == CutTree(edges=[(1, 2, 3), (2, 3, 7)])
+        stats = update_increase(p3_tree, new, 2, 3, 5)
+        assert p3_tree == CutTree(edges=[(1, 2, 3), (2, 3, 7)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_BRIDGE: 1}
 
@@ -121,20 +129,20 @@ class TestIncrease:
         tree = CutTree(edges=[(1, 2, 0)])
         new = old.copy()
         new.add_edge(1, 2, 4)
-        out, stats = update_increase(tree, new, 1, 2, 4)
-        assert out == CutTree(edges=[(1, 2, 4)])
+        stats = update_increase(tree, new, 1, 2, 4)
+        assert tree == CutTree(edges=[(1, 2, 4)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_NEW_BRIDGE: 1}
 
     def test_non_bridge_uses_path_minus_one_cuts(self, t3, t3_tree):
         new = t3.copy()
         new.increase_weight(1, 2, 2)
-        tree, stats = update_increase(t3_tree, new, 1, 2, 2)
+        stats = update_increase(t3_tree, new, 1, 2, 2)
         assert stats.cuts_used == 1
-        assert verify_cut_tree(tree, new).ok
+        assert verify_cut_tree(t3_tree, new).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
-            assert query_value(tree, a, b) == 5
-        assert tree == CutTree(edges=[(1, 3, 5), (1, 2, 5)])
+            assert query_value(t3_tree, a, b) == 5
+        assert t3_tree == CutTree(edges=[(1, 3, 5), (1, 2, 5)])
 
     def test_insertion_reports_add_edge_event(self, t3, t3_tree):
         new = t3.copy()
@@ -142,7 +150,7 @@ class TestIncrease:
         old = new.copy()
         new.add_edge(1, 2, 1)
         tree2 = static_build(old)
-        _, stats = update_increase(tree2, new, 1, 2, 1)
+        stats = update_increase(tree2, new, 1, 2, 1)
         assert stats.event.kind == ADD_EDGE
 
 
@@ -150,8 +158,8 @@ class TestDecrease:
     def test_threshold_reuse(self, t3, t3_tree):
         new = t3.copy()
         new.decrease_weight(1, 3, 1)
-        tree, stats = update_decrease(t3_tree, new, 1, 3, 1, verify=True)
-        assert tree == CutTree(edges=[(1, 3, 3), (2, 3, 3)])
+        stats = update_decrease(t3_tree, new, 1, 3, 1, verify=True)
+        assert t3_tree == CutTree(edges=[(1, 3, 3), (2, 3, 3)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_THRESHOLD: 1}
         assert stats.accepted_stale == (((2, 3), 3, RULE_THRESHOLD),)
@@ -159,23 +167,23 @@ class TestDecrease:
     def test_revalidation_keeps_structure(self, t3, t3_tree):
         new = t3.copy()
         new.decrease_weight(2, 3, 1)
-        tree, stats = update_decrease(t3_tree, new, 2, 3, 1, verify=True)
-        assert tree == CutTree(edges=[(1, 3, 4), (2, 3, 2)])
+        stats = update_decrease(t3_tree, new, 2, 3, 1, verify=True)
+        assert t3_tree == CutTree(edges=[(1, 3, 4), (2, 3, 2)])
         assert stats.cuts_used == 1
         assert stats.reuse_breakdown == {RULE_REVALIDATED: 1}
 
     def test_bridge_deletion(self, p3, p3_tree):
         new = p3.copy()
         new.remove_edge(2, 3)
-        tree, stats = update_decrease(p3_tree, new, 2, 3, 2)
-        assert tree == CutTree(edges=[(1, 2, 3), (2, 3, 0)])
+        stats = update_decrease(p3_tree, new, 2, 3, 2)
+        assert p3_tree == CutTree(edges=[(1, 2, 3), (2, 3, 0)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_BRIDGE: 1}
 
     def test_deletion_reports_remove_edge_event(self, t3, t3_tree):
         new = t3.copy()
         new.remove_edge(2, 3)
-        _, stats = update_decrease(t3_tree, new, 2, 3, 2)
+        stats = update_decrease(t3_tree, new, 2, 3, 2)
         assert stats.event.kind == "remove-edge"
         assert stats.event.delta is None
 
@@ -183,10 +191,12 @@ class TestDecrease:
 class TestDeltaChecks:
     def test_increase_rejects_the_graph_before_the_change(self, p3, p3_tree):
         # {2,3} weighs 2, so it cannot already hold an increase by 5
+        before = p3_tree.copy()
         with pytest.raises(InvalidDelta):
             update_increase(p3_tree, p3, 2, 3, 5)
+        assert p3_tree == before
 
-    @pytest.mark.parametrize("delta", [0, -1])
+    @pytest.mark.parametrize("delta", [0, -1, 0.5])
     @pytest.mark.parametrize(
         "update, deleted",
         [(update_increase, False), (update_decrease, False), (update_decrease, True)],
@@ -194,8 +204,10 @@ class TestDeltaChecks:
     def test_non_positive_delta_rejected(self, p3, p3_tree, update, deleted, delta):
         if deleted:
             p3.remove_edge(2, 3)
+        before = p3_tree.copy()
         with pytest.raises(InvalidDelta):
             update(p3_tree, p3, 2, 3, delta)
+        assert p3_tree == before
 
 
 # on t3 with an isolated vertex 4 added
@@ -216,12 +228,12 @@ INVALID_EVENTS = {
 def test_apply_event_rejects_invalid_event_unchanged(t3, t3_tree, ev, error):
     assert issubclass(error, DynCutError)
     t3.add_vertex(4)
-    tree = update_add_vertex(t3_tree, 4)
-    graph_before, tree_before = t3.copy(), tree.copy()
+    update_add_vertex(t3_tree, 4)
+    graph_before, tree_before = t3.copy(), t3_tree.copy()
     with pytest.raises(error):
-        apply_event(tree, t3, ev)
+        apply_event(t3_tree, t3, ev)
     assert t3 == graph_before
-    assert tree == tree_before
+    assert t3_tree == tree_before
 
 
 def _run_scenario(seed, events=15, check_contracts=True):
@@ -236,7 +248,7 @@ def _run_scenario(seed, events=15, check_contracts=True):
             kind = detect_bridge(tree, g, ev.u, ev.v)
             n_before = g.vertex_count
         before = counter.value
-        tree, stats = apply_event(tree, g, ev)
+        stats = apply_event(tree, g, ev)
         used = counter.value - before
         assert stats.cuts_used == used
         assert stats.cuts_used <= stats.static_equivalent
@@ -278,8 +290,8 @@ def test_decrease_verify_mode_on_random_cases():
             new.remove_edge(u, v)
         else:
             new.decrease_weight(u, v, delta)
-        out, _ = update_decrease(tree, new, u, v, delta, verify=True)
-        assert verify_cut_tree(out, new).ok
+        update_decrease(tree, new, u, v, delta, verify=True)
+        assert verify_cut_tree(tree, new).ok
         done += 1
 
 
@@ -310,8 +322,8 @@ def test_increase_keeps_off_path_cuts():
             side = tree.cut_side(u, v)
             assert cut_cost(new, side) == c
             assert lam_new[pair_key(u, v)] == c
-        out, _ = update_increase(tree, new, b, d, delta)
-        assert verify_cut_tree(out, new, lam=lam_new).ok
+        update_increase(tree, new, b, d, delta)
+        assert verify_cut_tree(tree, new, lam=lam_new).ok
         done += 1
 
 

@@ -38,6 +38,21 @@ class TestConstruction:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             DynamicGraph(edges=[(1, 2, 0)])
+        for weight in (0.5, 2.0, "3"):
+            with pytest.raises(InvalidDelta):
+                DynamicGraph(edges=[(1, 2, weight)])
+
+    def test_negative_vertex_id_rejected(self):
+        for make in (
+            lambda: DynamicGraph(vertices=[-1]),
+            lambda: DynamicGraph(edges=[(-1, 2, 1)]),
+            lambda: DynamicGraph(vertices=[1.5]),
+            lambda: DynamicGraph().add_vertex(-1),
+            lambda: ChangeEvent.add_vertex(-1),
+            lambda: ChangeEvent.add_edge(1, -2, 1),
+        ):
+            with pytest.raises(ValueError):
+                make()
 
     def test_endpoints_in_vertex_set(self):
         g = DynamicGraph(edges=[(1, 2, 3)])
@@ -75,9 +90,23 @@ class TestApplyChange:
         with pytest.raises(EdgeMissing):
             apply_change(t3, ChangeEvent.remove_edge(1, 9))
 
-    def test_event_delta_must_be_positive(self):
+    def test_event_delta_must_be_positive(self, t3):
         with pytest.raises(InvalidDelta):
             ChangeEvent.increase_weight(1, 2, 0)
+        # a fractional weight would make cut costs inexact
+        t3.add_vertex(4)
+        before = t3.copy()
+        for reject in (
+            lambda: ChangeEvent.add_edge(1, 2, 0.5),
+            lambda: ChangeEvent.increase_weight(1, 2, 1.0),
+            lambda: ChangeEvent.decrease_weight(1, 3, 0.5),
+            lambda: t3.add_edge(1, 4, 0.5),
+            lambda: t3.increase_weight(1, 2, 0.5),
+            lambda: t3.decrease_weight(1, 3, 0.5),
+        ):
+            with pytest.raises(InvalidDelta):
+                reject()
+        assert t3 == before
 
     @given(graphs(), st.integers(0, 10**6))
     def test_apply_then_inverse_restores(self, g, seed):

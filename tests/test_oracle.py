@@ -10,6 +10,7 @@ from dyncut import (
     all_pairs_connectivity,
     cut_cost,
     min_cut,
+    static_build,
     verify_cut_tree,
 )
 from dyncut.errors import EmptyGraph, EnumerationTooLarge, UnknownVertex, VertexSetMismatch
@@ -36,6 +37,17 @@ class TestAllPairs:
         g = DynamicGraph(vertices=range(13))
         with pytest.raises(EnumerationTooLarge):
             all_pairs_connectivity(g, method="enumerate")
+
+    @pytest.mark.parametrize("method", ["enumerate", "auto"])
+    def test_exact_beyond_int64(self, method):
+        # cut costs up to 2**63 + 1 must not wrap around
+        heavy = DynamicGraph(edges=[(1, 2, 2**62), (1, 3, 2**62), (2, 3, 1)])
+        assert all_pairs_connectivity(heavy, method) == dict.fromkeys(
+            [(1, 2), (1, 3), (2, 3)], 2**62 + 1
+        )
+        assert verify_cut_tree(static_build(heavy), heavy, method=method).ok
+        single = DynamicGraph(edges=[(1, 2, 2**63)])
+        assert all_pairs_connectivity(single, method) == {(1, 2): 2**63}
 
     @given(graphs(max_vertices=6))
     def test_enumeration_agrees_with_flow(self, g):
