@@ -37,7 +37,7 @@ from .graph import (
     cut_cost,
     pair_key,
 )
-from .mincut import counter, min_cut
+from .mincut import min_cut
 from .tree import CutTree, complete, query_value
 
 EXISTING_BRIDGE = "existing-bridge"
@@ -168,17 +168,14 @@ def update_increase(
 
     # General route: every edge off the b-d path keeps its cut; the cheapest
     # path edge (nearest to b on ties) is a minimum b-d cut, so it stays
-    # valid with cost +delta and is kept fat with {b, d} as its certified
-    # pair.  The remaining path edges are rebuilt.
+    # valid with cost +delta and stays fat.  The other path edges turn thin,
+    # and complete rebuilds them with one cut each.
     chosen = pedges[costs.index(lam)]
     for x, y in pedges:
         if (x, y) != chosen:
             tree.mark_thin(x, y)
     tree.set_cost(*chosen, lam + delta)
-    tree.set_cut_pair(*chosen, (b, d))
-    before = counter.value
-    complete(tree, graph, verify=verify)
-    cuts = counter.value - before
+    cuts = complete(tree, graph, verify=verify)
     if cuts != len(pedges) - 1:
         raise InternalInvariantViolation(
             f"rebuild used {cuts} cuts, expected {len(pedges) - 1}"
@@ -355,7 +352,7 @@ def _check_loop_state(tree, graph_before, graph_after, lam_old, lam_new) -> None
     for x, y, c in tree.edges():
         thin = tree.is_thin(x, y)
         graph, lam = (graph_before, lam_old) if thin else (graph_after, lam_new)
-        induced = cut_cost(graph, tree.cut_side(x, y))
+        induced = cut_cost(graph, tree.subtree(x, y))
         if induced != c or lam[x, y] != c:
             kind = "thin" if thin else "fat"
             raise InternalInvariantViolation(

@@ -48,14 +48,20 @@ _DELTA_KINDS = frozenset({ADD_EDGE, INCREASE_WEIGHT, DECREASE_WEIGHT})
 
 
 def check_vertex_id(v) -> None:
-    """Reject anything but a non-negative ``int`` as a vertex id."""
-    if not isinstance(v, int) or v < 0:
+    """Reject anything but a non-negative ``int`` as a vertex id.
+
+    The type must be ``int`` itself: ``True`` is not a vertex id.
+    """
+    if type(v) is not int or v < 0:
         raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
 
 
 def check_weight(w) -> None:
-    """Reject anything but a positive ``int`` as an edge weight or weight change."""
-    if not isinstance(w, int) or w <= 0:
+    """Reject anything but a positive ``int`` as an edge weight or weight change.
+
+    The type must be ``int`` itself: ``True`` is not a weight.
+    """
+    if type(w) is not int or w <= 0:
         raise InvalidDelta(f"weights must be positive integers, got {w!r}")
 
 

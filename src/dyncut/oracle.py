@@ -141,7 +141,7 @@ def verify_cut_tree(
 
     violations: list[Violation] = []
     for u, v, c in sorted(tree.edges()):
-        induced = cut_cost(graph, tree.cut_side(u, v))
+        induced = cut_cost(graph, tree.subtree(u, v))
         if induced != c:
             violations.append(Violation("induced-cost", (u, v), c, induced))
         expected = lam[pair_key(u, v)]

@@ -112,7 +112,8 @@ def parse_stream(text: str, strict: bool = True) -> EventStream:
             raise StreamSyntaxError(
                 ln, f"{code} takes {_ARITY[code]} arguments, got {len(args)}"
             )
-        if not all(a.isdigit() for a in args):
+        # str.isdigit alone also accepts non-ASCII digits, e.g. U+0663 and U+00B2
+        if not all(a.isascii() and a.isdigit() for a in args):
             raise StreamSyntaxError(ln, f"non-integer argument in {body!r}")
         nums = [int(a) for a in args]
         try:

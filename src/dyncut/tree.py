@@ -11,11 +11,13 @@ nodes and carry stale costs.  A finished cut tree has only fat edges.
 :func:`complete` unfolds a partial tree node by node, in place, until
 every edge is fat, spending one min-cut computation per thin edge.
 
-Costs live in plain adjacency rows (``dict[int, dict[int, int]]``).  Beside
-them a tree keeps the set of its thin edges' pair keys and a small map of
-certified cut pairs that differ from an edge's endpoints.  Finding the next
-compound node and its thin edges reads only that set; each split walks the
-rest of the tree once, to gather the subtrees it contracts.
+A tree is plain cost rows (``dict[int, dict[int, int]]``) plus the set of
+its thin edges' pair keys.  Finding the next compound node and its thin
+edges reads only that set; each split walks the rest of the tree once, to
+gather the subtrees it contracts.  A split follows Gomory and Hu's
+node-level rule: which side a hanging subtree goes to is decided by the cut
+alone, so neither the member a fat edge touches nor the shape and costs of
+the thin edges inside a node affect the finished tree.
 """
 
 from __future__ import annotations
@@ -81,16 +83,14 @@ class CutTree:
 
     ``_adj[u][v]`` is the cost of tree edge {u, v}.  ``_thin`` holds the pair
     keys of the thin edges; every other edge is fat, and a finished tree has
-    none.  ``_pair`` maps the pair key of a fat edge to its certified cut
-    pair, only while that pair is not the edge's own endpoints.
+    none.
     """
 
-    __slots__ = ("_adj", "_thin", "_pair")
+    __slots__ = ("_adj", "_thin")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
         self._adj: dict[int, dict[int, int]] = {}
         self._thin: set[Pair] = set()
-        self._pair: dict[Pair, Pair] = {}
         for v in vertices:
             self._adj.setdefault(v, {})
         for u, v, c in edges:
@@ -147,11 +147,6 @@ class CutTree:
         self._adj[u][v] = c
         self._adj[v][u] = c
 
-    def cut_side(self, u: int, v: int) -> frozenset[int]:
-        """Vertex set on u's side when tree edge {u, v} is removed."""
-        self.cost(u, v)
-        return frozenset(_reach(self._adj, u, {v}))
-
     def add_vertex(self, v: int) -> None:
         if v in self._adj:
             raise VertexExists(f"vertex {v} already present")
@@ -182,9 +177,7 @@ class CutTree:
         self.cost(u, v)
         del self._adj[u][v]
         del self._adj[v][u]
-        key = pair_key(u, v)
-        self._thin.discard(key)
-        self._pair.pop(key, None)
+        self._thin.discard(pair_key(u, v))
 
     def is_thin(self, u: int, v: int) -> bool:
         self.cost(u, v)
@@ -205,15 +198,6 @@ class CutTree:
         self.cost(u, v)
         self._thin.add(pair_key(u, v))
 
-    def set_cut_pair(self, u: int, v: int, pair: Pair) -> None:
-        """Record ``pair`` as the pair whose minimum cut fat edge {u, v} certifies."""
-        self.cost(u, v)
-        key = pair_key(u, v)
-        if pair_key(*pair) == key:
-            self._pair.pop(key, None)
-        else:
-            self._pair[key] = pair
-
     def move_endpoint(self, far: int, old_near: int, new_near: int) -> None:
         """Reconnect edge {far, old_near} as {far, new_near}, keeping its cost and kind."""
         c = self.cost(far, old_near)
@@ -227,8 +211,6 @@ class CutTree:
         if old in self._thin:
             self._thin.remove(old)
             self._thin.add(new)
-        if old in self._pair:
-            self._pair[new] = self._pair.pop(old)
 
     def thin_component(self, v: int) -> set[int]:
         """The compound node containing v: vertices connected by thin edges."""
@@ -259,13 +241,12 @@ class CutTree:
         t = CutTree()
         t._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         t._thin = self._thin.copy()
-        t._pair = self._pair.copy()
         return t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CutTree):
             return NotImplemented
-        return (self._adj, self._thin, self._pair) == (other._adj, other._thin, other._pair)
+        return (self._adj, self._thin) == (other._adj, other._thin)
 
     def __repr__(self) -> str:
         return f"CutTree({self.vertex_count} vertices)"
@@ -300,7 +281,7 @@ def query_cut(tree: CutTree, u: int, v: int) -> Cut:
         if best is None or c < best[0]:
             best = (c, a, b)
     c, a, b = best
-    return Cut(tree.cut_side(a, b), c)
+    return Cut(frozenset(tree.subtree(a, b)), c)
 
 
 # Partial trees were once a type of their own; perfbench/tracer.py still
@@ -312,32 +293,21 @@ def _check_induced_costs(tree: CutTree, graph: DynamicGraph) -> None:
     for u, v, c in tree.edges():
         if tree.is_thin(u, v):
             continue
-        actual = cut_cost(graph, tree.cut_side(u, v))
+        actual = cut_cost(graph, tree.subtree(u, v))
         if actual != c:
             raise InvalidIntermediate(
                 f"fat edge {{{u},{v}}} labelled {c} but induces a cut of cost {actual}"
             )
 
 
-def _relink_thin(tree: CutTree, part: set[int], kept: list[tuple[int, int, int]]) -> None:
-    """Rebuild a thin spanning forest on ``part`` and join its pieces."""
-    thin_nbrs: dict[int, list[int]] = {w: [] for w in part}
-    for a, b, c in kept:
-        tree.add_edge(a, b, c, thin=True)
-        thin_nbrs[a].append(b)
-        thin_nbrs[b].append(a)
-    order = sorted(part)
-    seen: set[int] = set()
-    for w in order:
-        if w in seen:
-            continue
-        if seen:
-            tree.add_edge(order[0], w, 0, thin=True)
-        _reach(thin_nbrs, w, seen)
-
-
 def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
-    """One construction step: split a compound node along a minimum cut."""
+    """One Gomory-Hu step: split a compound node along a minimum cut.
+
+    The cut separates the node's two smallest members u and v.  Each
+    subtree hanging off the node goes to the side its contracted node
+    landed on; it keeps its attachment vertex if that vertex is on the same
+    side, and otherwise moves to that side's split vertex, u or v.
+    """
     members = sorted(node)
     u, v = members[0], members[1]
 
@@ -352,52 +322,37 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
     quotient, node_of = contract(graph, [sub for sub in subtrees if len(sub) > 1])
     cut = min_cut(quotient, u, v)
     side_u = {w for w in node if w in cut.side}
-    side_v = node - side_u
 
-    # Every thin edge touching the node lies inside it.
-    old_thin = [(a, b, adj[a][b]) for a, b in sorted(k for k in tree._thin if k[0] in node)]
-    for a, b, _ in old_thin:
+    # Every thin edge touching the node lies inside it.  Each side becomes a
+    # thin star on its smallest member; no split reads a thin edge's cost.
+    for a, b in [k for k in tree._thin if k[0] in node]:
         tree.remove_edge(a, b)
     tree.add_edge(u, v, cut.cost)
-    for part in (side_u, side_v):
-        kept = [(a, b, c) for a, b, c in old_thin if a in part and b in part]
-        _relink_thin(tree, part, kept)
+    for w in members[2:]:
+        tree.add_edge(u if w in side_u else v, w, 0, thin=True)
 
-    # Reconnect each hanging subtree to the side its contracted node landed
-    # on; the certified cut pair follows the split (if the near pair vertex
-    # fell on the wrong side, the step vertex replaces it).
-    pairs = tree._pair
     for far, near in links:
-        target, step = (side_u, u) if node_of[far] in cut.side else (side_v, v)
-        p, q = pairs.get((near, far) if near < far else (far, near), (near, far))
-        if p not in node:
-            p, q = q, p
-        new_p = p if p in target else step
-        new_near = near if near in target else new_p
-        if new_near != near:
-            tree.move_endpoint(far, near, new_near)
-        if (new_p, new_near) != (p, near):  # else the recorded pair still holds
-            tree.set_cut_pair(far, new_near, (new_p, q))
+        to_u = node_of[far] in cut.side
+        if (near in side_u) != to_u:
+            tree.move_endpoint(far, near, u if to_u else v)
 
 
-def complete(tree: CutTree, graph: DynamicGraph, verify: bool = False) -> None:
+def complete(tree: CutTree, graph: DynamicGraph, verify: bool = False) -> int:
     """Unfold a partial tree, in place, into a finished cut tree of ``graph``.
 
-    Spends exactly one min-cut computation per thin edge of the input.  With
-    ``verify`` on, every fat edge's induced-cut cost is checked against its
-    label before and after each split.
+    Spends exactly one min-cut computation per thin edge of the input and
+    returns their number.  With ``verify`` on, every fat edge's induced-cut
+    cost is checked against its label before and after each split.
     """
     if verify:
         _check_induced_costs(tree, graph)
-    while True:
-        node = tree.next_multi_node()
-        if node is None:
-            break
+    splits = 0
+    while (node := tree.next_multi_node()) is not None:
         _split_node(tree, graph, node)
+        splits += 1
         if verify:
             _check_induced_costs(tree, graph)
-    # a leftover cut pair would steer later splits of this tree
-    tree._pair.clear()
+    return splits
 
 
 def static_build(graph: DynamicGraph) -> CutTree:

@@ -319,7 +319,7 @@ def test_increase_keeps_off_path_cuts():
         for u, v, c in tree.edges():
             if pair_key(u, v) in on_path:
                 continue
-            side = tree.cut_side(u, v)
+            side = tree.subtree(u, v)
             assert cut_cost(new, side) == c
             assert lam_new[pair_key(u, v)] == c
         update_increase(tree, new, b, d, delta)
@@ -346,7 +346,7 @@ def test_decrease_lowers_all_path_cuts():
         lam_new = all_pairs_connectivity(new)
         pverts = tree.path_vertices(u0, v0)
         for x, y in zip(pverts, pverts[1:]):
-            side = tree.cut_side(x, y)
+            side = tree.subtree(x, y)
             assert cut_cost(new, side) == tree.cost(x, y) - delta
             assert lam_new[pair_key(x, y)] == tree.cost(x, y) - delta
         done += 1

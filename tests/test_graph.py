@@ -38,7 +38,7 @@ class TestConstruction:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             DynamicGraph(edges=[(1, 2, 0)])
-        for weight in (0.5, 2.0, "3"):
+        for weight in (0.5, 2.0, "3", True, False):
             with pytest.raises(InvalidDelta):
                 DynamicGraph(edges=[(1, 2, weight)])
 
@@ -47,8 +47,11 @@ class TestConstruction:
             lambda: DynamicGraph(vertices=[-1]),
             lambda: DynamicGraph(edges=[(-1, 2, 1)]),
             lambda: DynamicGraph(vertices=[1.5]),
+            lambda: DynamicGraph(vertices=[False, True]),
+            lambda: DynamicGraph(edges=[(True, 2, 1)]),
             lambda: DynamicGraph().add_vertex(-1),
             lambda: ChangeEvent.add_vertex(-1),
+            lambda: ChangeEvent.add_vertex(True),
             lambda: ChangeEvent.add_edge(1, -2, 1),
         ):
             with pytest.raises(ValueError):
@@ -100,9 +103,13 @@ class TestApplyChange:
             lambda: ChangeEvent.add_edge(1, 2, 0.5),
             lambda: ChangeEvent.increase_weight(1, 2, 1.0),
             lambda: ChangeEvent.decrease_weight(1, 3, 0.5),
+            lambda: ChangeEvent.add_edge(1, 2, True),
+            lambda: ChangeEvent.increase_weight(1, 2, False),
             lambda: t3.add_edge(1, 4, 0.5),
             lambda: t3.increase_weight(1, 2, 0.5),
             lambda: t3.decrease_weight(1, 3, 0.5),
+            lambda: t3.add_edge(1, 4, True),
+            lambda: t3.increase_weight(1, 2, True),
         ):
             with pytest.raises(InvalidDelta):
                 reject()

@@ -161,7 +161,6 @@ def test_update_increase_edits_tree_as_complete_does():
             if e != chosen:
                 work.mark_thin(*e)
         work.set_cost(*chosen, final.cost(*chosen) + 3)
-        work.set_cut_pair(*chosen, (b, d))
         complete(work, raised)
         if detect_bridge(final, graph, b, d) == NON_BRIDGE:
             assert work == tree

@@ -48,9 +48,14 @@ class TestParse:
             parse_stream("av 1\nae 1 2\n")
         assert err.value.line == 2
 
-    def test_non_integer_argument(self):
+    @pytest.mark.parametrize(
+        "arg",
+        ["x", "\u0663", "\u00b2"],
+        ids=["letter", "arabic-indic-three", "superscript-two"],
+    )
+    def test_non_integer_argument(self, arg):
         with pytest.raises(StreamSyntaxError):
-            parse_stream("av x\n")
+            parse_stream(f"av {arg}\n")
 
     def test_zero_delta_is_syntax_error(self):
         with pytest.raises(StreamSyntaxError):

@@ -1,3 +1,6 @@
+import random
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -21,6 +24,12 @@ from dyncut.errors import (
 )
 from dyncut.mincut import counter
 from helpers import graphs
+
+
+def _side_without(tree, u, v, anchor):
+    """The side of tree edge {u, v} that does not hold ``anchor``."""
+    side = tree.subtree(u, v)
+    return frozenset(tree.subtree(v, u) if anchor in side else side)
 
 
 class TestStaticBuild:
@@ -65,7 +74,6 @@ class TestStaticBuild:
 class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
         work = t3_tree.copy()
-        work.set_cut_pair(2, 3, (2, 1))  # also a minimum 1-2 cut; not kept
         before = counter.value
         complete(work, t3, verify=True)
         assert work == t3_tree
@@ -112,18 +120,38 @@ class TestComplete:
                 work.mark_thin(u, v)
         anchor = min(g.vertices)
         fat_before = {
-            (frozenset(work.cut_side(u, v) if anchor not in work.cut_side(u, v)
-                       else set(g.vertices) - work.cut_side(u, v)), c)
+            (_side_without(work, u, v, anchor), c)
             for u, v, c in work.edges()
             if not work.is_thin(u, v)
         }
         complete(work, g)
-        fat_after = {
-            (frozenset(work.cut_side(u, v) if anchor not in work.cut_side(u, v)
-                       else set(g.vertices) - work.cut_side(u, v)), c)
-            for u, v, c in work.edges()
-        }
+        fat_after = {(_side_without(work, u, v, anchor), c) for u, v, c in work.edges()}
         assert fat_before <= fat_after
+
+    @given(graphs(min_vertices=3, max_vertices=10), st.integers(0, 10**6))
+    @settings(max_examples=40)
+    def test_split_ignores_where_fat_edges_meet_a_node(self, g, seed):
+        # Gomory-Hu's node-level rule: the finished tree depends neither on
+        # the member of a compound node a fat edge touches nor on the costs
+        # of the thin edges inside the node
+        rng = random.Random(seed)
+        work = static_build(g)
+        for u, v, _ in list(work.edges()):
+            if rng.random() < 0.5:
+                work.mark_thin(u, v)
+        moved = work.copy()
+        for u, v, _ in list(work.edges()):
+            if work.is_thin(u, v):
+                moved.set_cost(u, v, rng.randint(0, 9))
+                continue
+            far, near = rng.sample((u, v), 2)
+            others = sorted(work.thin_component(near) - {near})
+            if others:
+                moved.move_endpoint(far, near, rng.choice(others))
+        assert complete(work, g) == complete(moved, g)
+        assert work.to_lines() == moved.to_lines()
+        assert verify_cut_tree(work, g).ok
+        assert verify_cut_tree(moved, g).ok
 
 
 class TestQueries:
