@@ -115,8 +115,9 @@ def parse_stream(text: str, strict: bool = True) -> EventStream:
         # str.isdigit alone also accepts non-ASCII digits, e.g. U+0663 and U+00B2
         if not all(a.isascii() and a.isdigit() for a in args):
             raise StreamSyntaxError(ln, f"non-integer argument in {body!r}")
-        nums = [int(a) for a in args]
         try:
+            # int() refuses strings of more than 4300 digits with a ValueError
+            nums = [int(a) for a in args]
             if code in ("av", "rv"):
                 ev = ChangeEvent(KIND_OF_CODE[code], nums[0])
             elif code == "re":

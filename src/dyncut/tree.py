@@ -11,18 +11,25 @@ nodes and carry stale costs.  A finished cut tree has only fat edges.
 :func:`complete` unfolds a partial tree node by node, in place, until
 every edge is fat, spending one min-cut computation per thin edge.
 
-A tree is plain cost rows (``dict[int, dict[int, int]]``) plus the set of
-its thin edges' pair keys.  Finding the next compound node and its thin
-edges reads only that set; each split walks the rest of the tree once, to
-gather the subtrees it contracts.  A split follows Gomory and Hu's
-node-level rule: which side a hanging subtree goes to is decided by the cut
-alone, so neither the member a fat edge touches nor the shape and costs of
-the thin edges inside a node affect the finished tree.
+A tree is plain cost rows (``dict[int, dict[int, int]]``), the set of its
+thin edges' pair keys, and a parent map.  Each structural edit keeps the
+parent map right, at worst by re-rooting (everting) one endpoint's path, so
+a tree path is two walks up to the lowest common ancestor, O(depth).
+Link-cut trees (Sleator and Tarjan, "A data structure for dynamic trees",
+JCSS 1983) would bound that by O(log n); at the depths met here they cost
+more.
+
+A split reads the node's members from their rows and its edges from the
+parent map, and walks the rest of the tree once, to gather the subtrees it
+contracts.  It follows Gomory and Hu's node-level rule: which side a
+hanging subtree goes to is decided by the cut alone, so neither the member
+a fat edge touches nor the shape and costs of the thin edges inside a node
+affect the finished tree.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from math import inf
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -38,29 +45,11 @@ from .graph import Cut, DynamicGraph, Pair, contract, cut_cost, pair_key
 from .mincut import min_cut
 
 
-def _path_in_adj(adj: dict, u: int, v: int) -> list[int]:
-    """Unique u-v path in a tree given as an adjacency dict."""
-    if u not in adj or v not in adj:
+def _check_ends(up: dict, u: int, v: int) -> None:
+    if u not in up or v not in up:
         raise VertexMissing(f"missing endpoint in ({u}, {v})")
     if u == v:
         raise SameVertex(f"endpoints must differ, got {u}")
-    parent: dict[int, int] = {u: u}
-    dq = deque([u])
-    while dq:
-        x = dq.popleft()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                dq.append(y)
-    if v not in parent:
-        raise VertexMissing(f"no tree path between {u} and {v}")
-    out = [v]
-    while out[-1] != u:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return out
 
 
 def _reach(nbrs: dict, start: int, seen: set[int]) -> list[int]:
@@ -83,19 +72,21 @@ class CutTree:
 
     ``_adj[u][v]`` is the cost of tree edge {u, v}.  ``_thin`` holds the pair
     keys of the thin edges; every other edge is fat, and a finished tree has
-    none.
+    none.  ``_up[x]`` is x's parent, or ``None`` at a root; the cost to it is
+    in the rows.  The root depends on the edit history, so equality ignores it.
     """
 
-    __slots__ = ("_adj", "_thin")
+    __slots__ = ("_adj", "_thin", "_up")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
         self._adj: dict[int, dict[int, int]] = {}
         self._thin: set[Pair] = set()
-        for v in vertices:
-            self._adj.setdefault(v, {})
+        self._up: dict[int, int | None] = {}
+        edges = list(edges)
+        for v in (*vertices, *(x for u, v, _ in edges for x in (u, v))):
+            if v not in self._adj:
+                self.add_vertex(v)
         for u, v, c in edges:
-            self._adj.setdefault(u, {})
-            self._adj.setdefault(v, {})
             self.add_edge(u, v, c)
 
     @classmethod
@@ -151,6 +142,7 @@ class CutTree:
         if v in self._adj:
             raise VertexExists(f"vertex {v} already present")
         self._adj[v] = {}
+        self._up[v] = None
 
     def remove_vertex(self, v: int) -> None:
         if v not in self._adj:
@@ -158,18 +150,39 @@ class CutTree:
         for x in list(self._adj[v]):
             self.remove_edge(v, x)
         del self._adj[v]
+        del self._up[v]
+
+    def _evert(self, x: int) -> None:
+        """Make x the root of its component by reversing its path to the old root."""
+        up, prev = self._up, None
+        while x is not None:
+            up[x], prev, x = prev, x, up[x]
 
     def add_edge(self, u: int, v: int, c: int, thin: bool = False) -> None:
+        """Join two components by edge {u, v}, re-rooting the shallower end below the other."""
+        adj, up = self._adj, self._up
         if u == v:
             raise SameVertex("tree edges need distinct endpoints")
-        if u not in self._adj or v not in self._adj:
+        if u not in adj or v not in adj:
             raise VertexMissing(f"endpoint of {{{u},{v}}} missing")
-        if v in self._adj[u]:
-            raise EdgeExists(f"tree edge {{{u},{v}}} already present")
         if c < 0:
             raise ValueError("tree edge costs are non-negative")
-        self._adj[u][v] = c
-        self._adj[v][u] = c
+        ru, du = u, 0
+        while (p := up[ru]) is not None:
+            ru, du = p, du + 1
+        rv, dv = v, 0
+        while (p := up[rv]) is not None:
+            rv, dv = p, dv + 1
+        if ru == rv:
+            raise EdgeExists(f"tree edge {{{u},{v}}} is present or would close a cycle")
+        # on equal depths hang the end with the smaller row, e.g. a new vertex
+        if du > dv or du == dv and len(adj[u]) > len(adj[v]):
+            u, v = v, u
+        if up[u] is not None:
+            self._evert(u)
+        up[u] = v
+        adj[u][v] = c
+        adj[v][u] = c
         if thin:
             self._thin.add(pair_key(u, v))
 
@@ -178,6 +191,7 @@ class CutTree:
         del self._adj[u][v]
         del self._adj[v][u]
         self._thin.discard(pair_key(u, v))
+        self._up[u if self._up[u] == v else v] = None
 
     def is_thin(self, u: int, v: int) -> bool:
         self.cost(u, v)
@@ -199,14 +213,34 @@ class CutTree:
         self._thin.add(pair_key(u, v))
 
     def move_endpoint(self, far: int, old_near: int, new_near: int) -> None:
-        """Reconnect edge {far, old_near} as {far, new_near}, keeping its cost and kind."""
+        """Reconnect edge {far, old_near} as {far, new_near}, keeping its cost and kind.
+
+        Raises :class:`EdgeExists`, before any write, if ``new_near`` lies on
+        far's side of the edge, where the moved edge would close a cycle.
+        """
         c = self.cost(far, old_near)
         if far == new_near or self.has_edge(far, new_near):
             raise EdgeExists(f"cannot move edge onto {{{far},{new_near}}}")
+        up = self._up
+        # far's side is far's subtree, or far's tree outside old_near's subtree
+        low = far if up[far] == old_near else old_near
+        x, top = new_near, far
+        while x != low and up[x] is not None:
+            x = up[x]
+        while up[top] is not None:
+            top = up[top]
+        if x == far if low == far else x != low and x == top:
+            raise EdgeExists(f"moving {{{far},{old_near}}} onto {new_near} would close a cycle")
         del self._adj[far][old_near]
         del self._adj[old_near][far]
         self._adj[far][new_near] = c
         self._adj[new_near][far] = c
+        if low == far:
+            up[far] = new_near
+        else:
+            up[old_near] = None
+            self._evert(new_near)
+            up[new_near] = far
         old, new = pair_key(far, old_near), pair_key(far, new_near)
         if old in self._thin:
             self._thin.remove(old)
@@ -216,11 +250,14 @@ class CutTree:
         """The compound node containing v: vertices connected by thin edges."""
         if v not in self._adj:
             raise VertexMissing(f"no vertex {v}")
-        thin_nbrs: dict[int, list[int]] = {}
-        for a, b in self._thin:
-            thin_nbrs.setdefault(a, []).append(b)
-            thin_nbrs.setdefault(b, []).append(a)
-        return set(_reach(thin_nbrs, v, set()))
+        adj, thin = self._adj, self._thin
+        seen, found = {v}, [v]
+        for x in found:
+            for y in adj[x]:
+                if y not in seen and pair_key(x, y) in thin:
+                    seen.add(y)
+                    found.append(y)
+        return seen
 
     def next_multi_node(self) -> set[int] | None:
         """Compound node to process next: the one holding the smallest vertex."""
@@ -234,13 +271,26 @@ class CutTree:
         return set(_reach(self._adj, root, {banned}))
 
     def path_vertices(self, u: int, v: int) -> list[int]:
-        return _path_in_adj(self._adj, u, v)
+        """The u-v tree path from u to v: two walks up that meet at the lowest common ancestor."""
+        up = self._up
+        _check_ends(up, u, v)
+        pos, x = {}, u
+        while x is not None:
+            pos[x], x = len(pos), up[x]
+        tail, x = [], v
+        while x not in pos:
+            if x is None:
+                raise VertexMissing(f"no tree path between {u} and {v}")
+            tail.append(x)
+            x = up[x]
+        return list(pos)[: pos[x] + 1] + tail[::-1]
 
     def copy(self) -> "CutTree":
         """Independent copy; its rows drop the space that removed entries left."""
         t = CutTree()
         t._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         t._thin = self._thin.copy()
+        t._up = dict(self._up)
         return t
 
     def __eq__(self, other) -> bool:
@@ -263,9 +313,24 @@ def path(tree, u: int, v: int) -> list[Pair]:
 
 
 def query_value(tree: CutTree, u: int, v: int) -> int:
-    """Connectivity of {u, v}: the cheapest edge cost on the tree path."""
-    verts = tree.path_vertices(u, v)
-    return min(tree.cost(a, b) for a, b in zip(verts, verts[1:]))
+    """Connectivity of {u, v}: the cheapest edge cost on the tree path, in O(depth)."""
+    up, adj = tree._up, tree._adj
+    _check_ends(up, u, v)
+    low, best, x = {u: inf}, inf, u  # cheapest cost from u up to each ancestor
+    while (p := up[x]) is not None:
+        c = adj[x][p]
+        if c < best:
+            best = c
+        low[p], x = best, p
+    c, x = inf, v
+    while x not in low:
+        if (p := up[x]) is None:
+            raise VertexMissing(f"no tree path between {u} and {v}")
+        if adj[x][p] < c:
+            c = adj[x][p]
+        x = p
+    best = low[x]
+    return c if c < best else best
 
 
 def query_cut(tree: CutTree, u: int, v: int) -> Cut:
@@ -323,10 +388,13 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
     cut = min_cut(quotient, u, v)
     side_u = {w for w in node if w in cut.side}
 
-    # Every thin edge touching the node lies inside it.  Each side becomes a
-    # thin star on its smallest member; no split reads a thin edge's cost.
-    for a, b in [k for k in tree._thin if k[0] in node]:
-        tree.remove_edge(a, b)
+    # Every thin edge touching the node lies inside it, and every edge inside
+    # it is thin: a member's edge to a parent in the node.  Each side becomes
+    # a thin star on its smallest member; no split reads a thin edge's cost.
+    up = tree._up
+    for w in members:
+        if up[w] in node:
+            tree.remove_edge(w, up[w])
     tree.add_edge(u, v, cut.cost)
     for w in members[2:]:
         tree.add_edge(u if w in side_u else v, w, 0, thin=True)

@@ -50,8 +50,8 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "arg",
-        ["x", "\u0663", "\u00b2"],
-        ids=["letter", "arabic-indic-three", "superscript-two"],
+        ["x", "\u0663", "\u00b2", "1" * 5000],
+        ids=["letter", "arabic-indic-three", "superscript-two", "over-4300-digits"],
     )
     def test_non_integer_argument(self, arg):
         with pytest.raises(StreamSyntaxError):

@@ -17,6 +17,7 @@ from dyncut import (
     verify_cut_tree,
 )
 from dyncut.errors import (
+    EdgeExists,
     EmptyGraph,
     InvalidIntermediate,
     SameVertex,
@@ -231,3 +232,114 @@ class TestIntermediateTree:
         assert work.has_edge(1, 2)
         assert not work.has_edge(2, 3)
         assert work.cost(1, 2) == 3
+
+
+def _bfs_path(tree, u, v):
+    """The u-v path found by breadth-first search over the rows, or None."""
+    parent = {u: None}
+    found = [u]
+    for x in found:
+        for y in tree.neighbors(x):
+            if y not in parent:
+                parent[y] = x
+                found.append(y)
+    if v not in parent:
+        return None
+    out = [v]
+    while out[-1] != u:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def _root_of(tree, x):
+    while tree._up[x] is not None:
+        x = tree._up[x]
+    return x
+
+
+def _check_parent_map(tree, rng):
+    up = tree._up
+    assert set(up) == set(tree.vertices)
+    for x, p in up.items():
+        assert p is None or p in tree.neighbors(x)
+        y, steps = x, 0
+        while up[y] is not None:
+            y, steps = up[y], steps + 1
+            assert steps <= tree.vertex_count
+    assert sum(p is not None for p in up.values()) == tree.edge_count
+    verts = sorted(tree.vertices)
+    # ancestor/descendant pairs both ways, then random pairs, which may lie
+    # in different components
+    pairs = [(x, _root_of(tree, x)) for x in verts if up[x] is not None]
+    pairs += [(b, a) for a, b in pairs]
+    if len(verts) > 1:
+        pairs += [tuple(rng.sample(verts, 2)) for _ in range(6)]
+    for u, v in pairs:
+        expected = _bfs_path(tree, u, v)
+        if expected is None:
+            with pytest.raises(VertexMissing):
+                tree.path_vertices(u, v)
+            with pytest.raises(VertexMissing):
+                query_value(tree, u, v)
+        else:
+            assert tree.path_vertices(u, v) == expected
+            costs = [tree.cost(a, b) for a, b in zip(expected, expected[1:])]
+            assert query_value(tree, u, v) == min(costs)
+
+
+def _refused(tree, edit):
+    """``edit`` must raise EdgeExists and leave the tree and its roots as they were."""
+    before, up_before = tree.copy(), dict(tree._up)
+    with pytest.raises(EdgeExists):
+        edit()
+    assert tree == before
+    assert tree._up == up_before
+
+
+class TestParentMap:
+    @given(st.integers(2, 12), st.integers(0, 10**6))
+    def test_random_edits_keep_parent_map(self, n, seed):
+        rng = random.Random(seed)
+        tree = CutTree(vertices=range(n))
+        ops = ["av", "rv", "ae", "ae", "ae", "re", "mv", "mv", "mv"]
+        for _ in range(80):
+            op = rng.choice(ops)
+            verts = sorted(tree.vertices)
+            edges = sorted((u, v) for u, v, _ in tree.edges())
+            if op == "av":
+                v = rng.randrange(2 * n)
+                if v not in tree.vertices:
+                    tree.add_vertex(v)
+            elif op == "rv" and len(verts) > 2:
+                tree.remove_vertex(rng.choice(verts))
+            elif op == "ae" and len(verts) > 1:
+                u, v = rng.sample(verts, 2)
+                if _bfs_path(tree, u, v) is None:
+                    tree.add_edge(u, v, rng.randint(0, 9), thin=rng.random() < 0.5)
+                else:
+                    _refused(tree, lambda: tree.add_edge(u, v, 1))
+            elif op == "re" and edges:
+                tree.remove_edge(*rng.sample(rng.choice(edges), 2))
+            elif op == "mv" and edges:
+                far, near = rng.sample(rng.choice(edges), 2)
+                new = rng.choice(verts)
+                if new in tree.subtree(far, near):
+                    _refused(tree, lambda: tree.move_endpoint(far, near, new))
+                elif new != near:
+                    thin = tree.is_thin(far, near)
+                    tree.move_endpoint(far, near, new)
+                    assert tree.is_thin(far, new) == thin
+            _check_parent_map(tree, rng)
+
+    def test_cycle_edits_raise_and_change_nothing(self):
+        # path 1-2-3-4-5, rooted by its edit history somewhere inside
+        tree = CutTree(edges=[(1, 2, 4), (2, 3, 1), (3, 4, 6), (4, 5, 2)])
+        for u, v in [(1, 3), (1, 5), (5, 2), (3, 4)]:
+            _refused(tree, lambda: tree.add_edge(u, v, 1))
+        for far, near, new in [(2, 3, 1), (3, 2, 5), (4, 3, 5), (3, 4, 1), (1, 2, 1)]:
+            _refused(tree, lambda: tree.move_endpoint(far, near, new))
+        tree.move_endpoint(3, 2, 1)
+        tree.move_endpoint(3, 4, 5)
+        assert tree == CutTree(edges=[(1, 2, 4), (1, 3, 1), (3, 5, 6), (4, 5, 2)])
+        assert tree.path_vertices(2, 4) == [2, 1, 3, 5, 4]
+        assert query_value(tree, 4, 2) == 1
