@@ -5,8 +5,9 @@ with zero cut computations.  A non-bridge weight increase reuses every cut
 off the tree path between the changed endpoints plus one cut on it, then
 rebuilds the rest.  A weight decrease or deletion walks the stale cuts in
 order of decreasing cost and re-certifies each one by a cost threshold, a
-bridge/zero-cost rule, or (only when those fail) a fresh min-cut on a
-contracted graph, reshaping the tree along the new cut when it is cheaper.
+bridge/zero-cost rule, or (only when those fail) the Gomory-Hu step that
+``complete`` uses, :func:`dyncut.tree.cut_step`: a fresh min-cut on a
+contracted graph, which reshapes the tree only when it finds a cheaper cut.
 
 Every routine edits the tree it is given.  The vertex routines return
 nothing; the increase and decrease routines return the event's
@@ -28,6 +29,7 @@ from .errors import (
     VertexMissing,
     VertexNotIsolated,
 )
+# contract and min_cut are unused here; perfbench/tracer.py wraps both names
 from .graph import (
     ChangeEvent,
     DynamicGraph,
@@ -38,7 +40,7 @@ from .graph import (
     pair_key,
 )
 from .mincut import min_cut
-from .tree import CutTree, complete, query_value
+from .tree import CutTree, complete, cut_step, query_value
 
 EXISTING_BRIDGE = "existing-bridge"
 NEW_BRIDGE = "new-bridge"
@@ -129,7 +131,6 @@ def update_increase(
     b: int,
     d: int,
     delta: int,
-    verify: bool = False,
 ) -> UpdateStats:
     """Carry the tree across an edge insertion or weight increase by delta.
 
@@ -175,7 +176,7 @@ def update_increase(
         if (x, y) != chosen:
             tree.mark_thin(x, y)
     tree.set_cost(*chosen, lam + delta)
-    cuts = complete(tree, graph, verify=verify)
+    cuts = complete(tree, graph)
     if cuts != len(pedges) - 1:
         raise InternalInvariantViolation(
             f"rebuild used {cuts} cuts, expected {len(pedges) - 1}"
@@ -289,20 +290,21 @@ def update_decrease(
             accepted.append((pair_key(u, v), stale, rule))
             accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
         else:
-            # a leaf is a one-vertex subtree, which contract leaves as it is
-            groups = [
-                tree.subtree(x, v)
-                for x in tree.neighbors(v)
-                if x != u and len(tree.neighbors(x)) > 1
-            ]
-            quotient, node_of = contract(graph, groups)
-            cut = min_cut(quotient, u, v)
+            # the node is v plus u's subtree; v's other subtrees hang off it
+            links = [(x, v) for x in tree.neighbors(v) if x != u]
+            cut, moved = cut_step(tree, graph, links, u, v)
             cuts += 1
             if cut.cost > stale:
                 raise InternalInvariantViolation(
                     f"recomputed cut {cut.cost} exceeds the stale bound {stale}"
                 )
             if cut.cost == stale:
+                # u's subtree is then a minimum cut too, and min_cut returns
+                # the smallest minimum side, which lies inside it
+                if moved:
+                    raise InternalInvariantViolation(
+                        f"revalidated cut {{{u},{v}}} moved subtrees at {moved}"
+                    )
                 inherited = _fatten_subtree(tree, u, v)
                 breakdown[RULE_REVALIDATED] = (
                     breakdown.get(RULE_REVALIDATED, 0) + 1 + len(inherited)
@@ -311,14 +313,7 @@ def update_decrease(
             else:
                 tree.mark_fat(u, v, cut.cost)
                 breakdown[RULE_RECOMPUTED] = breakdown.get(RULE_RECOMPUTED, 0) + 1
-                moved_flanks = []
-                for x in sorted(tree.neighbors(v)):
-                    if x == u:
-                        continue
-                    if node_of[x] in cut.side:
-                        tree.move_endpoint(x, v, u)
-                        if x in flanks:
-                            moved_flanks.append(x)
+                moved_flanks = [x for x in moved if x in flanks]
                 if len(moved_flanks) != 1:
                     raise InternalInvariantViolation(
                         "reshaped cut must pull exactly one path neighbor across"
@@ -340,8 +335,12 @@ def update_decrease(
 def _fatten_subtree(tree: CutTree, u: int, v: int) -> list[tuple[Pair, int]]:
     """Certify {u, v} and every stale edge of the subtree hanging at u."""
     tree.mark_fat(u, v)
-    sub = tree.subtree(u, v)
-    inherited = sorted(((x, y), c) for x, y, c in tree.thin_edges() if x in sub and y in sub)
+    inherited = sorted(
+        ((x, y), c)
+        for x in tree.subtree(u, v)
+        for y, c in tree.neighbors(x).items()
+        if x < y and tree.is_thin(x, y)
+    )
     for (x, y), _ in inherited:
         tree.mark_fat(x, y)
     return inherited

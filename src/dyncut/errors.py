@@ -65,6 +65,10 @@ class InvalidMix(DynCutError):
     pass
 
 
+class InvalidGenParams(DynCutError, ValueError):
+    """A negative stream size or a weight bound below 1."""
+
+
 class StreamSyntaxError(DynCutError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")

@@ -2,9 +2,9 @@
 
 Everything here exists for correctness checking, not speed.  The
 enumeration path inspects all 2^(n-1) bipartitions and is therefore capped
-at small vertex counts; the flow path reuses the min-cut kernel (and bumps
-its invocation counter), giving a second, independent route for
-cross-checks.
+at small vertex counts.  The flow path calls the min-cut kernel under test
+(and bumps its invocation counter), so it checks the tree against that
+kernel but cannot catch a fault in the kernel itself.
 """
 
 from __future__ import annotations

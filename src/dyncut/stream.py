@@ -11,12 +11,14 @@ state produced by its prefix.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .errors import (
     DynCutError,
+    InvalidGenParams,
     InvalidMix,
     StreamSyntaxError,
     StreamValidationError,
@@ -159,8 +161,8 @@ def _normalized_mix(mix: Mapping[str, float]) -> dict[str, float]:
     for kind, frac in mix.items():
         if kind not in MIX_ORDER:
             raise InvalidMix(f"unknown event kind {kind!r}")
-        if frac < 0:
-            raise InvalidMix(f"negative fraction for {kind}")
+        if not math.isfinite(frac) or frac < 0:
+            raise InvalidMix(f"fraction for {kind} must be finite and non-negative, got {frac}")
         out[kind] = float(frac)
     total = sum(out.values())
     if abs(total - 1.0) > 1e-9:
@@ -241,9 +243,9 @@ def generate(params: GenParams, seed: int) -> EventStream:
     """
     mix = _normalized_mix(params.mix)
     if params.n_vertices < 0 or params.n_events < 0:
-        raise ValueError("sizes must be non-negative")
+        raise InvalidGenParams("sizes must be non-negative")
     if params.weight_max < 1:
-        raise ValueError("weight_max must be at least 1")
+        raise InvalidGenParams("weight_max must be at least 1")
     rng = random.Random(seed)
     g = DynamicGraph()
     events: list[ChangeEvent] = []

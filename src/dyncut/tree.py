@@ -12,19 +12,19 @@ nodes and carry stale costs.  A finished cut tree has only fat edges.
 every edge is fat, spending one min-cut computation per thin edge.
 
 A tree is plain cost rows (``dict[int, dict[int, int]]``), the set of its
-thin edges' pair keys, and a parent map.  Each structural edit keeps the
-parent map right, at worst by re-rooting (everting) one endpoint's path, so
-a tree path is two walks up to the lowest common ancestor, O(depth).
-Link-cut trees (Sleator and Tarjan, "A data structure for dynamic trees",
-JCSS 1983) would bound that by O(log n); at the depths met here they cost
-more.
+thin edges' pair keys, and a parent map.  ``remove_edge`` makes the child a
+root, and ``add_edge`` is the one edit that re-roots: it everts the
+shallower end's path, hangs it below the other end, and refuses an edge
+that would close a cycle.  So a tree path is two walks up to the lowest
+common ancestor, O(depth).  Link-cut trees (Sleator and Tarjan, "A data
+structure for dynamic trees", JCSS 1983) would bound that by O(log n); at
+the depths met here they cost more.
 
-A split reads the node's members from their rows and its edges from the
-parent map, and walks the rest of the tree once, to gather the subtrees it
-contracts.  It follows Gomory and Hu's node-level rule: which side a
-hanging subtree goes to is decided by the cut alone, so neither the member
-a fat edge touches nor the shape and costs of the thin edges inside a node
-affect the finished tree.
+:func:`cut_step` is the one Gomory-Hu step that reshapes a tree, for
+:func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
+Where it re-hangs a subtree, the cut alone decides (Gomory and Hu's
+node-level rule), so neither the member a fat edge touches nor the shape
+and costs of the thin edges inside a node affect the finished tree.
 """
 
 from __future__ import annotations
@@ -212,40 +212,6 @@ class CutTree:
         self.cost(u, v)
         self._thin.add(pair_key(u, v))
 
-    def move_endpoint(self, far: int, old_near: int, new_near: int) -> None:
-        """Reconnect edge {far, old_near} as {far, new_near}, keeping its cost and kind.
-
-        Raises :class:`EdgeExists`, before any write, if ``new_near`` lies on
-        far's side of the edge, where the moved edge would close a cycle.
-        """
-        c = self.cost(far, old_near)
-        if far == new_near or self.has_edge(far, new_near):
-            raise EdgeExists(f"cannot move edge onto {{{far},{new_near}}}")
-        up = self._up
-        # far's side is far's subtree, or far's tree outside old_near's subtree
-        low = far if up[far] == old_near else old_near
-        x, top = new_near, far
-        while x != low and up[x] is not None:
-            x = up[x]
-        while up[top] is not None:
-            top = up[top]
-        if x == far if low == far else x != low and x == top:
-            raise EdgeExists(f"moving {{{far},{old_near}}} onto {new_near} would close a cycle")
-        del self._adj[far][old_near]
-        del self._adj[old_near][far]
-        self._adj[far][new_near] = c
-        self._adj[new_near][far] = c
-        if low == far:
-            up[far] = new_near
-        else:
-            up[old_near] = None
-            self._evert(new_near)
-            up[new_near] = far
-        old, new = pair_key(far, old_near), pair_key(far, new_near)
-        if old in self._thin:
-            self._thin.remove(old)
-            self._thin.add(new)
-
     def thin_component(self, v: int) -> set[int]:
         """The compound node containing v: vertices connected by thin edges."""
         if v not in self._adj:
@@ -365,28 +331,41 @@ def _check_induced_costs(tree: CutTree, graph: DynamicGraph) -> None:
             )
 
 
-def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
-    """One Gomory-Hu step: split a compound node along a minimum cut.
+def cut_step(
+    tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]], u: int, v: int
+) -> tuple[Cut, list[int]]:
+    """One Gomory-Hu step: cut u from v, then re-hang the node's subtrees by side.
 
-    The cut separates the node's two smallest members u and v.  Each
-    subtree hanging off the node goes to the side its contracted node
-    landed on; it keeps its attachment vertex if that vertex is on the same
-    side, and otherwise moves to that side's split vertex, u or v.
+    ``links`` are the tree edges ``(far, near)`` that leave a node holding u
+    and v, ``near`` inside it.  The subtree beyond each ``far`` is contracted
+    for the cut; one that lands on the other side from its ``near`` moves,
+    with its cost and kind, to u or v, whichever shares its side.  No move
+    can close a cycle: far's subtree is cut off first, and u and v lie in
+    the other part.
+    Returns the cut and the far ends that moved.
     """
+    adj = tree._adj
+    # a leaf is a one-vertex subtree, which contract would leave as it is
+    groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
+    quotient, node_of = contract(graph, groups)
+    cut = min_cut(quotient, u, v)
+    moved = []
+    for far, near in links:
+        to_u = node_of[far] in cut.side
+        if (near in cut.side) != to_u:
+            c, thin = adj[far][near], pair_key(far, near) in tree._thin
+            tree.remove_edge(far, near)
+            tree.add_edge(far, u if to_u else v, c, thin)
+            moved.append(far)
+    return cut, moved
+
+
+def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
+    """Split a compound node along a minimum cut of its two smallest members."""
     members = sorted(node)
     u, v = members[0], members[1]
-
-    # Fat edges leaving the node, each with the whole subtree hanging off it.
-    # The node is connected, so each subtree meets it by one edge only and a
-    # single traversal with a shared ``seen`` set gathers them all.
-    adj = tree._adj
-    links = [(far, near) for near in members for far in adj[near] if far not in node]
-    seen = set(node)
-    subtrees = [_reach(adj, far, seen) for far, _ in links]
-
-    quotient, node_of = contract(graph, [sub for sub in subtrees if len(sub) > 1])
-    cut = min_cut(quotient, u, v)
-    side_u = {w for w in node if w in cut.side}
+    links = [(far, near) for near in members for far in tree._adj[near] if far not in node]
+    cut, _ = cut_step(tree, graph, links, u, v)
 
     # Every thin edge touching the node lies inside it, and every edge inside
     # it is thin: a member's edge to a parent in the node.  Each side becomes
@@ -397,12 +376,7 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
             tree.remove_edge(w, up[w])
     tree.add_edge(u, v, cut.cost)
     for w in members[2:]:
-        tree.add_edge(u if w in side_u else v, w, 0, thin=True)
-
-    for far, near in links:
-        to_u = node_of[far] in cut.side
-        if (near in side_u) != to_u:
-            tree.move_endpoint(far, near, u if to_u else v)
+        tree.add_edge(u if w in cut.side else v, w, 0, thin=True)
 
 
 def complete(tree: CutTree, graph: DynamicGraph, verify: bool = False) -> int:

@@ -1,3 +1,5 @@
+import pytest
+
 from dyncut.cli import main
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
@@ -49,8 +51,20 @@ def test_gen_with_explicit_mix(capsys):
     assert len(out.splitlines()) == 14
 
 
-def test_bad_mix_fails_cleanly(capsys):
-    rc = main(["gen", "--vertices", "4", "--events", "10", "--mix", "1,1"])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--mix", "1,1"],
+        ["--mix", "0,0,nan,0,0,1"],
+        ["--vertices", "-1"],
+        ["--events", "-1"],
+        ["--weight-max", "0"],
+    ],
+    ids=["mix-count", "mix-nan", "vertices", "events", "weight-max"],
+)
+def test_bad_mix_fails_cleanly(extra, capsys):
+    # each bad generator argument is an error line and exit 1, not a traceback
+    rc = main(["gen", "--vertices", "4", "--events", "10", *extra])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 

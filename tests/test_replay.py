@@ -141,6 +141,26 @@ def test_golden_replay_digests(mix, seed, csv_digest, tree_digest):
     assert _digest("\n".join(report.final_tree.to_lines())) == tree_digest
 
 
+@pytest.mark.parametrize(
+    "mix, seed, audit_digest",
+    [
+        (GROW_MIX, 5, "011f61f38780d69103f7b912e59b1c315e9b22a88119eb8383e67b1f86ef24a9"),
+        (CHURN_MIX, 1, "206425ddd8fd6ee6d943098274b696c604c00fafc586ddd8fbda0992e0ddba65"),
+    ],
+    ids=["grow_increase", "dense_churn"],
+)
+def test_golden_per_event_audit(mix, seed, audit_digest):
+    # pinned digest of every event's accounting: which rule certified each
+    # stale edge and which edges were accepted without a fresh cut
+    stream = generate(GenParams(n_vertices=40, n_events=400, mix=mix), seed=seed)
+    report = replay(stream)
+    text = "".join(
+        repr((st.cuts_used, sorted(st.reuse_breakdown.items()), st.accepted_stale)) + "\n"
+        for st in report.stats
+    )
+    assert _digest(text) == audit_digest
+
+
 def test_update_increase_edits_tree_as_complete_does():
     report = replay(generate(GenParams(n_vertices=40, n_events=400, mix=GROW_MIX), seed=5))
     final, graph = report.final_tree, report.final_graph

@@ -130,6 +130,11 @@ class TestMixValidation:
         with pytest.raises(InvalidMix):
             generate(GenParams(n_vertices=2, n_events=1, mix=mix), seed=0)
 
+    def test_nan_fraction(self):
+        mix = {ADD_EDGE: 1.0, REMOVE_EDGE: float("nan")}
+        with pytest.raises(InvalidMix):
+            generate(GenParams(n_vertices=2, n_events=1, mix=mix), seed=0)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidMix):
             generate(GenParams(n_vertices=2, n_events=1, mix={"warp": 1.0}), seed=0)

@@ -148,7 +148,8 @@ class TestComplete:
             far, near = rng.sample((u, v), 2)
             others = sorted(work.thin_component(near) - {near})
             if others:
-                moved.move_endpoint(far, near, rng.choice(others))
+                moved.remove_edge(far, near)
+                moved.add_edge(far, rng.choice(others), work.cost(u, v))
         assert complete(work, g) == complete(moved, g)
         assert work.to_lines() == moved.to_lines()
         assert verify_cut_tree(work, g).ok
@@ -225,13 +226,6 @@ class TestIntermediateTree:
         assert work.thin_component(1) == {1}
         assert work.subtree(1, 3) == {1}
         assert work.subtree(3, 1) == {2, 3}
-
-    def test_move_endpoint(self, t3_tree):
-        work = t3_tree.copy()
-        work.move_endpoint(2, 3, 1)
-        assert work.has_edge(1, 2)
-        assert not work.has_edge(2, 3)
-        assert work.cost(1, 2) == 3
 
 
 def _bfs_path(tree, u, v):
@@ -321,14 +315,19 @@ class TestParentMap:
             elif op == "re" and edges:
                 tree.remove_edge(*rng.sample(rng.choice(edges), 2))
             elif op == "mv" and edges:
+                # re-hang far's side of an edge elsewhere, or back if that is refused
                 far, near = rng.sample(rng.choice(edges), 2)
                 new = rng.choice(verts)
-                if new in tree.subtree(far, near):
-                    _refused(tree, lambda: tree.move_endpoint(far, near, new))
-                elif new != near:
-                    thin = tree.is_thin(far, near)
-                    tree.move_endpoint(far, near, new)
-                    assert tree.is_thin(far, new) == thin
+                c, thin = tree.cost(far, near), tree.is_thin(far, near)
+                side = tree.subtree(far, near)
+                tree.remove_edge(far, near)
+                _check_parent_map(tree, rng)
+                if new in side:
+                    if new != far:
+                        _refused(tree, lambda: tree.add_edge(far, new, c, thin))
+                    new = near
+                tree.add_edge(far, new, c, thin)
+                assert tree.is_thin(far, new) == thin
             _check_parent_map(tree, rng)
 
     def test_cycle_edits_raise_and_change_nothing(self):
@@ -336,10 +335,13 @@ class TestParentMap:
         tree = CutTree(edges=[(1, 2, 4), (2, 3, 1), (3, 4, 6), (4, 5, 2)])
         for u, v in [(1, 3), (1, 5), (5, 2), (3, 4)]:
             _refused(tree, lambda: tree.add_edge(u, v, 1))
-        for far, near, new in [(2, 3, 1), (3, 2, 5), (4, 3, 5), (3, 4, 1), (1, 2, 1)]:
-            _refused(tree, lambda: tree.move_endpoint(far, near, new))
-        tree.move_endpoint(3, 2, 1)
-        tree.move_endpoint(3, 4, 5)
+        # re-hang {2,3} and {3,4} at their far ends; onto far's own side is refused
+        tree.remove_edge(3, 2)
+        _refused(tree, lambda: tree.add_edge(3, 5, 1))
+        tree.add_edge(3, 1, 1)
+        tree.remove_edge(3, 4)
+        _refused(tree, lambda: tree.add_edge(3, 2, 6))
+        tree.add_edge(3, 5, 6)
         assert tree == CutTree(edges=[(1, 2, 4), (1, 3, 1), (3, 5, 6), (4, 5, 2)])
         assert tree.path_vertices(2, 4) == [2, 1, 3, 5, 4]
         assert query_value(tree, 4, 2) == 1
