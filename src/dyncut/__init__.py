@@ -52,7 +52,6 @@ from .stream import (
 from .tree import (
     CutTree,
     complete,
-    path,
     query_cut,
     query_value,
     static_build,
@@ -94,7 +93,6 @@ __all__ = [
     "generate",
     "min_cut",
     "parse_stream",
-    "path",
     "query_cut",
     "query_value",
     "replay",

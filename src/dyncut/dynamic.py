@@ -3,11 +3,11 @@
 Vertex inserts/deletes and bridge edges are handled by pure tree surgery
 with zero cut computations.  A non-bridge weight increase reuses every cut
 off the tree path between the changed endpoints plus one cut on it, then
-rebuilds the rest.  A weight decrease or deletion walks the stale cuts in
-order of decreasing cost and re-certifies each one by a cost threshold, a
-bridge/zero-cost rule, or (only when those fail) the Gomory-Hu step that
-``complete`` uses, :func:`dyncut.tree.cut_step`: a fresh min-cut on a
-contracted graph, which reshapes the tree only when it finds a cheaper cut.
+rebuilds the rest.  A weight decrease or deletion pops the stale cuts that
+touch the changed path from a heap, most expensive first, and re-certifies
+each by a cost threshold, a bridge/zero-cost rule, or (only when those
+fail) the Gomory-Hu step of ``complete``, :func:`dyncut.tree.cut_step`: a
+fresh min-cut that reshapes the tree only when it finds a cheaper cut.
 
 Every routine edits the tree it is given.  The vertex routines return
 nothing; the increase and decrease routines return the event's
@@ -21,6 +21,7 @@ neither routine needs the graph from before.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .errors import (
     InternalInvariantViolation,
@@ -245,35 +246,32 @@ def update_decrease(
         lam_new = all_pairs_connectivity(graph, method="enumerate")
         _check_loop_state(tree, graph_before, graph, lam_old, lam_new)
 
+    # Frontier heap: thin edges (u, v) with v on the path, most expensive first.
+    # A reshape can move an edge away or re-create its pair as a fat path edge.
+    pset, frontier = set(pverts), []
+
+    def push_frontier(v: int) -> None:
+        for u, c in tree.neighbors(v).items():
+            if tree.is_thin(u, v):
+                heappush(frontier, (-c, *pair_key(u, v), u, v))
+
+    for v in pverts:
+        push_frontier(v)
     cuts = 0
     breakdown: dict[str, int] = {}
     accepted: list[tuple[Pair, int, str]] = []
-    while True:
-        thin = tree.thin_edges()
-        if not thin:
-            break
-        pset = set(pverts)
-        eligible = []
-        for x, y, cost in thin:
-            x_on, y_on = x in pset, y in pset
-            if x_on and y_on:
-                raise InternalInvariantViolation(
-                    f"thin edge {{{x},{y}}} has both endpoints on the path"
-                )
-            if x_on or y_on:
-                v_on, u_off = (x, y) if x_on else (y, x)
-                lo, hi = pair_key(x, y)
-                eligible.append((cost, lo, hi, u_off, v_on))
-        if not eligible:
+    while frontier:
+        neg_stale, _, _, u, v = heappop(frontier)
+        if not (tree.has_edge(u, v) and tree.is_thin(u, v)):
+            continue
+        if u in pset:
             raise InternalInvariantViolation(
-                "thin edges remain but none touches the path"
+                f"thin edge {{{u},{v}}} has both endpoints on the path"
             )
-        stale, _, _, u, v = min(eligible, key=lambda r: (-r[0], r[1], r[2]))
-
-        vi = pverts.index(v)
-        flanks = [pverts[i] for i in (vi - 1, vi + 1) if 0 <= i < len(pverts)]
+        stale = -neg_stale
+        # path vertices adjacent in the tree are adjacent on the path
+        flanks = [x for x in tree.neighbors(v) if x in pset]
         threshold = min(tree.cost(x, v) for x in flanks)
-
         rule = None
         if stale == 0:
             rule = RULE_ZERO_OR_BRIDGE
@@ -313,18 +311,20 @@ def update_decrease(
             else:
                 tree.mark_fat(u, v, cut.cost)
                 breakdown[RULE_RECOMPUTED] = breakdown.get(RULE_RECOMPUTED, 0) + 1
-                moved_flanks = [x for x in moved if x in flanks]
-                if len(moved_flanks) != 1:
+                if sum(x in flanks for x in moved) != 1:
                     raise InternalInvariantViolation(
                         "reshaped cut must pull exactly one path neighbor across"
                     )
                 # u now sits on the path between the moved flank and v
-                pverts.insert(max(vi, pverts.index(moved_flanks[0])), u)
+                pset.add(u)
+                push_frontier(u)
         if verify:
-            if pverts != tree.path_vertices(b, d):
+            if pset != set(tree.path_vertices(b, d)):
                 raise InternalInvariantViolation("tracked b-d path went stale")
             _check_loop_state(tree, graph_before, graph, lam_old, lam_new)
 
+    if tree.thin_edges():
+        raise InternalInvariantViolation("thin edges remain but none touches the path")
     if cuts > initial_thin:
         raise InternalInvariantViolation(
             f"{cuts} cuts used, more than the {initial_thin} stale edges"

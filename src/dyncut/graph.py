@@ -105,12 +105,6 @@ class ChangeEvent:
         elif self.kind == REMOVE_EDGE and self.delta is not None:
             raise ValueError("remove-edge carries no delta")
 
-    @property
-    def endpoints(self) -> Pair:
-        if self.v is None:
-            raise ValueError(f"{self.kind} has a single endpoint")
-        return pair_key(self.u, self.v)
-
     @classmethod
     def add_vertex(cls, u: int) -> "ChangeEvent":
         return cls(ADD_VERTEX, u)
@@ -186,9 +180,6 @@ class DynamicGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]

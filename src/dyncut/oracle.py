@@ -1,4 +1,4 @@
-"""Brute-force ground truth for connectivities, trees, and cut reshaping.
+"""Brute-force ground truth for connectivities and cut trees.
 
 Everything here exists for correctness checking, not speed.  The
 enumeration path inspects all 2^(n-1) bipartitions and is therefore capped
@@ -13,27 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraph, EnumerationTooLarge, UnknownVertex, VertexSetMismatch
-from .graph import Cut, DynamicGraph, Pair, cut_cost, pair_key
+from .errors import EmptyGraph, EnumerationTooLarge, VertexSetMismatch
+from .graph import DynamicGraph, Pair, cut_cost, pair_key
 from .mincut import min_cut
 from .tree import CutTree
 
 MAX_ENUMERATION_VERTICES = 12
 
-_bits_cache: dict[int, np.ndarray] = {}
-
 
 def _bits(n: int) -> np.ndarray:
     """Membership table of all bipartitions with vertex 0 pinned to one side."""
-    arr = _bits_cache.get(n)
-    if arr is None:
-        masks = np.arange(1 << (n - 1), dtype=np.int64)
-        rows = [np.zeros(len(masks), dtype=bool)]
-        for i in range(1, n):
-            rows.append(((masks >> (i - 1)) & 1).astype(bool))
-        arr = np.vstack(rows)
-        _bits_cache[n] = arr
-    return arr
+    masks = np.arange(1 << (n - 1), dtype=np.int32)
+    bits = np.zeros((n, len(masks)), dtype=bool)
+    bits[1:] = (masks >> np.arange(n - 1, dtype=np.int32)[:, None]) & 1
+    return bits
 
 
 def all_pairs_connectivity(graph: DynamicGraph, method: str = "auto") -> dict[Pair, int]:
@@ -182,25 +175,3 @@ def _all_query_values(tree: CutTree) -> dict[Pair, int]:
                         out[(root, y)] = here
                     stack.append(y)
     return out
-
-
-def bend_cut(graph: DynamicGraph, moving: Cut, shelter: Cut, mode: str) -> Cut:
-    """Reshape ``moving`` along a shelter side without splitting it.
-
-    ``absorb`` adds the shelter side to the stored side, ``evict`` removes
-    it; the returned cut carries its exact recomputed cost.  Pure helper for
-    property checks - the tree updates realize these bends implicitly by
-    reconnecting subtrees.
-    """
-    for x in moving.side | shelter.side:
-        if x not in graph.vertices:
-            raise UnknownVertex(f"vertex {x} not in graph")
-    if mode == "absorb":
-        side = moving.side | shelter.side
-    elif mode == "evict":
-        side = moving.side - shelter.side
-    else:
-        raise ValueError(f"mode must be 'absorb' or 'evict', got {mode!r}")
-    if not side or len(side) == graph.vertex_count:
-        raise ValueError("bend would empty one cut side")
-    return Cut(frozenset(side), cut_cost(graph, side))

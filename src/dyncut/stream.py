@@ -267,41 +267,3 @@ def generate(params: GenParams, seed: int) -> EventStream:
         events.append(ev)
     return EventStream(tuple(events), tuple(range(1, len(events) + 1)))
 
-
-def random_event(
-    graph: DynamicGraph,
-    rng: random.Random,
-    mix: Mapping[str, float],
-    weight_max: int = 8,
-    max_vertices: int | None = None,
-) -> ChangeEvent | None:
-    """One applicable event drawn by mix weight from the current state.
-
-    Unlike :func:`generate` this draws against a live graph, for test
-    harnesses that interleave their own checks.  ``max_vertices`` suppresses
-    vertex growth (useful when a brute-force oracle caps the size).
-    """
-    kinds: list[str] = []
-    weights: list[float] = []
-    for kind in MIX_ORDER:
-        frac = mix.get(kind, 0.0)
-        if frac <= 0:
-            continue
-        if (
-            kind == ADD_VERTEX
-            and max_vertices is not None
-            and graph.vertex_count >= max_vertices
-        ):
-            continue
-        if _applicable(kind, graph):
-            kinds.append(kind)
-            weights.append(frac)
-    if kinds:
-        kind = rng.choices(kinds, weights)[0]
-    elif _applicable(ADD_EDGE, graph):
-        kind = ADD_EDGE
-    elif max_vertices is None or graph.vertex_count < max_vertices:
-        kind = ADD_VERTEX
-    else:
-        return None
-    return _draw(kind, graph, rng, weight_max)

@@ -272,12 +272,6 @@ class CutTree:
         return [f"{u} {v} {c}" for u, v, c in sorted(self.edges())]
 
 
-def path(tree, u: int, v: int) -> list[Pair]:
-    """Tree path from u to v as an ordered edge list."""
-    verts = tree.path_vertices(u, v)
-    return list(zip(verts, verts[1:]))
-
-
 def query_value(tree: CutTree, u: int, v: int) -> int:
     """Connectivity of {u, v}: the cheapest edge cost on the tree path, in O(depth)."""
     up, adj = tree._up, tree._adj

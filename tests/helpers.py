@@ -1,4 +1,4 @@
-"""Shared strategies and scenario drivers for the test suite."""
+"""Shared strategies, scenario drivers and test-only helpers for the test suite."""
 
 import random
 
@@ -11,8 +11,12 @@ from dyncut import (
     INCREASE_WEIGHT,
     REMOVE_EDGE,
     REMOVE_VERTEX,
+    Cut,
     DynamicGraph,
+    cut_cost,
 )
+from dyncut.errors import UnknownVertex
+from dyncut.stream import MIX_ORDER, _applicable, _draw
 
 SCENARIO_MIX = {
     ADD_VERTEX: 0.05,
@@ -64,3 +68,64 @@ def inverse_event(graph, event):
     if event.kind == INCREASE_WEIGHT:
         return ChangeEvent.decrease_weight(event.u, event.v, event.delta)
     return ChangeEvent.increase_weight(event.u, event.v, event.delta)
+
+
+def random_event(graph, rng, mix, weight_max=8, max_vertices=None):
+    """One applicable event drawn by mix weight from the current state.
+
+    Unlike ``dyncut.stream.generate`` this draws against a live graph, for
+    harnesses that interleave their own checks.  ``max_vertices`` suppresses
+    vertex growth (useful when a brute-force oracle caps the size).
+    """
+    kinds: list[str] = []
+    weights: list[float] = []
+    for kind in MIX_ORDER:
+        frac = mix.get(kind, 0.0)
+        if frac <= 0:
+            continue
+        if (
+            kind == ADD_VERTEX
+            and max_vertices is not None
+            and graph.vertex_count >= max_vertices
+        ):
+            continue
+        if _applicable(kind, graph):
+            kinds.append(kind)
+            weights.append(frac)
+    if kinds:
+        kind = rng.choices(kinds, weights)[0]
+    elif _applicable(ADD_EDGE, graph):
+        kind = ADD_EDGE
+    elif max_vertices is None or graph.vertex_count < max_vertices:
+        kind = ADD_VERTEX
+    else:
+        return None
+    return _draw(kind, graph, rng, weight_max)
+
+
+def bend_cut(graph, moving, shelter, mode):
+    """Reshape ``moving`` along a shelter side without splitting it.
+
+    ``absorb`` adds the shelter side to the stored side, ``evict`` removes
+    it; the returned cut carries its exact recomputed cost.  The tree updates
+    realize these bends implicitly by reconnecting subtrees; property checks
+    bend explicitly.
+    """
+    for x in moving.side | shelter.side:
+        if x not in graph.vertices:
+            raise UnknownVertex(f"vertex {x} not in graph")
+    if mode == "absorb":
+        side = moving.side | shelter.side
+    elif mode == "evict":
+        side = moving.side - shelter.side
+    else:
+        raise ValueError(f"mode must be 'absorb' or 'evict', got {mode!r}")
+    if not side or len(side) == graph.vertex_count:
+        raise ValueError("bend would empty one cut side")
+    return Cut(frozenset(side), cut_cost(graph, side))
+
+
+def path(tree, u, v):
+    """Tree path from u to v as an ordered edge list."""
+    verts = tree.path_vertices(u, v)
+    return list(zip(verts, verts[1:]))

@@ -28,9 +28,8 @@ from dyncut import (
 )
 from dyncut.dynamic import EXISTING_BRIDGE, NON_BRIDGE
 from dyncut.mincut import counter
-from dyncut.oracle import bend_cut
-from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER, random_event
-from helpers import SCENARIO_MIX, random_graph
+from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
+from helpers import SCENARIO_MIX, bend_cut, random_event, random_graph
 
 SUITE1_SCENARIOS = 1000
 SUITE1_EVENTS = 40

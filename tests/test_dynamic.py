@@ -24,8 +24,10 @@ from dyncut.dynamic import (
     NON_BRIDGE,
     RULE_BRIDGE,
     RULE_NEW_BRIDGE,
+    RULE_RECOMPUTED,
     RULE_REVALIDATED,
     RULE_THRESHOLD,
+    RULE_ZERO_OR_BRIDGE,
 )
 from dyncut.errors import (
     DynCutError,
@@ -44,8 +46,7 @@ from dyncut.graph import (
     pair_key,
 )
 from dyncut.mincut import counter
-from dyncut.stream import random_event
-from helpers import SCENARIO_MIX, random_graph
+from helpers import SCENARIO_MIX, random_event, random_graph
 
 
 class TestVertexUpdates:
@@ -179,6 +180,32 @@ class TestDecrease:
         assert p3_tree == CutTree(edges=[(1, 2, 3), (2, 3, 0)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_BRIDGE: 1}
+
+    def test_reshape_recreates_a_queued_pair_as_a_fat_path_edge(self):
+        # Deleting {5,6}: the cut at {3,5} moves {2,5} onto 3 and flank 6 onto
+        # 3; the cut at {2,3} then pulls flank 5 onto 2, so the pair {2,5} is
+        # back as a fat path edge while its stale cost 14 is still queued.
+        g = DynamicGraph(
+            vertices=range(1, 7),
+            edges=[(1, 3, 8), (2, 3, 6), (2, 5, 6), (2, 6, 2), (3, 4, 5), (3, 6, 4),
+                   (4, 5, 5), (5, 6, 6)],
+        )
+        tree = static_build(g)
+        assert tree.to_lines() == ["1 3 8", "2 5 14", "3 5 15", "4 5 10", "5 6 12"]
+        g.remove_edge(5, 6)
+        stats = update_decrease(tree, g, 5, 6, 6, verify=True)
+        assert tree.to_lines() == ["1 3 8", "2 3 13", "2 5 11", "3 6 6", "4 5 10"]
+        assert verify_cut_tree(tree, g).ok
+        assert stats.cuts_used == 2
+        assert stats.reuse_breakdown == {
+            RULE_RECOMPUTED: 2,
+            RULE_THRESHOLD: 1,
+            RULE_ZERO_OR_BRIDGE: 1,
+        }
+        assert stats.accepted_stale == (
+            ((4, 5), 10, RULE_THRESHOLD),
+            ((1, 3), 8, RULE_ZERO_OR_BRIDGE),
+        )
 
     def test_deletion_reports_remove_edge_event(self, t3, t3_tree):
         new = t3.copy()

@@ -21,8 +21,7 @@ from dyncut.errors import (
     VertexMissing,
     VertexNotIsolated,
 )
-from dyncut.stream import random_event
-from helpers import ALL_KINDS_MIX, graphs, inverse_event
+from helpers import ALL_KINDS_MIX, graphs, inverse_event, random_event
 
 
 class TestConstruction:

@@ -14,8 +14,8 @@ from dyncut import (
     verify_cut_tree,
 )
 from dyncut.errors import EmptyGraph, EnumerationTooLarge, UnknownVertex, VertexSetMismatch
-from dyncut.oracle import bend_cut
-from helpers import graphs, random_graph
+from dyncut.oracle import _bits
+from helpers import bend_cut, graphs, random_graph
 
 
 class TestAllPairs:
@@ -48,6 +48,14 @@ class TestAllPairs:
         assert verify_cut_tree(static_build(heavy), heavy, method=method).ok
         single = DynamicGraph(edges=[(1, 2, 2**63)])
         assert all_pairs_connectivity(single, method) == {(1, 2): 2**63}
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_bipartition_table_lists_every_mask(self, n):
+        # column j puts vertex i + 1 on the far side iff bit i of j is set
+        bits = _bits(n)
+        assert bits.shape == (n, 1 << (n - 1))
+        for j in range(1 << (n - 1)):
+            assert bits[:, j].tolist() == [False] + [bool(j >> i & 1) for i in range(n - 1)]
 
     @given(graphs(max_vertices=6))
     def test_enumeration_agrees_with_flow(self, g):

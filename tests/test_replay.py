@@ -10,13 +10,13 @@ from dyncut import (
     detect_bridge,
     generate,
     parse_stream,
-    path,
     replay,
     update_increase,
 )
 from dyncut.errors import VerificationFailed
 from dyncut.replay import CSV_HEADER
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
+from helpers import path
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
 T3_BUILD = "av 1\nav 2\nav 3\nae 1 2 1\nae 2 3 2\nae 1 3 3\n"

@@ -10,7 +10,6 @@ from dyncut import (
     all_pairs_connectivity,
     complete,
     cut_cost,
-    path,
     query_cut,
     query_value,
     static_build,
@@ -24,7 +23,7 @@ from dyncut.errors import (
     VertexMissing,
 )
 from dyncut.mincut import counter
-from helpers import graphs
+from helpers import graphs, path
 
 
 def _side_without(tree, u, v, anchor):
