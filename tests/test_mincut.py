@@ -2,8 +2,10 @@ import itertools
 import random
 
 import hypothesis.strategies as st
+import networkx as nx
 import pytest
 from hypothesis import given
+from networkx.algorithms.flow import boykov_kolmogorov
 
 from dyncut import Cut, DynamicGraph, all_pairs_connectivity, cut_cost, min_cut
 from dyncut.errors import SameVertex, VertexMissing
@@ -121,3 +123,74 @@ def test_cut_ignores_vertex_and_edge_order(g, seed):
     assert shuffled == g
     for u, v in itertools.permutations(sorted(g.vertices), 2):
         assert min_cut(shuffled, u, v) == min_cut(g, u, v)
+
+
+def _nx_min_cut(g, s, t):
+    """Max-flow value and residual-reachable side of s, from networkx alone."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_weighted_edges_from(g.edges(), weight="capacity")
+    r = boykov_kolmogorov(h, s, t)
+    side, stack = {s}, [s]
+    while stack:
+        x = stack.pop()
+        for y, arc in r[x].items():
+            if arc["capacity"] - arc["flow"] > 0 and y not in side:
+                side.add(y)
+                stack.append(y)
+    return r.graph["flow_value"], frozenset(side)
+
+
+def _sparse_graph(rng, n, big):
+    """About 3n random edges on n vertices; ``big`` lifts every weight past 2^70."""
+    g = DynamicGraph(vertices=range(n))
+    for _ in range(3 * n):
+        u, v = rng.sample(range(n), 2)
+        if v not in g._adj[u]:
+            w = rng.randint(1, 8)
+            g.add_edge(u, v, w * 2**70 + rng.randint(0, 3) if big else w)
+    return g
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_networkx_beyond_enumeration(seed):
+    rng = random.Random(seed)
+    g = _sparse_graph(rng, rng.randint(15, 120), big=seed % 2 == 1)
+    for _ in range(3):
+        s, t = rng.sample(sorted(g.vertices), 2)
+        cost, side = _nx_min_cut(g, s, t)
+        assert min_cut(g, s, t) == Cut(side, cost)
+
+
+def test_isolated_source():
+    g = DynamicGraph(vertices=[1, 2, 3], edges=[(2, 3, 4)])
+    assert min_cut(g, 1, 3) == Cut(frozenset({1}), 0)
+
+
+def test_isolated_sink():
+    g = DynamicGraph(vertices=[1, 2, 3, 4], edges=[(1, 2, 4), (2, 4, 1)])
+    assert min_cut(g, 1, 3) == Cut(frozenset({1, 2, 4}), 0)
+
+
+def test_long_path():
+    # distances to t climb to n - 1 along the path; the side stops at its
+    # first cheapest edge
+    n = 300
+    edges = [(i, i + 1, 5 if i in (120, 200) else 7) for i in range(n - 1)]
+    g = DynamicGraph(vertices=range(n), edges=edges)
+    assert min_cut(g, 0, n - 1) == Cut(frozenset(range(121)), 5)
+
+
+def test_source_saturated_beside_a_vertex_of_its_distance():
+    # s = 1 and 5 are both 3 arcs from t = 4, so saturating s's only edge
+    # leaves no empty distance and s is lifted past n
+    g = DynamicGraph(edges=[(1, 2, 1), (2, 3, 5), (3, 4, 5), (5, 2, 1)])
+    assert min_cut(g, 1, 4) == Cut(frozenset({1}), 1)
+
+
+def test_input_graph_unchanged():
+    g = _sparse_graph(random.Random(7), 60, big=False)
+    adj = {x: dict(nbrs) for x, nbrs in g._adj.items()}
+    for s, t in [(0, 59), (3, 17), (59, 0)]:
+        min_cut(g, s, t)
+    assert g._adj == adj
