@@ -1,17 +1,15 @@
 """Exact minimum s-t cut via max-flow, with a global invocation counter.
 
 Every call to :func:`min_cut` is one "cut computation" - the unit of cost the
-rest of the package accounts for.  The returned side is canonical: the set of
-vertices reachable from ``s`` in the residual network of a maximum flow,
-which is the same set for every maximum flow.  It is the smallest minimum
-s-t cut side, and it depends neither on vertex or edge order nor on how the
-flow is routed, so results are deterministic for a fixed graph.
+rest of the package accounts for.  The returned side is canonical: the
+vertices reachable from ``s`` in the residual network of a maximum flow.
+That is the smallest minimum s-t cut side, the same for every maximum flow
+and every vertex or edge order, so results are deterministic.
 
-The kernel is integer Dinic on a residual copy of the graph's adjacency
-dicts, with no sorting or renumbering.  Flow is first pushed greedily along
-the s-t edge and every two-edge path s-x-t; each phase then builds its
-admissible-arc lists during the breadth-first layering, and the layering
-that fails to reach t yields the side.
+The kernel pushes integer flow on a residual copy of the adjacency dicts:
+greedily along the s-t edge and every path s-x-t, then along shortest paths
+steered by distance labels, until a gap in the labels cuts s off from t
+(Ahuja & Orlin 1991).  A search from s over residual arcs yields the side.
 """
 
 from __future__ import annotations
@@ -57,17 +55,16 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
     if s not in graph.vertices or t not in graph.vertices:
         raise VertexMissing(f"missing endpoint in ({s}, {t})")
     counter.increment()
-
-    # res[x][y] is the residual capacity of arc x->y; an undirected edge of
-    # weight w is two arcs of capacity w, and pushing f along one adds f to
-    # the other.
+    # res[x][y] is the residual capacity of arc x->y; an edge is two arcs of its weight
     res = {x: nbrs.copy() for x, nbrs in graph._adj.items()}
-    flow = _prepush(res, s, t)
-    while True:
-        level, adm = _levels(res, s, t)
-        if t not in level:
-            return Cut(frozenset(level), flow)
-        flow += _blocking_flow(res, adm, s, t)
+    flow = _prepush(res, s, t) + _augment(res, s, t)
+    side, todo = {s}, [s]
+    while todo:
+        for y, c in res[todo.pop()].items():
+            if c and y not in side:
+                side.add(y)
+                todo.append(y)
+    return Cut(frozenset(side), flow)
 
 
 def _prepush(res, s, t) -> int:
@@ -89,68 +86,71 @@ def _prepush(res, s, t) -> int:
     return flow
 
 
-def _levels(res, s, t):
-    """Breadth-first layers of the residual graph, up to t's layer.
+def _augment(res, s, t) -> int:
+    """Push flow along shortest residual s-t paths until none is left.
 
-    Returns the level of each vertex reached and, for each vertex below t's
-    layer, the heads of its admissible arcs (residual, one level up).  When
-    t is unreachable the levels hold exactly the vertices reachable from s.
+    ``dist`` stays valid (``dist[x] <= dist[y] + 1`` on every residual arc
+    x->y); flow follows admissible arcs, one label down.  A dead end is lifted
+    above its lowest residual neighbours, whose arcs alone can turn admissible.
+    A label left empty is a gap that no s-t path can cross.
     """
-    level = {s: 0}
-    adm: dict[int, list[int]] = {}
-    layer = [s]
-    last: list[int] = []
-    while layer and t not in level:
-        depth = level[layer[0]] + 1
+    # exact distances to t up to s's layer; the rest lie beyond it (or at n)
+    dist, layer, depth = {t: 0}, [t], 0
+    while layer and s not in dist:
+        depth += 1
         nxt = []
-        for x in layer:
-            ax = adm[x] = []
-            for y, c in res[x].items():
-                if c:
-                    ly = level.get(y)
-                    if ly is None:
-                        level[y] = depth
-                        nxt.append(y)
-                        ax.append(y)
-                    elif ly == depth:
-                        ax.append(y)
-        last, layer = layer, nxt
-    if t in level:
-        # t's layer is not scanned, so the layer before it keeps only arcs into t
-        for x in last:
-            adm[x] = [t] if res[x].get(t) else []
-    return level, adm
-
-
-def _blocking_flow(res, adm, s, t) -> int:
-    """Augment along admissible s-t paths until none is left.
-
-    ``adm[x]`` is consumed from its end: an arc is dropped once saturated or
-    once its head turns out to be a dead end.
-    """
-    total = 0
-    path = [s]
-    while path:
+        for y in layer:
+            for x in res[y]:
+                if x not in dist and res[x][y]:
+                    dist[x] = depth
+                    nxt.append(x)
+        layer = nxt
+    n = len(res)
+    far = depth + 1 if s in dist else n
+    count = [0] * (2 * n + 2)  # s is lifted to 2n + 1 once its arcs saturate
+    for x in res:
+        count[dist.setdefault(x, far)] += 1
+    arcs: dict[int, list[int]] = {}  # candidate admissible arcs, used from the end
+    total, path = 0, [s]
+    while dist[s] < n:
         x = path[-1]
         if x == t:
-            arcs = list(zip(path, path[1:]))
-            f = min(res[a][b] for a, b in arcs)
-            total += f
-            first_full = None
-            for i, (a, b) in enumerate(arcs):
+            f, cut = res[s][path[1]], 1
+            for i in range(2, len(path)):
+                c = res[path[i - 1]][path[i]]
+                if c < f:
+                    f, cut = c, i
+            for a, b in zip(path, path[1:]):
                 res[a][b] -= f
                 res[b][a] += f
-                if first_full is None and not res[a][b]:
-                    first_full = i
-            del path[first_full + 1 :]
+            total += f
+            del path[cut:]  # back to the first arc at the bottleneck
             continue
-        ax, rx = adm[x], res[x]
-        while ax and not rx[ax[-1]]:
+        rx, down = res[x], dist[x] - 1
+        ax = arcs.get(x)
+        if ax is None:
+            ax = arcs[x] = [y for y, c in rx.items() if c and dist[y] == down]
+        while ax:
+            y = ax[-1]
+            if rx[y] and dist[y] == down:
+                path.append(y)
+                break
             ax.pop()
-        if ax:
-            path.append(ax[-1])
         else:
-            path.pop()
-            if path:
-                adm[path[-1]].pop()
+            low, ax = 2 * n, []
+            for y, c in rx.items():
+                if c:
+                    d = dist[y]
+                    if d < low:
+                        low, ax = d, [y]
+                    elif d == low:
+                        ax.append(y)
+            arcs[x] = ax
+            count[down + 1] -= 1
+            if not count[down + 1]:
+                break
+            dist[x] = low + 1
+            count[low + 1] += 1
+            if x != s:
+                path.pop()
     return total

@@ -133,8 +133,13 @@ def replay(
     graph = DynamicGraph()
     tree = CutTree()
     report = ReplayReport()
+    m = 0  # graph.edge_count sums every row; a vertex leaves only once isolated
     for step, ev in enumerate(stream.events, start=1):
         st = apply_event(tree, graph, ev)
+        if ev.kind == ADD_EDGE:
+            m += 1
+        elif ev.kind == REMOVE_EDGE:
+            m -= 1
         if verify:
             check = verify_cut_tree(tree, graph)
             if not check.ok:
@@ -148,7 +153,7 @@ def replay(
                 step,
                 CODE_OF_KIND[ev.kind],
                 graph.vertex_count,
-                graph.edge_count,
+                m,
                 st.cuts_used,
                 st.static_equivalent,
                 report.cum_dynamic,

@@ -5,7 +5,9 @@ import pytest
 from dyncut import (
     NON_BRIDGE,
     CutTree,
+    DynamicGraph,
     GenParams,
+    apply_change,
     complete,
     detect_bridge,
     generate,
@@ -16,7 +18,7 @@ from dyncut import (
 from dyncut.errors import VerificationFailed
 from dyncut.replay import CSV_HEADER
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
-from helpers import path
+from helpers import ALL_KINDS_MIX, path
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
 T3_BUILD = "av 1\nav 2\nav 3\nae 1 2 1\nae 2 3 2\nae 1 3 3\n"
@@ -53,6 +55,15 @@ def test_rows_cumulate_consistently():
         prev_ratio = row.cum_ratio
     assert report.cum_dynamic == cum_d
     assert report.cum_static == cum_s
+
+
+def test_rows_count_the_graph_after_each_event():
+    stream = generate(GenParams(n_vertices=12, n_events=400, mix=ALL_KINDS_MIX), seed=8)
+    assert {ev.kind for ev in stream.events} == set(ALL_KINDS_MIX)
+    g = DynamicGraph()
+    for ev, row in zip(stream.events, replay(stream).rows, strict=True):
+        apply_change(g, ev)
+        assert (row.n, row.m) == (g.vertex_count, g.edge_count)
 
 
 def test_replay_is_deterministic_to_the_byte():
