@@ -167,11 +167,6 @@ def test_isolated_source():
     assert min_cut(g, 1, 3) == Cut(frozenset({1}), 0)
 
 
-def test_isolated_sink():
-    g = DynamicGraph(vertices=[1, 2, 3, 4], edges=[(1, 2, 4), (2, 4, 1)])
-    assert min_cut(g, 1, 3) == Cut(frozenset({1, 2, 4}), 0)
-
-
 def test_long_path():
     # distances to t climb to n - 1 along the path; the side stops at its
     # first cheapest edge
