@@ -242,8 +242,8 @@ def update_decrease(
             graph_before.add_edge(b, d, delta)
         else:
             graph_before.increase_weight(b, d, delta)
-        lam_old = all_pairs_connectivity(graph_before, method="enumerate")
-        lam_new = all_pairs_connectivity(graph, method="enumerate")
+        lam_old = all_pairs_connectivity(graph_before)
+        lam_new = all_pairs_connectivity(graph)
         _check_loop_state(tree, graph_before, graph, lam_old, lam_new)
 
     # Frontier heap: thin edges (u, v) with v on the path, most expensive first.

@@ -126,7 +126,7 @@ def replay(
 ) -> ReplayReport:
     """Apply every event, maintaining graph and tree together.
 
-    With ``verify`` on, the tree is checked against brute-force ground truth
+    With ``verify`` on, the tree is checked by the Gomory-Hu certificate
     after every event and the first violation aborts the replay.  ``csv_out``
     writes one accounting row per event.
     """

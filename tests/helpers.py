@@ -3,6 +3,8 @@
 import random
 
 import hypothesis.strategies as st
+import networkx as nx
+from networkx.algorithms.flow import boykov_kolmogorov
 
 from dyncut import (
     ADD_EDGE,
@@ -50,6 +52,33 @@ def random_graph(rng: random.Random, n_min=4, n_max=10, edge_prob=0.5, max_weigh
         for v in range(u + 1, n + 1):
             if rng.random() < edge_prob:
                 g.add_edge(u, v, rng.randint(1, max_weight))
+    return g
+
+
+def nx_min_cut(g, s, t):
+    """Max-flow value and residual-reachable side of s, from networkx alone."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_weighted_edges_from(g.edges(), weight="capacity")
+    r = boykov_kolmogorov(h, s, t)
+    side, stack = {s}, [s]
+    while stack:
+        x = stack.pop()
+        for y, arc in r[x].items():
+            if arc["capacity"] - arc["flow"] > 0 and y not in side:
+                side.add(y)
+                stack.append(y)
+    return r.graph["flow_value"], frozenset(side)
+
+
+def sparse_graph(rng, n, big):
+    """About 3n random edges on n vertices; ``big`` lifts every weight past 2^70."""
+    g = DynamicGraph(vertices=range(n))
+    for _ in range(3 * n):
+        u, v = rng.sample(range(n), 2)
+        if v not in g._adj[u]:
+            w = rng.randint(1, 8)
+            g.add_edge(u, v, w * 2**70 + rng.randint(0, 3) if big else w)
     return g
 
 

@@ -2,15 +2,13 @@ import itertools
 import random
 
 import hypothesis.strategies as st
-import networkx as nx
 import pytest
 from hypothesis import given
-from networkx.algorithms.flow import boykov_kolmogorov
 
 from dyncut import Cut, DynamicGraph, all_pairs_connectivity, cut_cost, min_cut
 from dyncut.errors import SameVertex, VertexMissing
 from dyncut.mincut import counter
-from helpers import graphs
+from helpers import graphs, nx_min_cut, sparse_graph
 
 
 def test_t3_cut(t3):
@@ -62,7 +60,7 @@ def test_deterministic_side(t3):
 
 @given(graphs(max_vertices=6))
 def test_matches_exhaustive_enumeration(g):
-    lam = all_pairs_connectivity(g, method="enumerate")
+    lam = all_pairs_connectivity(g)
     for (u, v), expected in lam.items():
         assert min_cut(g, u, v).cost == expected
 
@@ -79,7 +77,7 @@ def test_symmetry_and_self_consistency(g):
 
 @given(graphs(max_vertices=6))
 def test_connectivity_triangle_inequality(g):
-    lam = all_pairs_connectivity(g, method="enumerate")
+    lam = all_pairs_connectivity(g)
 
     def get(a, b):
         return lam[(a, b) if a < b else (b, a)]
@@ -125,40 +123,13 @@ def test_cut_ignores_vertex_and_edge_order(g, seed):
         assert min_cut(shuffled, u, v) == min_cut(g, u, v)
 
 
-def _nx_min_cut(g, s, t):
-    """Max-flow value and residual-reachable side of s, from networkx alone."""
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_weighted_edges_from(g.edges(), weight="capacity")
-    r = boykov_kolmogorov(h, s, t)
-    side, stack = {s}, [s]
-    while stack:
-        x = stack.pop()
-        for y, arc in r[x].items():
-            if arc["capacity"] - arc["flow"] > 0 and y not in side:
-                side.add(y)
-                stack.append(y)
-    return r.graph["flow_value"], frozenset(side)
-
-
-def _sparse_graph(rng, n, big):
-    """About 3n random edges on n vertices; ``big`` lifts every weight past 2^70."""
-    g = DynamicGraph(vertices=range(n))
-    for _ in range(3 * n):
-        u, v = rng.sample(range(n), 2)
-        if v not in g._adj[u]:
-            w = rng.randint(1, 8)
-            g.add_edge(u, v, w * 2**70 + rng.randint(0, 3) if big else w)
-    return g
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_matches_networkx_beyond_enumeration(seed):
     rng = random.Random(seed)
-    g = _sparse_graph(rng, rng.randint(15, 120), big=seed % 2 == 1)
+    g = sparse_graph(rng, rng.randint(15, 120), big=seed % 2 == 1)
     for _ in range(3):
         s, t = rng.sample(sorted(g.vertices), 2)
-        cost, side = _nx_min_cut(g, s, t)
+        cost, side = nx_min_cut(g, s, t)
         assert min_cut(g, s, t) == Cut(side, cost)
 
 
@@ -184,7 +155,7 @@ def test_source_saturated_beside_a_vertex_of_its_distance():
 
 
 def test_input_graph_unchanged():
-    g = _sparse_graph(random.Random(7), 60, big=False)
+    g = sparse_graph(random.Random(7), 60, big=False)
     adj = {x: dict(nbrs) for x, nbrs in g._adj.items()}
     for s, t in [(0, 59), (3, 17), (59, 0)]:
         min_cut(g, s, t)

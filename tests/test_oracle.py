@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
@@ -13,9 +14,17 @@ from dyncut import (
     static_build,
     verify_cut_tree,
 )
-from dyncut.errors import EmptyGraph, EnumerationTooLarge, UnknownVertex, VertexSetMismatch
-from dyncut.oracle import _bits
-from helpers import bend_cut, graphs, random_graph
+from dyncut.errors import (
+    EmptyGraph,
+    EnumerationTooLarge,
+    SameVertex,
+    UnknownVertex,
+    VertexMissing,
+    VertexSetMismatch,
+)
+from dyncut.graph import pair_key
+from dyncut.oracle import _bits, max_flow_value
+from helpers import bend_cut, graphs, nx_min_cut, random_graph, sparse_graph
 
 
 class TestAllPairs:
@@ -36,18 +45,17 @@ class TestAllPairs:
     def test_enumeration_cap(self):
         g = DynamicGraph(vertices=range(13))
         with pytest.raises(EnumerationTooLarge):
-            all_pairs_connectivity(g, method="enumerate")
+            all_pairs_connectivity(g)
 
-    @pytest.mark.parametrize("method", ["enumerate", "auto"])
-    def test_exact_beyond_int64(self, method):
+    def test_exact_beyond_int64(self):
         # cut costs up to 2**63 + 1 must not wrap around
         heavy = DynamicGraph(edges=[(1, 2, 2**62), (1, 3, 2**62), (2, 3, 1)])
-        assert all_pairs_connectivity(heavy, method) == dict.fromkeys(
+        assert all_pairs_connectivity(heavy) == dict.fromkeys(
             [(1, 2), (1, 3), (2, 3)], 2**62 + 1
         )
-        assert verify_cut_tree(static_build(heavy), heavy, method=method).ok
+        assert verify_cut_tree(static_build(heavy), heavy).ok
         single = DynamicGraph(edges=[(1, 2, 2**63)])
-        assert all_pairs_connectivity(single, method) == {(1, 2): 2**63}
+        assert all_pairs_connectivity(single) == {(1, 2): 2**63}
 
     @pytest.mark.parametrize("n", [2, 7, 12])
     def test_bipartition_table_lists_every_mask(self, n):
@@ -57,9 +65,46 @@ class TestAllPairs:
         for j in range(1 << (n - 1)):
             assert bits[:, j].tolist() == [False] + [bool(j >> i & 1) for i in range(n - 1)]
 
-    @given(graphs(max_vertices=6))
-    def test_enumeration_agrees_with_flow(self, g):
-        assert all_pairs_connectivity(g, "enumerate") == all_pairs_connectivity(g, "flow")
+
+class TestMaxFlowValue:
+    @given(graphs(max_vertices=7))
+    def test_agrees_with_enumeration(self, g):
+        for (u, v), expected in all_pairs_connectivity(g).items():
+            assert max_flow_value(g, u, v) == expected
+            assert max_flow_value(g, v, u) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_networkx_beyond_enumeration(self, seed):
+        rng = random.Random(seed)
+        g = sparse_graph(rng, rng.randint(15, 120), big=seed % 2 == 1)
+        for _ in range(3):
+            s, t = rng.sample(sorted(g.vertices), 2)
+            assert max_flow_value(g, s, t) == nx_min_cut(g, s, t)[0]
+
+    def test_disconnected_and_bad_endpoints(self):
+        g = DynamicGraph(vertices=[1, 2, 3], edges=[(1, 3, 5)])
+        assert max_flow_value(g, 1, 2) == 0
+        with pytest.raises(SameVertex):
+            max_flow_value(g, 1, 1)
+        for s, t in [(1, 9), (9, 1)]:
+            with pytest.raises(VertexMissing):
+                max_flow_value(g, s, t)
+
+    def test_input_graph_unchanged(self):
+        g = sparse_graph(random.Random(7), 60, big=False)
+        before = g.copy()
+        for s, t in [(0, 59), (3, 17), (59, 0)]:
+            max_flow_value(g, s, t)
+        assert g == before
+
+
+def _networkx_cut_tree(g):
+    """A Gomory-Hu tree from networkx alone, as a CutTree."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_weighted_edges_from(g.edges(), weight="capacity")
+    gh = nx.gomory_hu_tree(h)
+    return CutTree(edges=[(u, v, c) for u, v, c in gh.edges(data="weight")])
 
 
 class TestVerifyCutTree:
@@ -94,6 +139,40 @@ class TestVerifyCutTree:
         report = verify_cut_tree(tree, t3)
         assert not report.ok
         assert report.violations[0].kind == "structure"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_networkx_gomory_hu_tree_certified_and_tampering_caught(self, seed):
+        rng = random.Random(seed)
+        g = sparse_graph(rng, rng.randint(55, 65), big=seed % 2 == 1)
+        tree = _networkx_cut_tree(g)
+        assert verify_cut_tree(tree, g).ok
+
+        # one label raised by 1: its cut now costs less than the label claims
+        u, v, c = rng.choice(sorted(tree.edges()))
+        tree.set_cost(u, v, c + 1)
+        report = verify_cut_tree(tree, g)
+        assert {(x.kind, x.pair) for x in report.violations} == {
+            ("induced-cost", (u, v)),
+            ("edge-connectivity", (u, v)),
+        }
+        tree.set_cost(u, v, c)
+
+        # one leaf moved to a vertex it is less connected to than its label says
+        x, p, q = next(
+            (x, p, q)
+            for x in sorted(tree.vertices)
+            if len(tree.neighbors(x)) == 1
+            for p in tree.neighbors(x)
+            for q in sorted(tree.vertices)
+            if q not in (x, p) and nx_min_cut(g, x, q)[0] < tree.cost(x, p)
+        )
+        c = tree.cost(x, p)
+        tree.remove_edge(x, p)
+        tree.add_edge(x, q, c)
+        report = verify_cut_tree(tree, g)
+        assert ("edge-connectivity", pair_key(x, q)) in {
+            (y.kind, y.pair) for y in report.violations
+        }
 
 
 class TestBendCut:

@@ -1,24 +1,39 @@
+import itertools
 from hashlib import sha256
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+import dyncut.tree as tree_mod
 from dyncut import (
+    ADD_EDGE,
+    ADD_VERTEX,
+    DECREASE_WEIGHT,
     NON_BRIDGE,
+    REMOVE_EDGE,
+    REMOVE_VERTEX,
+    ChangeEvent,
+    Cut,
     CutTree,
     DynamicGraph,
     GenParams,
     apply_change,
+    apply_event,
     complete,
+    cut_cost,
     detect_bridge,
     generate,
     parse_stream,
     replay,
     update_increase,
+    verify_cut_tree,
 )
-from dyncut.errors import VerificationFailed
+from dyncut.errors import DynCutError, VerificationFailed
+from dyncut.graph import EVENT_KINDS
 from dyncut.replay import CSV_HEADER
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
-from helpers import ALL_KINDS_MIX, path
+from helpers import ALL_KINDS_MIX, path, random_event
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
 T3_BUILD = "av 1\nav 2\nav 3\nae 1 2 1\nae 2 3 2\nae 1 3 3\n"
@@ -197,3 +212,118 @@ def test_update_increase_edits_tree_as_complete_does():
             assert work == tree
             rebuilt += 1
     assert rebuilt >= 5
+
+
+def _certified_replay(stream, every=25):
+    """Apply the stream event by event; certify every ``every`` events and after the last."""
+    graph, tree = DynamicGraph(), CutTree()
+    last = len(stream.events)
+    for step, ev in enumerate(stream.events, start=1):
+        apply_event(tree, graph, ev)
+        if step % every == 0 or step == last:
+            report = verify_cut_tree(tree, graph)
+            if not report.ok:
+                raise VerificationFailed(step, report)
+    return graph
+
+
+def _n100_stream():
+    return generate(GenParams(n_vertices=100, n_events=1000, mix=CHURN_MIX), seed=7)
+
+
+def test_certified_replay_beyond_enumeration():
+    # 1,000 edge events on 100 vertices, far past the 12-vertex enumeration
+    # cap; every certificate runs its flows on the oracle's own kernel
+    graph = _certified_replay(_n100_stream())
+    assert graph.vertex_count == 100 and graph.edge_count > 300
+
+
+def test_certified_replay_catches_a_faulty_kernel(monkeypatch):
+    # every 20th cut returns the source alone when that is not a minimum
+    # side: a plausible kernel bug that keeps cost and side consistent
+    real, calls = tree_mod.min_cut, itertools.count(1)
+
+    def faulty(graph, s, t):
+        cut = real(graph, s, t)
+        if next(calls) % 20:
+            return cut
+        alone = Cut(frozenset({s}), cut_cost(graph, {s}))
+        return alone if alone.cost > cut.cost else cut
+
+    monkeypatch.setattr(tree_mod, "min_cut", faulty)
+    with pytest.raises(VerificationFailed) as err:
+        _certified_replay(_n100_stream())
+    assert any(v.kind == "edge-connectivity" for v in err.value.report.violations)
+
+
+VERTEX_IDS = st.integers(0, 7)
+# inserts outnumber removals, so the graphs fill up
+FILLING_MIX = dict(zip(MIX_ORDER, (0.1, 0.02, 0.4, 0.08, 0.2, 0.2)))
+
+
+@st.composite
+def change_events(draw):
+    """Well-formed events over ids 0..7, whether or not they apply."""
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    u = draw(VERTEX_IDS)
+    if kind in (ADD_VERTEX, REMOVE_VERTEX):
+        return ChangeEvent(kind, u)
+    v = draw(VERTEX_IDS.filter(lambda v: v != u))
+    if kind == REMOVE_EDGE:
+        return ChangeEvent(kind, u, v)
+    return ChangeEvent(kind, u, v, draw(st.integers(1, 9)))
+
+
+def _applies(graph, ev):
+    """Whether ``ev`` applies to ``graph``, by the stream grammar's rules."""
+    u, v = ev.u, ev.v
+    if ev.kind == ADD_VERTEX:
+        return u not in graph.vertices
+    if ev.kind == REMOVE_VERTEX:
+        return u in graph.vertices and not graph.neighbors(u)
+    if ev.kind == ADD_EDGE:
+        return u in graph.vertices and v in graph.vertices and not graph.has_edge(u, v)
+    if not graph.has_edge(u, v):
+        return False
+    return ev.kind != DECREASE_WEIGHT or ev.delta < graph.weight(u, v)
+
+
+class EventGrammar(RuleBasedStateMachine):
+    """Valid events keep a certified tree; invalid ones change nothing."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph, self.tree = DynamicGraph(), CutTree()
+
+    @initialize(rng=st.randoms(use_true_random=False), n=st.integers(0, 8), m=st.integers(0, 16))
+    def fill(self, rng, n, m):
+        for v in range(n):
+            self._apply(ChangeEvent.add_vertex(v))
+        for _ in range(m):
+            if ev := random_event(self.graph, rng, {ADD_EDGE: 1.0}, max_vertices=8):
+                self._apply(ev)
+
+    def _apply(self, ev):
+        if _applies(self.graph, ev):
+            apply_event(self.tree, self.graph, ev)
+            report = verify_cut_tree(self.tree, self.graph)
+            assert report.ok, (ev, str(report))
+        else:
+            graph, tree = self.graph.copy(), self.tree.copy()
+            with pytest.raises(DynCutError):
+                apply_event(self.tree, self.graph, ev)
+            assert self.graph == graph and self.tree == tree
+
+    @rule(ev=change_events())
+    def any_event(self, ev):
+        self._apply(ev)
+
+    @rule(rng=st.randoms(use_true_random=False))
+    def applicable_event(self, rng):
+        ev = random_event(self.graph, rng, FILLING_MIX, max_vertices=8)
+        if ev is not None:
+            assert _applies(self.graph, ev)
+            self._apply(ev)
+
+
+TestEventGrammar = EventGrammar.TestCase
