@@ -47,15 +47,18 @@ class TestAllPairs:
         with pytest.raises(EnumerationTooLarge):
             all_pairs_connectivity(g)
 
-    def test_exact_beyond_int64(self):
-        # cut costs up to 2**63 + 1 must not wrap around
+    @pytest.mark.parametrize("source", ["enumerate", "auto"])
+    def test_exact_beyond_int64(self, source):
+        # cut costs up to 2**63 + 1 must not wrap around, whether the verifier
+        # reads connectivities from enumeration or runs its own flows
         heavy = DynamicGraph(edges=[(1, 2, 2**62), (1, 3, 2**62), (2, 3, 1)])
-        assert all_pairs_connectivity(heavy) == dict.fromkeys(
-            [(1, 2), (1, 3), (2, 3)], 2**62 + 1
-        )
-        assert verify_cut_tree(static_build(heavy), heavy).ok
+        lam = all_pairs_connectivity(heavy)
+        assert lam == dict.fromkeys([(1, 2), (1, 3), (2, 3)], 2**62 + 1)
+        given_lam = lam if source == "enumerate" else None
+        assert verify_cut_tree(static_build(heavy), heavy, given_lam).ok
         single = DynamicGraph(edges=[(1, 2, 2**63)])
         assert all_pairs_connectivity(single) == {(1, 2): 2**63}
+        assert max_flow_value(single, 1, 2) == 2**63
 
     @pytest.mark.parametrize("n", [2, 7, 12])
     def test_bipartition_table_lists_every_mask(self, n):
