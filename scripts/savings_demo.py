@@ -12,7 +12,8 @@ paths on denser graphs.
 import argparse
 
 from dyncut import GenParams, generate, replay
-from dyncut.stream import MIX_ORDER
+from dyncut.errors import InvalidMix
+from dyncut.stream import parse_mix
 
 
 def main() -> int:
@@ -29,7 +30,10 @@ def main() -> int:
     parser.add_argument("--csv", metavar="OUT", help="write per-event rows")
     args = parser.parse_args()
 
-    mix = {k: float(f) for k, f in zip(MIX_ORDER, args.mix.split(","))}
+    try:
+        mix = parse_mix(args.mix)
+    except InvalidMix as exc:
+        parser.error(str(exc))
     params = GenParams(
         n_vertices=args.vertices,
         n_events=args.events,

@@ -6,9 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import DynCutError, InvalidMix
+from .errors import DynCutError
 from .replay import replay
-from .stream import MIX_ORDER, GenParams, format_stream, generate, parse_stream
+from .stream import GenParams, format_stream, generate, parse_mix, parse_stream
 from .tree import query_value
 
 _MIX_HELP = "comma-separated fractions for av,rv,ae,re,iw,dw (must sum to 1)"
@@ -32,18 +32,11 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    fractions = args.mix.split(",")
-    if len(fractions) != len(MIX_ORDER):
-        raise InvalidMix(f"--mix needs {len(MIX_ORDER)} fractions, got {len(fractions)}")
-    try:
-        mix = {kind: float(f) for kind, f in zip(MIX_ORDER, fractions)}
-    except ValueError:
-        raise InvalidMix(f"non-numeric fraction in {args.mix!r}") from None
     params = GenParams(
         n_vertices=args.vertices,
         n_events=args.events,
         weight_max=args.weight_max,
-        mix=mix,
+        mix=parse_mix(args.mix),
     )
     sys.stdout.write(format_stream(generate(params, args.seed)))
     return 0

@@ -45,10 +45,6 @@ class EmptyGraph(DynCutError):
     pass
 
 
-class InvalidIntermediate(DynCutError):
-    """A fat edge of an intermediate tree fails its induced-cut cost check."""
-
-
 class InternalInvariantViolation(DynCutError):
     """The update reached a state the algorithm's correctness argument rules out."""
 

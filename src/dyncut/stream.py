@@ -6,7 +6,8 @@ Grammar: one event per line, ``#`` starts a comment, blank lines skipped.
 
 All numbers are non-negative decimal integers; weights and deltas are
 positive.  A stream is valid when every event is applicable to the graph
-state produced by its prefix.
+state produced by its prefix; :func:`parse_stream` checks both, always.
+:func:`parse_mix` reads the ``--mix`` text that the generator's callers take.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graph import (
     ADD_EDGE,
     ADD_VERTEX,
     DECREASE_WEIGHT,
+    EVENT_KINDS,
     INCREASE_WEIGHT,
     REMOVE_EDGE,
     REMOVE_VERTEX,
@@ -46,14 +48,7 @@ CODE_OF_KIND = {
 KIND_OF_CODE = {code: kind for kind, code in CODE_OF_KIND.items()}
 
 # canonical kind order for mixes and CLI flags
-MIX_ORDER = (
-    ADD_VERTEX,
-    REMOVE_VERTEX,
-    ADD_EDGE,
-    REMOVE_EDGE,
-    INCREASE_WEIGHT,
-    DECREASE_WEIGHT,
-)
+MIX_ORDER = EVENT_KINDS
 
 _ARITY = {"av": 1, "rv": 1, "ae": 3, "re": 2, "iw": 3, "dw": 3}
 
@@ -97,8 +92,8 @@ def format_stream(stream: EventStream) -> str:
     return "".join(format_event(ev) + "\n" for ev in stream.events)
 
 
-def parse_stream(text: str, strict: bool = True) -> EventStream:
-    """Parse the line format; with ``strict``, also validate applicability."""
+def parse_stream(text: str) -> EventStream:
+    """Parse the line format and check that every event applies to its prefix."""
     events: list[ChangeEvent] = []
     lines: list[int] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -132,18 +127,13 @@ def parse_stream(text: str, strict: bool = True) -> EventStream:
             raise StreamSyntaxError(ln, str(exc)) from None
         events.append(ev)
         lines.append(ln)
-    if strict:
-        _validate(events, lines)
-    return EventStream(tuple(events), tuple(lines))
-
-
-def _validate(events, lines) -> None:
     g = DynamicGraph()
     for ev, ln in zip(events, lines):
         try:
             apply_change(g, ev)
         except DynCutError as exc:
             raise StreamValidationError(ln, str(exc)) from None
+    return EventStream(tuple(events), tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -154,6 +144,18 @@ class GenParams:
     n_events: int
     weight_max: int = 8
     mix: Mapping[str, float] = field(default_factory=lambda: dict(BALANCED_EDGE_MIX))
+
+
+def parse_mix(text: str) -> dict[str, float]:
+    """Read comma-separated fractions, one per kind in ``MIX_ORDER``, as a checked mix."""
+    fractions = text.split(",")
+    if len(fractions) != len(MIX_ORDER):
+        raise InvalidMix(f"--mix needs {len(MIX_ORDER)} fractions, got {len(fractions)}")
+    try:
+        mix = {kind: float(f) for kind, f in zip(MIX_ORDER, fractions)}
+    except ValueError:
+        raise InvalidMix(f"non-numeric fraction in {text!r}") from None
+    return _normalized_mix(mix)
 
 
 def _normalized_mix(mix: Mapping[str, float]) -> dict[str, float]:

@@ -36,12 +36,11 @@ from .errors import (
     EdgeExists,
     EdgeMissing,
     EmptyGraph,
-    InvalidIntermediate,
     SameVertex,
     VertexExists,
     VertexMissing,
 )
-from .graph import Cut, DynamicGraph, Pair, contract, cut_cost, pair_key
+from .graph import Cut, DynamicGraph, Pair, contract, pair_key
 from .mincut import min_cut
 
 
@@ -314,17 +313,6 @@ def query_cut(tree: CutTree, u: int, v: int) -> Cut:
 IntermediateTree = CutTree
 
 
-def _check_induced_costs(tree: CutTree, graph: DynamicGraph) -> None:
-    for u, v, c in tree.edges():
-        if tree.is_thin(u, v):
-            continue
-        actual = cut_cost(graph, tree.subtree(u, v))
-        if actual != c:
-            raise InvalidIntermediate(
-                f"fat edge {{{u},{v}}} labelled {c} but induces a cut of cost {actual}"
-            )
-
-
 def cut_step(
     tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]], u: int, v: int
 ) -> tuple[Cut, list[int]]:
@@ -373,21 +361,18 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
         tree.add_edge(u if w in cut.side else v, w, 0, thin=True)
 
 
-def complete(tree: CutTree, graph: DynamicGraph, verify: bool = False) -> int:
+def complete(tree: CutTree, graph: DynamicGraph) -> int:
     """Unfold a partial tree, in place, into a finished cut tree of ``graph``.
 
+    Every fat edge of the input must already be a minimum cut of ``graph``
+    between its endpoints, labelled with its cost; each split keeps that so.
     Spends exactly one min-cut computation per thin edge of the input and
-    returns their number.  With ``verify`` on, every fat edge's induced-cut
-    cost is checked against its label before and after each split.
+    returns their number.
     """
-    if verify:
-        _check_induced_costs(tree, graph)
     splits = 0
     while (node := tree.next_multi_node()) is not None:
         _split_node(tree, graph, node)
         splits += 1
-        if verify:
-            _check_induced_costs(tree, graph)
     return splits
 
 

@@ -1,11 +1,15 @@
 """Shared strategies, scenario drivers and test-only helpers for the test suite."""
 
 import random
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
+import pytest
 import networkx as nx
 from networkx.algorithms.flow import boykov_kolmogorov
 
+import dyncut.dynamic
+import dyncut.tree
 from dyncut import (
     ADD_EDGE,
     ADD_VERTEX,
@@ -16,8 +20,10 @@ from dyncut import (
     Cut,
     DynamicGraph,
     cut_cost,
+    verify_cut_tree,
 )
 from dyncut.errors import UnknownVertex
+from dyncut.oracle import MAX_ENUMERATION_VERTICES, all_pairs_connectivity
 from dyncut.stream import MIX_ORDER, _applicable, _draw
 
 SCENARIO_MIX = {
@@ -158,3 +164,84 @@ def path(tree, u, v):
     """Tree path from u to v as an ordered edge list."""
     verts = tree.path_vertices(u, v)
     return list(zip(verts, verts[1:]))
+
+
+def _connectivity(graph):
+    """λ for every pair by enumeration where it is cheap, else None (flows per edge)."""
+    if 1 < graph.vertex_count <= MAX_ENUMERATION_VERTICES:
+        return all_pairs_connectivity(graph)
+    return None
+
+
+def _assert_partial_tree(tree, graph, lam, thin_graph=None, thin_lam=None):
+    """Run the Gomory-Hu certificate on a partial tree, edge kind by edge kind.
+
+    Every fat edge must pass against ``graph`` and its connectivities
+    ``lam``; with ``thin_graph`` given, every thin edge must pass against it
+    and ``thin_lam``.  Otherwise thin edges are not checked.
+    """
+    checks = [(graph, lam, False)]
+    if thin_graph is not None:
+        checks.append((thin_graph, thin_lam, True))
+    for g, g_lam, thin in checks:
+        report = verify_cut_tree(tree, g, g_lam)
+        bad = [
+            str(x)
+            for x in report.violations
+            if x.kind == "structure" or tree.is_thin(*x.pair) == thin
+        ]
+        assert not bad, f"{'thin' if thin else 'fat'} edges fail: {'; '.join(bad)}"
+
+
+@contextmanager
+def checked_complete(graph):
+    """Certify the fat edges before and after every split ``complete`` makes on ``graph``."""
+    lam = _connectivity(graph)
+    split = dyncut.tree._split_node
+
+    def checked_split(tree, g, node):
+        _assert_partial_tree(tree, g, lam)
+        split(tree, g, node)
+        _assert_partial_tree(tree, g, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyncut.tree, "_split_node", checked_split)
+        yield
+
+
+@contextmanager
+def checked_decrease_walk(graph, b, d, delta):
+    """Certify the decrease walk's tree before every cut it spends and after
+    every subtree it certifies.
+
+    ``graph`` is the graph after {b, d} lost ``delta``.  Thin edges must be
+    minimum cuts of the graph before the change, fat edges of the graph
+    after.  At each cut, the near end v must lie on the current b-d tree
+    path and the far end u off it.
+    """
+    before = graph.copy()
+    if before.has_edge(b, d):
+        before.increase_weight(b, d, delta)
+    else:
+        before.add_edge(b, d, delta)
+    lam_before, lam_after = _connectivity(before), _connectivity(graph)
+    cut_step, fatten = dyncut.dynamic.cut_step, dyncut.dynamic._fatten_subtree
+
+    def check(tree):
+        _assert_partial_tree(tree, graph, lam_after, before, lam_before)
+
+    def checked_cut_step(tree, g, links, u, v):
+        on_path = tree.path_vertices(b, d)
+        assert v in on_path and u not in on_path, (u, v, on_path)
+        check(tree)
+        return cut_step(tree, g, links, u, v)
+
+    def checked_fatten(tree, u, v):
+        inherited = fatten(tree, u, v)
+        check(tree)
+        return inherited
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyncut.dynamic, "cut_step", checked_cut_step)
+        mp.setattr(dyncut.dynamic, "_fatten_subtree", checked_fatten)
+        yield

@@ -46,7 +46,7 @@ from dyncut.graph import (
     pair_key,
 )
 from dyncut.mincut import counter
-from helpers import SCENARIO_MIX, random_event, random_graph
+from helpers import SCENARIO_MIX, checked_decrease_walk, random_event, random_graph
 
 
 class TestVertexUpdates:
@@ -159,7 +159,8 @@ class TestDecrease:
     def test_threshold_reuse(self, t3, t3_tree):
         new = t3.copy()
         new.decrease_weight(1, 3, 1)
-        stats = update_decrease(t3_tree, new, 1, 3, 1, verify=True)
+        with checked_decrease_walk(new, 1, 3, 1):
+            stats = update_decrease(t3_tree, new, 1, 3, 1)
         assert t3_tree == CutTree(edges=[(1, 3, 3), (2, 3, 3)])
         assert stats.cuts_used == 0
         assert stats.reuse_breakdown == {RULE_THRESHOLD: 1}
@@ -168,7 +169,8 @@ class TestDecrease:
     def test_revalidation_keeps_structure(self, t3, t3_tree):
         new = t3.copy()
         new.decrease_weight(2, 3, 1)
-        stats = update_decrease(t3_tree, new, 2, 3, 1, verify=True)
+        with checked_decrease_walk(new, 2, 3, 1):
+            stats = update_decrease(t3_tree, new, 2, 3, 1)
         assert t3_tree == CutTree(edges=[(1, 3, 4), (2, 3, 2)])
         assert stats.cuts_used == 1
         assert stats.reuse_breakdown == {RULE_REVALIDATED: 1}
@@ -193,7 +195,8 @@ class TestDecrease:
         tree = static_build(g)
         assert tree.to_lines() == ["1 3 8", "2 5 14", "3 5 15", "4 5 10", "5 6 12"]
         g.remove_edge(5, 6)
-        stats = update_decrease(tree, g, 5, 6, 6, verify=True)
+        with checked_decrease_walk(g, 5, 6, 6):
+            stats = update_decrease(tree, g, 5, 6, 6)
         assert tree.to_lines() == ["1 3 8", "2 3 13", "2 5 11", "3 6 6", "4 5 10"]
         assert verify_cut_tree(tree, g).ok
         assert stats.cuts_used == 2
@@ -221,6 +224,19 @@ class TestDeltaChecks:
         before = p3_tree.copy()
         with pytest.raises(InvalidDelta):
             update_increase(p3_tree, p3, 2, 3, 5)
+        assert p3_tree == before
+
+    @pytest.mark.parametrize("update, raise_by, delta", [
+        (update_increase, 7, 1),
+        (update_decrease, 0, 5),
+    ])
+    def test_old_weight_above_connectivity_rejected(self, p3, p3_tree, update, raise_by, delta):
+        # {2,3} would have weighed 8 or 7 before the change, above lambda(2,3) = 2
+        if raise_by:
+            p3.increase_weight(2, 3, raise_by)
+        before = p3_tree.copy()
+        with pytest.raises(InvalidDelta):
+            update(p3_tree, p3, 2, 3, delta)
         assert p3_tree == before
 
     @pytest.mark.parametrize("delta", [0, -1, 0.5])
@@ -305,8 +321,8 @@ def test_random_scenarios_stay_valid(seed):
 def test_decrease_verify_mode_on_random_cases():
     rng = random.Random(99)
     done = 0
-    while done < 10:
-        g = random_graph(rng, n_min=4, n_max=7)
+    while done < 60:
+        g = random_graph(rng, n_min=4, n_max=9)
         if g.edge_count == 0:
             continue
         tree = static_build(g)
@@ -317,7 +333,8 @@ def test_decrease_verify_mode_on_random_cases():
             new.remove_edge(u, v)
         else:
             new.decrease_weight(u, v, delta)
-        update_decrease(tree, new, u, v, delta, verify=True)
+        with checked_decrease_walk(new, u, v, delta):
+            update_decrease(tree, new, u, v, delta)
         assert verify_cut_tree(tree, new).ok
         done += 1
 

@@ -34,8 +34,8 @@ class TestParse:
         assert stream.lines == (1, 2, 3)
 
     def test_comments_and_blanks_skipped(self):
-        stream = parse_stream("# comment\n\nav 7\nae 7 8 1  # trailing\nav 8\n", strict=False)
-        assert [ev.kind for ev in stream.events] == [ADD_VERTEX, ADD_EDGE, ADD_VERTEX]
+        stream = parse_stream("# comment\n\nav 7\nav 8  # trailing\nae 7 8 1\n")
+        assert [ev.kind for ev in stream.events] == [ADD_VERTEX, ADD_VERTEX, ADD_EDGE]
         assert stream.lines == (3, 4, 5)
 
     def test_unknown_code(self):
@@ -58,15 +58,15 @@ class TestParse:
             parse_stream(f"av {arg}\n")
 
     def test_zero_delta_is_syntax_error(self):
-        with pytest.raises(StreamSyntaxError):
-            parse_stream("av 1\nav 2\nae 1 2 0\n", strict=False)
+        with pytest.raises(StreamSyntaxError) as err:
+            parse_stream("av 1\nav 2\nae 1 2 0\n")
+        assert err.value.line == 3
 
     def test_validation_catches_oversized_decrease(self):
         text = "av 1\nav 2\nae 1 2 3\ndw 1 2 5\n"
         with pytest.raises(StreamValidationError) as err:
             parse_stream(text)
         assert err.value.line == 4
-        parse_stream(text, strict=False)  # lax mode only checks the format
 
     def test_validation_catches_unapplicable_prefix(self):
         with pytest.raises(StreamValidationError) as err:

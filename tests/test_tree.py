@@ -18,12 +18,11 @@ from dyncut import (
 from dyncut.errors import (
     EdgeExists,
     EmptyGraph,
-    InvalidIntermediate,
     SameVertex,
     VertexMissing,
 )
 from dyncut.mincut import counter
-from helpers import graphs, path
+from helpers import checked_complete, graphs, path
 
 
 def _side_without(tree, u, v, anchor):
@@ -75,9 +74,10 @@ class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
         work = t3_tree.copy()
         before = counter.value
-        complete(work, t3, verify=True)
+        complete(work, t3)
         assert work == t3_tree
         assert counter.value == before
+        assert verify_cut_tree(work, t3).ok
 
     def test_all_thin_star_equals_static_build(self, p3):
         star = CutTree.star(p3.vertices)
@@ -94,16 +94,21 @@ class TestComplete:
         work.add_edge(2, 3, 5)
         work.add_edge(1, 3, 4, thin=True)
         before = counter.value
-        complete(work, raised, verify=True)
+        with checked_complete(raised):
+            complete(work, raised)
         assert counter.value - before == 1
         assert verify_cut_tree(work, raised).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
             assert query_value(work, a, b) == 5
 
     def test_lying_fat_label_caught_in_verify_mode(self, t3):
-        work = CutTree(edges=[(1, 3, 9), (2, 3, 3)])
-        with pytest.raises(InvalidIntermediate):
-            complete(work, t3, verify=True)
+        # the thin edge makes complete split once, so the check runs
+        work = CutTree(vertices=(1, 2, 3))
+        work.add_edge(1, 3, 9)
+        work.add_edge(2, 3, 3, thin=True)
+        with pytest.raises(AssertionError, match=r"fat edges fail: induced-cost at \(1, 3\)"):
+            with checked_complete(t3):
+                complete(work, t3)
 
     @given(graphs(min_vertices=3))
     @settings(max_examples=40)
