@@ -300,6 +300,7 @@ def contract(
     """
     adj = graph._adj
     node_of: dict[int, int] = {}
+    moved: list[int] = []
     for group in groups:
         members = set(group)
         if not members:
@@ -311,29 +312,26 @@ def contract(
             if v in node_of:
                 raise OverlappingGroups(f"vertex {v} appears in two groups")
             node_of[v] = rep
-    moved = {v for v, rep in node_of.items() if v != rep}
+            if v != rep:
+                moved.append(v)
     for v in adj:
         node_of.setdefault(v, v)
 
-    # A vertex that names its own node starts from a copy of its row, with
-    # the neighbours that moved into a group re-keyed to their node; the row
-    # of each moved vertex is then added to its node's row.  Edges inside a
-    # node are dropped, and every sum is met from both ends.
-    qadj: dict[int, dict[int, int]] = {}
-    for u, nbrs in adj.items():
-        if node_of[u] != u:
-            continue
-        row = qadj[u] = nbrs.copy()
-        for v in nbrs.keys() & moved:
-            w = row.pop(v)
-            nv = node_of[v]
-            if nv != u:
-                row[nv] = row.get(nv, 0) + w
+    # Only a vertex that names its own node gets a row, copied from its own.
+    # Then every arc of a moved vertex is re-keyed at both ends: its node's
+    # row gains the weight, and a copied row at the far end trades the moved
+    # vertex's entry for its node's.  Edges inside a node are dropped.
+    qadj = {u: nbrs.copy() for u, nbrs in adj.items() if node_of[u] == u}
     for u in moved:
         nu = node_of[u]
         row = qadj[nu]
         for v, w in adj[u].items():
             nv = node_of[v]
+            if nv == v:
+                far = qadj[v]
+                del far[u]
+                if v != nu:
+                    far[nu] = far.get(nu, 0) + w
             if nv != nu:
                 row[nv] = row.get(nv, 0) + w
     result = DynamicGraph()

@@ -7,9 +7,11 @@ That is the smallest minimum s-t cut side, the same for every maximum flow
 and every vertex or edge order, so results are deterministic.
 
 The kernel pushes integer flow on a residual copy of the adjacency dicts:
-greedily along the s-t edge and every path s-x-t, then along shortest paths
-steered by distance labels, until a gap in the labels cuts s off from t
-(Ahuja & Orlin 1991).  A search from s over residual arcs yields the side.
+greedily along the s-t edge, every path s-x-t and every path s-x-y-t, then
+along shortest paths steered by distance labels, until a gap in the labels
+cuts s off from t (Ahuja & Orlin 1991).  The greedy paths only seed the
+flow; the labelled search finds the rest and proves it maximum.  A search
+from s over residual arcs yields the side.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
 
 
 def _prepush(res, s, t) -> int:
-    """Saturate the s-t edge, then push greedily along every path s-x-t."""
+    """Push greedily along the s-t edge, every path s-x-t, then every path s-x-y-t.
+
+    Each path takes the smallest of its residuals.  The three-edge pass reads
+    each arc of s's neighbours once, so the whole pass stays O(m).
+    """
     rs, rt = res[s], res[t]
     flow = rs.get(t, 0)
     if flow:
@@ -83,6 +89,26 @@ def _prepush(res, s, t) -> int:
             res[x][t] = d - f
             rt[x] += f
             flow += f
+    for x, c in rs.items():
+        if not c:
+            continue
+        rx, left = res[x], c
+        for y, b in rx.items():
+            d = res[y].get(t) if b and y != s else None
+            if d:
+                f = min(left, b, d)
+                ry = res[y]
+                rx[y] = b - f
+                ry[x] += f
+                ry[t] = d - f
+                rt[y] += f
+                left -= f
+                if not left:
+                    break
+        if left != c:
+            rs[x] = left
+            rx[s] += c - left
+            flow += c - left
     return flow
 
 

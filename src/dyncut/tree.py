@@ -351,14 +351,21 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
 
     # Every thin edge touching the node lies inside it, and every edge inside
     # it is thin: a member's edge to a parent in the node.  Each side becomes
-    # a thin star on its smallest member; no split reads a thin edge's cost.
-    up = tree._up
+    # a thin star on its smallest member, u or v.  An inside edge that
+    # already belongs to a star stays; the others go, and only the members
+    # they left re-join their centre.  {u, v} goes too and comes back fat,
+    # so add_edge hangs one side below the other as a full rebuild would,
+    # which keeps tree paths as short.  No split reads a thin edge's cost.
+    up, adj = tree._up, tree._adj
+    hub = {w: u if w in cut.side else v for w in members[2:]}
     for w in members:
-        if up[w] in node:
-            tree.remove_edge(w, up[w])
+        p = up[w]
+        if p in node and hub.get(w) != p and hub.get(p) != w:
+            tree.remove_edge(w, p)
     tree.add_edge(u, v, cut.cost)
-    for w in members[2:]:
-        tree.add_edge(u if w in cut.side else v, w, 0, thin=True)
+    for w, h in hub.items():
+        if h not in adj[w]:
+            tree.add_edge(h, w, 0, thin=True)
 
 
 def complete(tree: CutTree, graph: DynamicGraph) -> int:

@@ -7,7 +7,7 @@ from hypothesis import given
 
 from dyncut import Cut, DynamicGraph, all_pairs_connectivity, cut_cost, min_cut
 from dyncut.errors import SameVertex, VertexMissing
-from dyncut.mincut import counter
+from dyncut.mincut import _prepush, counter
 from helpers import graphs, nx_min_cut, sparse_graph
 
 
@@ -160,3 +160,58 @@ def test_input_graph_unchanged():
     for s, t in [(0, 59), (3, 17), (59, 0)]:
         min_cut(g, s, t)
     assert g._adj == adj
+
+
+def _three_hop_graph(seed):
+    """A graph and its s, t: joined directly, through x's and through x-y pairs.
+
+    x's and y's are shared between s-x-y-t paths (so is each y-t arc),
+    some x's also reach t directly, and a few edges join x's and y's among
+    themselves.  Built on ids 0 (s), 1 (t), 2-4 (x), 5-7 (y) and 8-9, then
+    relabelled at random.
+    """
+    rng = random.Random(seed)
+    xs, ys = [2, 3, 4], [5, 6, 7]
+    edges = {(0, 1): rng.randint(1, 4)}
+    for x in xs:
+        edges[0, x] = rng.randint(3, 9)
+        if rng.random() < 0.5:
+            edges[x, 1] = rng.randint(1, 3)
+        for y in rng.sample(ys, 2):
+            edges[x, y] = rng.randint(1, 6)
+    for y in ys:
+        edges[y, 1] = rng.randint(1, 6)
+    for a, b in (rng.sample(xs, 2), rng.sample(ys, 2), (rng.choice(ys), 8), (8, 9)):
+        edges[min(a, b), max(a, b)] = rng.randint(1, 4)
+    # so that row order does not follow the construction
+    ids = list(range(10))
+    rng.shuffle(ids)
+    g = DynamicGraph(vertices=ids, edges=[(ids[a], ids[b], w) for (a, b), w in edges.items()])
+    return g, ids[0], ids[1]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_prepush_leaves_a_feasible_flow(seed):
+    g, s, t = _three_hop_graph(seed)
+    res = {x: nbrs.copy() for x, nbrs in g._adj.items()}
+    pushed = _prepush(res, s, t)
+    net = dict.fromkeys(g.vertices, 0)  # flow out minus flow in
+    for x, nbrs in g._adj.items():
+        assert res[x].keys() == nbrs.keys()
+        for y, w in nbrs.items():
+            assert 0 <= res[x][y] <= 2 * w
+            assert res[x][y] + res[y][x] == 2 * w
+            net[x] += w - res[x][y]
+    assert net.pop(s) == pushed == -net.pop(t)
+    assert set(net.values()) == {0}
+    cost, side = _smallest_min_cut_side(g, s, t)
+    assert pushed <= cost
+    assert min_cut(g, s, t) == Cut(side, cost)
+
+
+def test_prepush_fills_three_edge_paths():
+    # no s-t edge and no path s-x-t: the three-edge pass alone pushes the flow
+    g = DynamicGraph(edges=[(1, 2, 3), (2, 3, 5), (3, 4, 4), (2, 5, 2), (5, 4, 1)])
+    res = {x: nbrs.copy() for x, nbrs in g._adj.items()}
+    assert _prepush(res, 1, 4) == 3
+    assert min_cut(g, 1, 4) == Cut(frozenset({1}), 3)

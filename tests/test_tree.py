@@ -21,7 +21,9 @@ from dyncut.errors import (
     SameVertex,
     VertexMissing,
 )
+from dyncut.graph import apply_change
 from dyncut.mincut import counter
+from dyncut.stream import MIX_ORDER, GenParams, generate
 from helpers import checked_complete, graphs, path
 
 
@@ -69,6 +71,19 @@ class TestStaticBuild:
         assert counter.value - before == g.vertex_count - 1
         assert verify_cut_tree(tree, g).ok
 
+    @pytest.mark.parametrize("seed", [5, 5 + 1_000_003])
+    def test_certified_at_benchmark_scale(self, seed):
+        # the final graphs of the grow_increase benchmark workload at seed 5;
+        # far past the enumeration cap, so the certificate's flows run on
+        # the oracle's own Edmonds-Karp, not on the kernel under test
+        params = GenParams(100, 1500, 8, dict(zip(MIX_ORDER, (0, 0, 0.6, 0, 0.4, 0))))
+        g = DynamicGraph()
+        for event in generate(params, seed).events:
+            apply_change(g, event)
+        assert (g.vertex_count, g.edge_count) == (100, 900)
+        report = verify_cut_tree(static_build(g), g)
+        assert report.ok, report.violations[:3]
+
 
 class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
@@ -100,6 +115,33 @@ class TestComplete:
         assert verify_cut_tree(work, raised).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
             assert query_value(work, a, b) == 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_checked_from_a_thin_path(self, seed):
+        # the shape update_increase hands over: a thin tree path between fat
+        # subtrees.  The whole path is thinned here, since the path edge that
+        # update_increase keeps fat is a minimum cut of the path's ends, not
+        # always of its own, until the splits re-hang it.
+        rng = random.Random(seed)
+        # a weighted path with light chords has a deep cut tree
+        g = DynamicGraph(edges=[(i, i + 1, rng.randint(3, 8)) for i in range(23)])
+        for _ in range(8):
+            u, v = rng.sample(range(24), 2)
+            if not g.has_edge(u, v):
+                g.add_edge(u, v, rng.randint(1, 2))
+        work = static_build(g)
+
+        def farthest(x):
+            return max(g.vertices - {x}, key=lambda y: len(work.path_vertices(x, y)))
+
+        a = farthest(0)
+        verts = work.path_vertices(a, farthest(a))
+        assert len(verts) > 10
+        for x, y in zip(verts, verts[1:]):
+            work.mark_thin(x, y)
+        with checked_complete(g):
+            assert complete(work, g) == len(verts) - 1
+        assert verify_cut_tree(work, g).ok
 
     def test_lying_fat_label_caught_in_verify_mode(self, t3):
         # the thin edge makes complete split once, so the check runs
