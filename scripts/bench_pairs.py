@@ -17,8 +17,9 @@ The result goes to ``BENCH_<L>.json`` in the current directory.  For each
 end-to-end metric of ``BENCHMARK.json`` it gives both sides' median and
 quartiles over the pairs, and ``change_better``, the number of pairs in
 which the change read better.  ``failed`` sums each side's failed
-operations.  An existing file keeps its other workloads, so one file can
-hold several.  A run that exits non-zero, or whose output check fails,
+operations, and ``parent`` is the full commit id the change was compared
+against.  An existing file keeps its other workloads, each with its own
+parent, so one file can hold several.  A run that exits non-zero, or whose output check fails,
 stops the script.
 """
 
@@ -121,6 +122,7 @@ def main(argv=None) -> int:
     out = Path(f"BENCH_{args.label}.json")
     workloads = json.loads(out.read_text())["workloads"] if out.exists() else {}
     workloads[args.workload] = {
+        "parent": sha,
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
@@ -129,9 +131,9 @@ def main(argv=None) -> int:
     }
     about = (
         "End-to-end metrics of 'perfbench/run.py --trace 0' over alternating pairs of "
-        f"runs of parent {sha} and the change, same seed and --seconds, made by "
-        "scripts/bench_pairs.py. Each metric gives both sides' median and quartiles "
-        "over the pairs and the number of pairs the change read better."
+        "runs of each workload's parent commit and the change, same seed and --seconds, "
+        "made by scripts/bench_pairs.py. Each metric gives both sides' median and "
+        "quartiles over the pairs and the number of pairs the change read better."
     )
     out.write_text(json.dumps({"about": about, "workloads": workloads}, indent=1) + "\n")
     print(f"wrote {out}")

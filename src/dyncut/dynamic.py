@@ -8,6 +8,9 @@ touch the changed path from a heap, most expensive first, and re-certifies
 each by a cost threshold, a bridge/zero-cost rule, or (only when those
 fail) the Gomory-Hu step of ``complete``, :func:`dyncut.tree.cut_step`: a
 fresh min-cut that reshapes the tree only when it finds a cheaper cut.
+Every cut of a leaf u at the same path vertex v contracts the same graph,
+the subtrees beyond v's other neighbours, so the walk builds that quotient
+once per v and drops every kept one when a cut moves a subtree.
 
 Every routine edits the tree it is given.  The vertex routines return
 nothing; the increase and decrease routines return the event's
@@ -41,7 +44,7 @@ from .graph import (
     pair_key,
 )
 from .mincut import min_cut
-from .tree import CutTree, complete, cut_step, query_value
+from .tree import CutTree, complete, contract_links, cut_step, query_value
 
 EXISTING_BRIDGE = "existing-bridge"
 NEW_BRIDGE = "new-bridge"
@@ -244,6 +247,8 @@ def update_decrease(
 
     for v in pverts:
         push_frontier(v)
+    # path vertex v -> the quotient and node map that every cut of a leaf at v uses
+    leaf_quotients: dict[int, tuple[DynamicGraph, dict[int, int]]] = {}
     cuts = 0
     breakdown: dict[str, int] = {}
     accepted: list[tuple[Pair, int, str]] = []
@@ -277,7 +282,16 @@ def update_decrease(
         else:
             # the node is v plus u's subtree; v's other subtrees hang off it
             links = [(x, v) for x in tree.neighbors(v) if x != u]
-            cut, moved = cut_step(tree, graph, links, u, v)
+            contraction = None
+            if len(tree.neighbors(u)) == 1:
+                # a leaf u stays a singleton, so every leaf at v shares v's quotient
+                contraction = leaf_quotients.get(v)
+                if contraction is None:
+                    contraction = leaf_quotients[v] = contract_links(tree, graph, links)
+            cut, moved = cut_step(tree, graph, links, u, v, contraction)
+            if moved:
+                # a moved subtree changes the groups of the quotients around it
+                leaf_quotients.clear()
             cuts += 1
             if cut.cost > stale:
                 raise InternalInvariantViolation(

@@ -313,23 +313,36 @@ def query_cut(tree: CutTree, u: int, v: int) -> Cut:
 IntermediateTree = CutTree
 
 
+def contract_links(
+    tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]]
+) -> tuple[DynamicGraph, dict[int, int]]:
+    """``graph`` with the subtree beyond each link ``(far, near)`` contracted, and its node map."""
+    adj = tree._adj
+    # a leaf is a one-vertex subtree, which contract would leave as it is
+    return contract(graph, [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1])
+
+
 def cut_step(
-    tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]], u: int, v: int
+    tree: CutTree,
+    graph: DynamicGraph,
+    links: list[tuple[int, int]],
+    u: int,
+    v: int,
+    contraction: tuple[DynamicGraph, dict[int, int]] | None = None,
 ) -> tuple[Cut, list[int]]:
     """One Gomory-Hu step: cut u from v, then re-hang the node's subtrees by side.
 
     ``links`` are the tree edges ``(far, near)`` that leave a node holding u
     and v, ``near`` inside it.  The subtree beyond each ``far`` is contracted
-    for the cut; one that lands on the other side from its ``near`` moves,
-    with its cost and kind, to u or v, whichever shares its side.  No move
-    can close a cycle: far's subtree is cut off first, and u and v lie in
-    the other part.
+    for the cut; ``contraction``, if given, must be what
+    :func:`contract_links` returns for them now.  A subtree that lands on the
+    other side from its ``near`` moves, with its cost and kind, to u or v,
+    whichever shares its side.  No move can close a cycle: far's subtree is
+    cut off first, and u and v lie in the other part.
     Returns the cut and the far ends that moved.
     """
     adj = tree._adj
-    # a leaf is a one-vertex subtree, which contract would leave as it is
-    groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
-    quotient, node_of = contract(graph, groups)
+    quotient, node_of = contraction or contract_links(tree, graph, links)
     cut = min_cut(quotient, u, v)
     moved = []
     for far, near in links:
@@ -371,8 +384,11 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
 def complete(tree: CutTree, graph: DynamicGraph) -> int:
     """Unfold a partial tree, in place, into a finished cut tree of ``graph``.
 
-    Every fat edge of the input must already be a minimum cut of ``graph``
-    between its endpoints, labelled with its cost; each split keeps that so.
+    Every fat edge of the input must already hold Gomory and Hu's
+    node-level property: its two sides form a minimum cut of ``graph``, at
+    its cost, between some member of the compound node at one end and some
+    member of the node at the other.  Each split keeps that so, and once
+    every node is a single vertex the cut separates the edge's own ends.
     Spends exactly one min-cut computation per thin edge of the input and
     returns their number.
     """

@@ -19,6 +19,7 @@ from dyncut import (
     REMOVE_VERTEX,
     Cut,
     DynamicGraph,
+    contract,
     cut_cost,
     verify_cut_tree,
 )
@@ -195,7 +196,15 @@ def _assert_partial_tree(tree, graph, lam, thin_graph=None, thin_lam=None):
 
 @contextmanager
 def checked_complete(graph):
-    """Certify the fat edges before and after every split ``complete`` makes on ``graph``."""
+    """Certify the fat edges before and after every split ``complete`` makes on ``graph``.
+
+    ``complete`` needs only Gomory and Hu's node-level property: each fat
+    edge's two sides form a minimum cut, at its cost, between some member of
+    each end's compound node.  This check asks more, a minimum cut between
+    the edge's own ends, so it suits inputs whose fat edges already hold
+    that.  The path edge that ``update_increase`` keeps fat is a minimum
+    cut of the changed pair and can fail it until the splits re-hang it.
+    """
     lam = _connectivity(graph)
     split = dyncut.tree._split_node
 
@@ -217,7 +226,11 @@ def checked_decrease_walk(graph, b, d, delta):
     ``graph`` is the graph after {b, d} lost ``delta``.  Thin edges must be
     minimum cuts of the graph before the change, fat edges of the graph
     after.  At each cut, the near end v must lie on the current b-d tree
-    path and the far end u off it.
+    path and the far end u off it, and the quotient that ``min_cut``
+    receives, with the node map beside it, must equal a fresh contraction of
+    the subtrees beyond v's other links in the current tree.  A quotient the
+    walk reused after a reshape changed those subtrees fails here, even
+    where the cut it yields happens to be right.
     """
     before = graph.copy()
     if before.has_edge(b, d):
@@ -226,15 +239,27 @@ def checked_decrease_walk(graph, b, d, delta):
         before.add_edge(b, d, delta)
     lam_before, lam_after = _connectivity(before), _connectivity(graph)
     cut_step, fatten = dyncut.dynamic.cut_step, dyncut.dynamic._fatten_subtree
+    min_cut = dyncut.tree.min_cut
+    fresh = []  # the quotient the pending cut must receive
 
     def check(tree):
         _assert_partial_tree(tree, graph, lam_after, before, lam_before)
 
-    def checked_cut_step(tree, g, links, u, v):
+    def checked_cut_step(tree, g, links, u, v, contraction=None):
         on_path = tree.path_vertices(b, d)
         assert v in on_path and u not in on_path, (u, v, on_path)
         check(tree)
-        return cut_step(tree, g, links, u, v)
+        quotient, node_of = contract(g, [tree.subtree(far, near) for far, near in links])
+        if contraction is not None:
+            assert contraction[1] == node_of, f"stale node map for the cut of {u} from {v}"
+        fresh.append(quotient)
+        result = cut_step(tree, g, links, u, v, contraction)
+        assert not fresh, f"the cut of {u} from {v} reached no min_cut"
+        return result
+
+    def checked_min_cut(quotient, s, t):
+        assert quotient == fresh.pop(), f"stale quotient for the cut of {s} from {t}"
+        return min_cut(quotient, s, t)
 
     def checked_fatten(tree, u, v):
         inherited = fatten(tree, u, v)
@@ -244,4 +269,5 @@ def checked_decrease_walk(graph, b, d, delta):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dyncut.dynamic, "cut_step", checked_cut_step)
         mp.setattr(dyncut.dynamic, "_fatten_subtree", checked_fatten)
+        mp.setattr(dyncut.tree, "min_cut", checked_min_cut)
         yield

@@ -210,6 +210,21 @@ class TestDecrease:
             ((1, 3), 8, RULE_ZERO_OR_BRIDGE),
         )
 
+    def test_leaf_cut_after_a_reshape_at_the_same_vertex(self):
+        # Lowering {1,3} to 1: the cut of leaf 2 from 3 pulls flank 1 onto 2,
+        # so the next leaf cut at 3, of 4, must see {1, 2} as one node.  A
+        # quotient of 3's leaves kept from before the reshape fails the check.
+        g = DynamicGraph(edges=[(1, 2, 6), (1, 3, 6), (2, 3, 3), (2, 4, 4), (3, 4, 7)])
+        tree = static_build(g)
+        assert tree.to_lines() == ["1 3 12", "2 3 13", "3 4 11"]
+        g.decrease_weight(1, 3, 5)
+        with checked_decrease_walk(g, 1, 3, 5):
+            stats = update_decrease(tree, g, 1, 3, 5)
+        assert tree.to_lines() == ["1 2 7", "2 3 8", "3 4 11"]
+        assert verify_cut_tree(tree, g).ok
+        assert stats.cuts_used == 2
+        assert stats.reuse_breakdown == {RULE_RECOMPUTED: 1, RULE_REVALIDATED: 1}
+
     def test_deletion_reports_remove_edge_event(self, t3, t3_tree):
         new = t3.copy()
         new.remove_edge(2, 3)

@@ -187,6 +187,23 @@ def test_golden_per_event_audit(mix, seed, audit_digest):
     assert _digest(text) == audit_digest
 
 
+def test_leaf_cuts_share_a_quotient(monkeypatch):
+    # The stream of the dense_churn digests above.  Every cut of a leaf at
+    # the same path vertex reuses one contraction until a reshape, so the
+    # replay contracts fewer times than it cuts.
+    calls = {"contract": 0, "min_cut": 0}
+    for name in calls:
+        real = getattr(tree_mod, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(tree_mod, name, counted)
+    replay(generate(GenParams(n_vertices=40, n_events=400, mix=CHURN_MIX), seed=1))
+    assert calls == {"contract": 696, "min_cut": 1561}
+
+
 def test_update_increase_edits_tree_as_complete_does():
     report = replay(generate(GenParams(n_vertices=40, n_events=400, mix=GROW_MIX), seed=5))
     final, graph = report.final_tree, report.final_graph
