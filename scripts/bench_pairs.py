@@ -18,8 +18,11 @@ end-to-end metric of ``BENCHMARK.json`` it gives both sides' median and
 quartiles over the pairs, and ``change_better``, the number of pairs in
 which the change read better.  ``failed`` sums each side's failed
 operations, and ``parent`` is the full commit id the change was compared
-against.  An existing file keeps its other workloads, each with its own
-parent, so one file can hold several.  A run that exits non-zero, or whose output check fails,
+against.  ``change`` says what the change side was: ``base``, the commit
+the working tree sits on, and ``modified``, the tracked files that differ
+from it (``git diff --name-only HEAD``), empty when the change side is
+exactly ``base``.  An existing file keeps its other workloads, each with
+its own parent, so one file can hold several.  A run that exits non-zero, or whose output check fails,
 stops the script.
 """
 
@@ -48,6 +51,15 @@ def export(rev: str, dest: Path) -> str:
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
     return sha
+
+
+def working_tree() -> dict:
+    """The commit this checkout sits on and the tracked files that differ from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                              capture_output=True, text=True).stdout
+    return {"base": git("rev-parse", "HEAD").strip(),
+            "modified": git("diff", "--name-only", "HEAD").splitlines()}
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -105,6 +117,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
+    change = working_tree()
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         parent_root = Path(tmp) / "parent"
@@ -123,6 +136,7 @@ def main(argv=None) -> int:
     workloads = json.loads(out.read_text())["workloads"] if out.exists() else {}
     workloads[args.workload] = {
         "parent": sha,
+        "change": change,
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,

@@ -6,12 +6,17 @@ vertices reachable from ``s`` in the residual network of a maximum flow.
 That is the smallest minimum s-t cut side, the same for every maximum flow
 and every vertex or edge order, so results are deterministic.
 
-The kernel pushes integer flow on a residual copy of the adjacency dicts:
-greedily along the s-t edge, every path s-x-t and every path s-x-y-t, then
-along shortest paths steered by distance labels, until a gap in the labels
-cuts s off from t (Ahuja & Orlin 1991).  The greedy paths only seed the
-flow; the labelled search finds the rest and proves it maximum.  A search
-from s over residual arcs yields the side.
+The kernel pushes integer flow on a residual copy of the adjacency dicts,
+from whichever end has the smaller weighted degree (s on a tie), since
+that end's arcs most often bound the flow: greedily along the s-t edge,
+every two-edge path and every three-edge path from the source, then along
+shortest paths steered by distance labels, until a gap in the labels cuts
+the source off from the sink (Ahuja & Orlin 1991).  The greedy paths only
+seed the flow; the labelled search finds the rest and proves it maximum.
+The side is read by one search from s: over residual arcs when the flow
+left s, over reversed residual arcs (the vertices that can still send flow
+to s) when it came from t.  Either way it is the same smallest side.  t
+never joins it, so the search stops once it holds every vertex but t.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
     """Minimum s-t cut of an undirected weighted graph.
 
     The cost equals the s-t max-flow value; the stored side contains ``s``.
+    The flow is pushed from the end of smaller weighted degree, so a light
+    t is saturated from its own few arcs; the side is the same either way.
     Disconnected endpoints yield a zero-cost cut whose side is the connected
     component of ``s``; that still counts as one cut computation.
     """
@@ -59,21 +66,34 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
     counter.increment()
     # res[x][y] is the residual capacity of arc x->y; an edge is two arcs of its weight
     res = {x: nbrs.copy() for x, nbrs in graph._adj.items()}
-    flow = _prepush(res, s, t) + _augment(res, s, t)
-    side, todo = {s}, [s]
-    while todo:
-        for y, c in res[todo.pop()].items():
-            if c and y not in side:
-                side.add(y)
-                todo.append(y)
+    # t never joins the side, so the search stops once only t is left out
+    side, todo, rest = {s}, [s], len(res) - 1
+    if sum(res[t].values()) < sum(res[s].values()):
+        # flow from t to s; s's side is what still reaches s over residual arcs
+        flow = _prepush(res, t, s) + _augment(res, t, s)
+        while todo and len(side) < rest:
+            x = todo.pop()
+            for y in res[x]:
+                if y not in side and res[y][x]:
+                    side.add(y)
+                    todo.append(y)
+    else:
+        flow = _prepush(res, s, t) + _augment(res, s, t)
+        while todo and len(side) < rest:
+            for y, c in res[todo.pop()].items():
+                if c and y not in side:
+                    side.add(y)
+                    todo.append(y)
     return Cut(frozenset(side), flow)
 
 
 def _prepush(res, s, t) -> int:
     """Push greedily along the s-t edge, every path s-x-t, then every path s-x-y-t.
 
-    Each path takes the smallest of its residuals.  The three-edge pass reads
-    each arc of s's neighbours once, so the whole pass stays O(m).
+    ``s`` is the source the flow leaves and ``t`` the sink, whichever ends of
+    the cut they are.  Each path takes the smallest of its residuals.  The
+    three-edge pass reads each arc of the source's neighbours once, so the
+    whole pass stays O(m).
     """
     rs, rt = res[s], res[t]
     flow = rs.get(t, 0)

@@ -215,13 +215,13 @@ class CutTree:
         """The compound node containing v: vertices connected by thin edges."""
         if v not in self._adj:
             raise VertexMissing(f"no vertex {v}")
-        adj, thin = self._adj, self._thin
-        seen, found = {v}, [v]
-        for x in found:
-            for y in adj[x]:
-                if y not in seen and pair_key(x, y) in thin:
-                    seen.add(y)
-                    found.append(y)
+        # walk the thin edges alone: a member's row may hold many fat edges
+        nbrs: dict[int, list[int]] = {}
+        for x, y in self._thin:
+            nbrs.setdefault(x, []).append(y)
+            nbrs.setdefault(y, []).append(x)
+        seen: set[int] = set()
+        _reach(nbrs, v, seen)
         return seen
 
     def next_multi_node(self) -> set[int] | None:

@@ -154,12 +154,59 @@ def test_source_saturated_beside_a_vertex_of_its_distance():
     assert min_cut(g, 1, 4) == Cut(frozenset({1}), 1)
 
 
+def _weighted_degree(g, v):
+    return sum(g.neighbors(v).values())
+
+
 def test_input_graph_unchanged():
     g = sparse_graph(random.Random(7), 60, big=False)
     adj = {x: dict(nbrs) for x, nbrs in g._adj.items()}
-    for s, t in [(0, 59), (3, 17), (59, 0)]:
+    heavy = max(g.vertices, key=lambda v: (_weighted_degree(g, v), v))
+    light = min(g.vertices, key=lambda v: (_weighted_degree(g, v), v))
+    assert _weighted_degree(g, light) < _weighted_degree(g, heavy)
+    for s, t in [(0, 59), (3, 17), (59, 0), (heavy, light)]:
         min_cut(g, s, t)
     assert g._adj == adj
+
+
+# In the cases below t is the lighter end, so the flow runs from t and
+# s's side is read by a search over reversed residual arcs.
+
+
+def test_lighter_sink_degree_cut_is_the_only_minimum():
+    # s = 0 in a triangle of weight 3, then a chain 2-3-4 of weight 4;
+    # t = 9 hangs off 3 and 4 by weight 1 each, so every other cut costs
+    # more than 2.  The search meets 4 last, alone, and stops there.
+    edges = [(0, 1, 3), (0, 2, 3), (1, 2, 3), (2, 3, 4), (3, 4, 4), (3, 9, 1), (4, 9, 1)]
+    g = DynamicGraph(edges=edges)
+    assert _weighted_degree(g, 9) < _weighted_degree(g, 0)
+    assert min_cut(g, 0, 9) == Cut(frozenset(range(5)), 2)
+
+
+def test_lighter_sink_smallest_side_inside_the_rest():
+    # s = 0 in a 5-clique of weight 4; the clique reaches t = 9 only
+    # through x = 5, by weight 2 on both sides, so the clique alone and
+    # everything but t are both minimum sides; the smallest is the clique
+    edges = [(a, b, 4) for a, b in itertools.combinations(range(5), 2)]
+    g = DynamicGraph(edges=edges + [(3, 5, 1), (4, 5, 1), (5, 9, 2)])
+    assert _weighted_degree(g, 9) < _weighted_degree(g, 0)
+    assert min_cut(g, 0, 9) == Cut(frozenset(range(5)), 2)
+
+
+def test_lighter_sink_isolated():
+    # t = 9 has no edges; s's component is larger than t's, and a third
+    # component stays off the side
+    g = DynamicGraph(vertices=[9], edges=[(1, 2, 2), (2, 3, 1), (3, 1, 5), (7, 8, 4)])
+    assert min_cut(g, 1, 9) == Cut(frozenset({1, 2, 3}), 0)
+
+
+def test_equal_degree_ends():
+    # deg(s) = deg(t) = 5, so neither end is the lighter; the smallest
+    # minimum side is {s}, though t's degree cut costs 5 as well
+    g = DynamicGraph(edges=[(1, 2, 3), (1, 3, 2), (2, 3, 9), (2, 4, 3), (3, 4, 2)])
+    assert _weighted_degree(g, 1) == _weighted_degree(g, 4)
+    assert min_cut(g, 1, 4) == Cut(frozenset({1}), 5)
+    assert min_cut(g, 4, 1) == Cut(frozenset({4}), 5)
 
 
 def _three_hop_graph(seed):
