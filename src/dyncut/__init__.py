@@ -34,12 +34,7 @@ from .graph import (
     cut_cost,
 )
 from .mincut import CutCounter, counter, min_cut
-from .oracle import (
-    VerifyReport,
-    Violation,
-    all_pairs_connectivity,
-    verify_cut_tree,
-)
+from .oracle import VerifyReport, Violation, verify_cut_tree
 from .replay import ReplayReport, ReplayRow, apply_event, replay
 from .stream import (
     BALANCED_EDGE_MIX,
@@ -81,7 +76,6 @@ __all__ = [
     "UpdateStats",
     "VerifyReport",
     "Violation",
-    "all_pairs_connectivity",
     "apply_change",
     "apply_event",
     "complete",

@@ -33,10 +33,6 @@ class OverlappingGroups(DynCutError):
     pass
 
 
-class UnknownVertex(DynCutError):
-    pass
-
-
 class SameVertex(DynCutError):
     pass
 
@@ -50,10 +46,6 @@ class InternalInvariantViolation(DynCutError):
 
 
 class VertexSetMismatch(DynCutError):
-    pass
-
-
-class EnumerationTooLarge(DynCutError):
     pass
 
 

@@ -17,7 +17,6 @@ from .errors import (
     EdgeMissing,
     InvalidDelta,
     OverlappingGroups,
-    UnknownVertex,
     VertexExists,
     VertexMissing,
     VertexNotIsolated,
@@ -43,7 +42,6 @@ EVENT_KINDS = (
 )
 
 _VERTEX_KINDS = frozenset({ADD_VERTEX, REMOVE_VERTEX})
-_EDGE_KINDS = frozenset(EVENT_KINDS) - _VERTEX_KINDS
 _DELTA_KINDS = frozenset({ADD_EDGE, INCREASE_WEIGHT, DECREASE_WEIGHT})
 
 
@@ -308,7 +306,7 @@ def contract(
         rep = min(members)
         for v in members:
             if v not in adj:
-                raise UnknownVertex(f"vertex {v} not in graph")
+                raise VertexMissing(f"vertex {v} not in graph")
             if v in node_of:
                 raise OverlappingGroups(f"vertex {v} appears in two groups")
             node_of[v] = rep
@@ -344,7 +342,7 @@ def cut_cost(graph: DynamicGraph, side: Iterable[int]) -> int:
     side = set(side)
     for v in side:
         if v not in graph.vertices:
-            raise UnknownVertex(f"vertex {v} not in graph")
+            raise VertexMissing(f"vertex {v} not in graph")
     total = 0
     for u, v, w in graph.edges():
         if (u in side) != (v in side):

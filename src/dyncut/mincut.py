@@ -42,10 +42,6 @@ class CutCounter:
     def value(self) -> int:
         return self._count
 
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
 
 counter = CutCounter()
 

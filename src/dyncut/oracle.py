@@ -8,59 +8,16 @@ give every pair's connectivity, so n-1 flows check the whole tree.
 Those connectivities come from :func:`max_flow_value`, a plain Edmonds-Karp
 (shortest augmenting paths found by breadth-first search) on a residual copy
 of the adjacency rows.  It shares no code with the kernel that builds the
-trees, so a fault there cannot vouch for itself.  :func:`all_pairs_connectivity`
-instead inspects all 2^(n-1) bipartitions: independent of any flow code, and
-capped at 12 vertices.
+trees, so a fault there cannot vouch for itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import EmptyGraph, EnumerationTooLarge, SameVertex, VertexSetMismatch
+from .errors import SameVertex, VertexSetMismatch
 from .graph import DynamicGraph, Pair, cut_cost, pair_key
 from .tree import CutTree
-
-MAX_ENUMERATION_VERTICES = 12
-
-
-def _bits(n: int) -> np.ndarray:
-    """Membership table of all bipartitions with vertex 0 pinned to one side."""
-    masks = np.arange(1 << (n - 1), dtype=np.int32)
-    bits = np.zeros((n, len(masks)), dtype=bool)
-    bits[1:] = (masks >> np.arange(n - 1, dtype=np.int32)[:, None]) & 1
-    return bits
-
-
-def all_pairs_connectivity(graph: DynamicGraph) -> dict[Pair, int]:
-    """Minimum cut cost for every vertex pair, by checking every bipartition."""
-    verts = sorted(graph.vertices)
-    n = len(verts)
-    if n == 0:
-        raise EmptyGraph("graph has no vertices")
-    if n > MAX_ENUMERATION_VERTICES:
-        raise EnumerationTooLarge(
-            f"{n} vertices exceed the enumeration cap of {MAX_ENUMERATION_VERTICES}"
-        )
-    if n == 1:
-        return {}
-    index = {v: i for i, v in enumerate(verts)}
-    bits = _bits(n)
-    # no cut costs more than the total weight, so int64 sums are exact below
-    # 2**63; heavier graphs add Python integers instead
-    dtype = np.int64 if sum(w for _, _, w in graph.edges()) < 2**63 else object
-    costs = np.zeros(bits.shape[1], dtype=dtype)
-    for u, v, w in graph.edges():
-        costs += np.multiply(bits[index[u]] ^ bits[index[v]], w, dtype=dtype)
-    lam: dict[Pair, int] = {}
-    for i in range(n):
-        bi = bits[i]
-        for j in range(i + 1, n):
-            sep = bi ^ bits[j]
-            lam[(verts[i], verts[j])] = int(costs[sep].min())
-    return lam
 
 
 def max_flow_value(graph: DynamicGraph, s: int, t: int) -> int:

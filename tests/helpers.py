@@ -4,6 +4,7 @@ import random
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 import networkx as nx
 from networkx.algorithms.flow import boykov_kolmogorov
@@ -23,8 +24,7 @@ from dyncut import (
     cut_cost,
     verify_cut_tree,
 )
-from dyncut.errors import UnknownVertex
-from dyncut.oracle import MAX_ENUMERATION_VERTICES, all_pairs_connectivity
+from dyncut.errors import EmptyGraph, VertexMissing
 from dyncut.stream import MIX_ORDER, _applicable, _draw
 
 SCENARIO_MIX = {
@@ -50,6 +50,54 @@ def graphs(draw, min_vertices=2, max_vertices=7, max_weight=9):
     )
     edges = [(u, v, w) for (u, v), k, w in zip(pairs, keep, weights) if k]
     return DynamicGraph(vertices=verts, edges=edges)
+
+
+MAX_ENUMERATION_VERTICES = 12
+
+
+class EnumerationTooLarge(Exception):
+    pass
+
+
+def _bits(n: int) -> np.ndarray:
+    """Membership table of all bipartitions with vertex 0 pinned to one side."""
+    masks = np.arange(1 << (n - 1), dtype=np.int32)
+    bits = np.zeros((n, len(masks)), dtype=bool)
+    bits[1:] = (masks >> np.arange(n - 1, dtype=np.int32)[:, None]) & 1
+    return bits
+
+
+def all_pairs_connectivity(graph):
+    """Minimum cut cost for every vertex pair, by checking all 2^(n-1) bipartitions.
+
+    Independent of any flow code, so it can judge both the kernel under test
+    and the certificate's own Edmonds-Karp; capped at 12 vertices.
+    """
+    verts = sorted(graph.vertices)
+    n = len(verts)
+    if n == 0:
+        raise EmptyGraph("graph has no vertices")
+    if n > MAX_ENUMERATION_VERTICES:
+        raise EnumerationTooLarge(
+            f"{n} vertices exceed the enumeration cap of {MAX_ENUMERATION_VERTICES}"
+        )
+    if n == 1:
+        return {}
+    index = {v: i for i, v in enumerate(verts)}
+    bits = _bits(n)
+    # no cut costs more than the total weight, so int64 sums are exact below
+    # 2**63; heavier graphs add Python integers instead
+    dtype = np.int64 if sum(w for _, _, w in graph.edges()) < 2**63 else object
+    costs = np.zeros(bits.shape[1], dtype=dtype)
+    for u, v, w in graph.edges():
+        costs += np.multiply(bits[index[u]] ^ bits[index[v]], w, dtype=dtype)
+    lam = {}
+    for i in range(n):
+        bi = bits[i]
+        for j in range(i + 1, n):
+            sep = bi ^ bits[j]
+            lam[(verts[i], verts[j])] = int(costs[sep].min())
+    return lam
 
 
 def random_graph(rng: random.Random, n_min=4, n_max=10, edge_prob=0.5, max_weight=8):
@@ -149,7 +197,7 @@ def bend_cut(graph, moving, shelter, mode):
     """
     for x in moving.side | shelter.side:
         if x not in graph.vertices:
-            raise UnknownVertex(f"vertex {x} not in graph")
+            raise VertexMissing(f"vertex {x} not in graph")
     if mode == "absorb":
         side = moving.side | shelter.side
     elif mode == "evict":

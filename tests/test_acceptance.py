@@ -14,7 +14,6 @@ from dyncut import (
     CutTree,
     DynamicGraph,
     GenParams,
-    all_pairs_connectivity,
     apply_event,
     cut_cost,
     detect_bridge,
@@ -29,7 +28,13 @@ from dyncut import (
 from dyncut.dynamic import EXISTING_BRIDGE, NON_BRIDGE
 from dyncut.mincut import counter
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
-from helpers import SCENARIO_MIX, bend_cut, random_event, random_graph
+from helpers import (
+    SCENARIO_MIX,
+    all_pairs_connectivity,
+    bend_cut,
+    random_event,
+    random_graph,
+)
 
 SUITE1_SCENARIOS = 1000
 SUITE1_EVENTS = 40

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dyncut
 from dyncut.cli import main
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
@@ -79,3 +85,12 @@ def test_missing_file_fails_cleanly(capsys):
     rc = main(["build", "/nonexistent/stream.txt"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_loads_no_numpy():
+    # the package and its CLI run on the standard library alone; a fresh
+    # interpreter shows what importing them pulls in
+    src = str(Path(dyncut.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import dyncut, dyncut.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -6,7 +6,6 @@ from dyncut import (
     ChangeEvent,
     CutTree,
     DynamicGraph,
-    all_pairs_connectivity,
     apply_event,
     cut_cost,
     detect_bridge,
@@ -46,7 +45,13 @@ from dyncut.graph import (
     pair_key,
 )
 from dyncut.mincut import counter
-from helpers import SCENARIO_MIX, checked_decrease_walk, random_event, random_graph
+from helpers import (
+    SCENARIO_MIX,
+    all_pairs_connectivity,
+    checked_decrease_walk,
+    random_event,
+    random_graph,
+)
 
 
 class TestVertexUpdates:

@@ -5,10 +5,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from dyncut import Cut, DynamicGraph, all_pairs_connectivity, cut_cost, min_cut
+from dyncut import Cut, DynamicGraph, cut_cost, min_cut
 from dyncut.errors import SameVertex, VertexMissing
 from dyncut.mincut import _prepush, counter
-from helpers import graphs, nx_min_cut, sparse_graph
+from helpers import all_pairs_connectivity, graphs, nx_min_cut, sparse_graph
 
 
 def test_t3_cut(t3):

@@ -8,7 +8,6 @@ from dyncut import (
     Cut,
     CutTree,
     DynamicGraph,
-    all_pairs_connectivity,
     cut_cost,
     min_cut,
     static_build,
@@ -16,15 +15,22 @@ from dyncut import (
 )
 from dyncut.errors import (
     EmptyGraph,
-    EnumerationTooLarge,
     SameVertex,
-    UnknownVertex,
     VertexMissing,
     VertexSetMismatch,
 )
 from dyncut.graph import pair_key
-from dyncut.oracle import _bits, max_flow_value
-from helpers import bend_cut, graphs, nx_min_cut, random_graph, sparse_graph
+from dyncut.oracle import max_flow_value
+from helpers import (
+    EnumerationTooLarge,
+    _bits,
+    all_pairs_connectivity,
+    bend_cut,
+    graphs,
+    nx_min_cut,
+    random_graph,
+    sparse_graph,
+)
 
 
 class TestAllPairs:
@@ -197,7 +203,7 @@ class TestBendCut:
         assert bent.cost == 2
 
     def test_unknown_vertex(self, c4):
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(VertexMissing):
             bend_cut(c4, Cut(frozenset({9}), 0), Cut(frozenset({1}), 2), "absorb")
 
     def test_degenerate_bend_rejected(self, c4):

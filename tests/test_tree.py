@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from dyncut import (
     CutTree,
     DynamicGraph,
-    all_pairs_connectivity,
     complete,
     cut_cost,
     query_cut,
