@@ -11,10 +11,10 @@ nodes and carry stale costs.  A finished cut tree has only fat edges.
 :func:`complete` unfolds a partial tree node by node, in place, until
 every edge is fat, spending one min-cut computation per thin edge.
 
-A tree is plain cost rows (``dict[int, dict[int, int]]``), the set of its
-thin edges' pair keys, and a parent map.  ``remove_edge`` makes the child a
-root, and ``add_edge`` is the one edit that re-roots: it everts the
-shallower end's path, hangs it below the other end, and refuses an edge
+A tree is plain cost rows (``dict[int, dict[int, int]]``), thin adjacency
+sets (``dict[int, set[int]]``), and a parent map.  ``remove_edge`` makes
+the child a root, and ``add_edge`` is the one edit that re-roots: it everts
+the shallower end's path, hangs it below the other end, and refuses an edge
 that would close a cycle.  So a tree path is two walks up to the lowest
 common ancestor, O(depth).  Link-cut trees (Sleator and Tarjan, "A data
 structure for dynamic trees", JCSS 1983) would bound that by O(log n); at
@@ -40,7 +40,7 @@ from .errors import (
     VertexExists,
     VertexMissing,
 )
-from .graph import Cut, DynamicGraph, Pair, contract, pair_key
+from .graph import Cut, DynamicGraph, contract
 from .mincut import min_cut
 
 
@@ -69,17 +69,19 @@ def _reach(nbrs: dict, start: int, seen: set[int]) -> list[int]:
 class CutTree:
     """Weighted tree on the graph's vertices encoding all-pairs minimum cuts.
 
-    ``_adj[u][v]`` is the cost of tree edge {u, v}.  ``_thin`` holds the pair
-    keys of the thin edges; every other edge is fat, and a finished tree has
-    none.  ``_up[x]`` is x's parent, or ``None`` at a root; the cost to it is
-    in the rows.  The root depends on the edit history, so equality ignores it.
+    ``_adj[u][v]`` is the cost of tree edge {u, v}.  ``_thin[u]`` is the set
+    of u's thin neighbours, for the vertices that have one: no empty set is
+    kept, so a compound node's walk reads its own members only.  Every other
+    edge is fat, and a finished tree has none.  ``_up[x]`` is x's parent, or
+    ``None`` at a root; the cost to it is in the rows.  The root depends on
+    the edit history, so equality ignores it.
     """
 
     __slots__ = ("_adj", "_thin", "_up")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
         self._adj: dict[int, dict[int, int]] = {}
-        self._thin: set[Pair] = set()
+        self._thin: dict[int, set[int]] = {}
         self._up: dict[int, int | None] = {}
         edges = list(edges)
         for v in (*vertices, *(x for u, v, _ in edges for x in (u, v))):
@@ -183,52 +185,74 @@ class CutTree:
         adj[u][v] = c
         adj[v][u] = c
         if thin:
-            self._thin.add(pair_key(u, v))
+            self._add_thin(u, v)
+
+    # unrolled, and no set is made that is not kept: a decrease walk marks
+    # and unmarks every stale edge of the tree
+    def _add_thin(self, u: int, v: int) -> None:
+        thin = self._thin
+        if u in thin:
+            thin[u].add(v)
+        else:
+            thin[u] = {v}
+        if v in thin:
+            thin[v].add(u)
+        else:
+            thin[v] = {u}
+
+    def _drop_thin(self, u: int, v: int) -> None:
+        thin = self._thin
+        nbrs = thin[u]
+        nbrs.remove(v)
+        if not nbrs:
+            del thin[u]
+        nbrs = thin[v]
+        nbrs.remove(u)
+        if not nbrs:
+            del thin[v]
 
     def remove_edge(self, u: int, v: int) -> None:
         self.cost(u, v)
         del self._adj[u][v]
         del self._adj[v][u]
-        self._thin.discard(pair_key(u, v))
+        if v in self._thin.get(u, ()):
+            self._drop_thin(u, v)
         self._up[u if self._up[u] == v else v] = None
 
     def is_thin(self, u: int, v: int) -> bool:
         self.cost(u, v)
-        return pair_key(u, v) in self._thin
+        return v in self._thin.get(u, ())
 
     def thin_edges(self) -> list[tuple[int, int, int]]:
         """Every thin edge as ``(u, v, cost)`` with u < v, in no fixed order."""
         adj = self._adj
-        return [(u, v, adj[u][v]) for u, v in self._thin]
+        return [(u, v, adj[u][v]) for u, nbrs in self._thin.items() for v in nbrs if u < v]
 
     def mark_fat(self, u: int, v: int, cost: int | None = None) -> None:
         self.cost(u, v)
-        self._thin.discard(pair_key(u, v))
+        if v in self._thin.get(u, ()):
+            self._drop_thin(u, v)
         if cost is not None:
             self.set_cost(u, v, cost)
 
     def mark_thin(self, u: int, v: int) -> None:
         self.cost(u, v)
-        self._thin.add(pair_key(u, v))
+        self._add_thin(u, v)
 
     def thin_component(self, v: int) -> set[int]:
         """The compound node containing v: vertices connected by thin edges."""
         if v not in self._adj:
             raise VertexMissing(f"no vertex {v}")
-        # walk the thin edges alone: a member's row may hold many fat edges
-        nbrs: dict[int, list[int]] = {}
-        for x, y in self._thin:
-            nbrs.setdefault(x, []).append(y)
-            nbrs.setdefault(y, []).append(x)
+        # walk the thin sets alone: a member's row may hold many fat edges
         seen: set[int] = set()
-        _reach(nbrs, v, seen)
+        _reach(self._thin, v, seen)
         return seen
 
     def next_multi_node(self) -> set[int] | None:
         """Compound node to process next: the one holding the smallest vertex."""
         if not self._thin:
             return None
-        return self.thin_component(min(self._thin)[0])
+        return self.thin_component(min(self._thin))
 
     def subtree(self, root: int, banned: int) -> set[int]:
         """Vertices on root's side when tree edge {root, banned} is ignored."""
@@ -254,7 +278,7 @@ class CutTree:
         """Independent copy; its rows drop the space that removed entries left."""
         t = CutTree()
         t._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
-        t._thin = self._thin.copy()
+        t._thin = {v: set(nbrs) for v, nbrs in self._thin.items()}
         t._up = dict(self._up)
         return t
 
@@ -316,10 +340,17 @@ IntermediateTree = CutTree
 def contract_links(
     tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]]
 ) -> tuple[DynamicGraph, dict[int, int]]:
-    """``graph`` with the subtree beyond each link ``(far, near)`` contracted, and its node map."""
+    """``graph`` with the subtree beyond each link ``(far, near)`` contracted, and its node map.
+
+    When every ``far`` is a leaf there is nothing to merge, so the result is
+    ``graph`` itself, not a copy, with the identity map; callers only read it.
+    """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is
-    return contract(graph, [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1])
+    groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
+    if not groups:
+        return graph, {v: v for v in graph.vertices}
+    return contract(graph, groups)
 
 
 def cut_step(
@@ -348,7 +379,7 @@ def cut_step(
     for far, near in links:
         to_u = node_of[far] in cut.side
         if (near in cut.side) != to_u:
-            c, thin = adj[far][near], pair_key(far, near) in tree._thin
+            c, thin = adj[far][near], near in tree._thin.get(far, ())
             tree.remove_edge(far, near)
             tree.add_edge(far, u if to_u else v, c, thin)
             moved.append(far)

@@ -20,8 +20,10 @@ from dyncut.errors import (
     SameVertex,
     VertexMissing,
 )
-from dyncut.graph import apply_change
+import dyncut.tree as tree_mod
+from dyncut.graph import apply_change, pair_key
 from dyncut.mincut import counter
+from dyncut.tree import contract_links
 from dyncut.stream import MIX_ORDER, GenParams, generate
 from helpers import checked_complete, graphs, path
 
@@ -271,6 +273,151 @@ class TestIntermediateTree:
         assert work.thin_component(1) == {1}
         assert work.subtree(1, 3) == {1}
         assert work.subtree(3, 1) == {2, 3}
+
+    def test_unmarked_thin_edge_leaves_no_trace(self, t3_tree):
+        work = t3_tree.copy()
+        work.mark_thin(2, 3)
+        work.mark_fat(3, 2)
+        assert work == t3_tree
+        work.mark_thin(1, 3)
+        work.remove_edge(3, 1)
+        assert work == CutTree(vertices=(1,), edges=[(2, 3, 3)])
+
+    def test_copy_has_its_own_thin_edges(self, t3_tree):
+        work = t3_tree.copy()
+        work.mark_thin(1, 3)
+        other = work.copy()
+        other.mark_fat(1, 3)
+        other.mark_thin(2, 3)
+        assert work.is_thin(1, 3) and not work.is_thin(2, 3)
+        assert work.thin_edges() == [(1, 3, 4)]
+
+    @given(st.integers(2, 10), st.integers(0, 10**6))
+    def test_thin_edits_match_a_pair_key_model(self, n, seed):
+        rng = random.Random(seed)
+        tree = CutTree(vertices=range(n))
+        thin: set[tuple[int, int]] = set()  # the reference: pair keys
+        for _ in range(60):
+            op = rng.choice(["ae", "ae", "re", "thin", "fat", "rv", "av"])
+            verts = sorted(tree.vertices)
+            edges = sorted((u, v) for u, v, _ in tree.edges())
+            if op == "ae" and len(verts) > 1:
+                u, v = rng.sample(verts, 2)
+                if _bfs_path(tree, u, v) is None:
+                    is_thin = rng.random() < 0.6
+                    tree.add_edge(u, v, rng.randint(0, 9), thin=is_thin)
+                    if is_thin:
+                        thin.add(pair_key(u, v))
+            elif op == "re" and edges:
+                u, v = rng.sample(rng.choice(edges), 2)
+                tree.remove_edge(u, v)
+                thin.discard(pair_key(u, v))
+            elif op == "thin" and edges:
+                u, v = rng.sample(rng.choice(edges), 2)
+                tree.mark_thin(u, v)
+                thin.add(pair_key(u, v))
+            elif op == "fat" and edges:
+                u, v = rng.sample(rng.choice(edges), 2)
+                tree.mark_fat(u, v, rng.randint(0, 9) if rng.random() < 0.5 else None)
+                thin.discard(pair_key(u, v))
+            elif op == "rv" and len(verts) > 2:
+                x = rng.choice(verts)
+                tree.remove_vertex(x)
+                thin = {p for p in thin if x not in p}
+            elif op == "av":
+                x = rng.randrange(2 * n)
+                if x not in tree.vertices:
+                    tree.add_vertex(x)
+            assert sorted((u, v) for u, v, _ in tree.thin_edges()) == sorted(thin)
+            assert all(c == tree.cost(u, v) for u, v, c in tree.thin_edges())
+            for u, v, _ in tree.edges():
+                assert tree.is_thin(v, u) == ((u, v) in thin)
+            nbrs: dict[int, set[int]] = {}
+            for u, v in thin:
+                nbrs.setdefault(u, set()).add(v)
+                nbrs.setdefault(v, set()).add(u)
+            for x in tree.vertices:
+                assert tree.thin_component(x) == _component(nbrs, x)
+            expected = _component(nbrs, min(thin)[0]) if thin else None
+            assert tree.next_multi_node() == expected
+            # no empty thin set is left behind, so equal trees compare equal
+            assert all(tree._thin.values())
+
+    def test_next_multi_node_reads_only_its_node(self):
+        # a small node {0, 1} holds the smallest vertex; k other two-vertex
+        # thin nodes hang off 0 by fat edges.  Finding the smallest thin
+        # vertex scans the thin map's keys; the walk then reads the entries
+        # of the node's own members, however many other nodes there are.
+        reads = {}
+        for k in (5, 500):
+            tree = CutTree(vertices=range(2 * k + 2))
+            tree.add_edge(0, 1, 0, thin=True)
+            for i in range(1, k + 1):
+                tree.add_edge(2 * i, 2 * i + 1, 0, thin=True)
+                tree.add_edge(0, 2 * i, 1)
+            tree._thin = _CountingDict(tree._thin)
+            assert tree.next_multi_node() == {0, 1}
+            reads[k] = tree._thin.reads
+        assert reads[5] == reads[500] <= 4, reads
+
+
+class _CountingDict(dict):
+    """A dict that counts the entries read through ``[]`` and ``get``."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def _component(nbrs, start):
+    seen, todo = {start}, [start]
+    while todo:
+        for y in nbrs.get(todo.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+class TestContractLinks:
+    def test_all_leaf_links_contract_nothing(self, c4):
+        tree = CutTree(edges=[(1, 2, 2), (1, 3, 2), (1, 4, 2)])
+        quotient, node_of = contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)])
+        assert quotient is c4
+        assert node_of == {v: v for v in c4.vertices}
+
+    def test_multi_vertex_subtree_contracts_a_fresh_graph(self, c4):
+        tree = CutTree(edges=[(1, 2, 2), (2, 3, 2), (1, 4, 2)])
+        before = c4.copy()
+        quotient, node_of = contract_links(tree, c4, [(2, 1), (4, 1)])
+        assert quotient is not c4 and c4 == before
+        assert node_of == {1: 1, 2: 2, 3: 2, 4: 4}
+        assert quotient == DynamicGraph(edges=[(1, 2, 1), (2, 4, 1), (1, 4, 1)])
+
+    def test_static_build_of_unit_complete_graph_never_contracts(self, monkeypatch):
+        # every minimum cut of a unit complete graph is a one-vertex degree
+        # cut, so each split peels off its smallest member and every
+        # subtree beyond the remaining node is a leaf
+        calls = []
+        real = tree_mod.contract
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tree_mod, "contract", spy)
+        n = 9
+        g = DynamicGraph(edges=[(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+        tree = static_build(g)
+        assert calls == []
+        assert verify_cut_tree(tree, g).ok
+        assert sorted(c for _, _, c in tree.edges()) == [n - 1] * (n - 1)
 
 
 def _bfs_path(tree, u, v):
