@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import dyncut.tree as tree_mod
 from dyncut import (
     CutTree,
     DynamicGraph,
@@ -20,11 +21,10 @@ from dyncut.errors import (
     SameVertex,
     VertexMissing,
 )
-import dyncut.tree as tree_mod
 from dyncut.graph import apply_change, pair_key
 from dyncut.mincut import counter
-from dyncut.tree import contract_links
 from dyncut.stream import MIX_ORDER, GenParams, generate
+from dyncut.tree import contract_links
 from helpers import checked_complete, graphs, path
 
 
