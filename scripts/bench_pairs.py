@@ -15,10 +15,14 @@ host falls on both sides alike.
 
 The result goes to ``BENCH_<L>.json`` in the current directory.  For each
 end-to-end metric of ``BENCHMARK.json`` it gives both sides' median and
-quartiles over the pairs, and ``change_better``, the number of pairs in
-which the change read better.  ``failed`` sums each side's failed
-operations, and ``parent`` is the full commit id the change was compared
-against.  ``change`` says what the change side was: ``base``, the commit
+quartiles over the pairs, ``change_better``, the number of pairs in
+which the change read better, and two verdicts.  ``gain`` is true when
+the change read better in at least 9 pairs of 10 and its median is better
+than the parent's by more than the parent's quartile spread.
+``within_bound`` is true when the change's median is no worse than the
+parent's by more than the metric's ``bound``, a fraction of the parent's
+median.  ``failed`` sums each side's failed operations, and ``parent``
+is the full commit id the change was compared against.  ``change`` says what the change side was: ``base``, the commit
 the working tree sits on, and ``modified``, the tracked files that differ
 from it (``git diff --name-only HEAD``), empty when the change side is
 exactly ``base``.  An existing file keeps its other workloads, each with
@@ -91,15 +95,17 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> di
         name = m["name"]
         old = [r["metrics"][name]["value"] for r in parent]
         new = [r["metrics"][name]["value"] for r in change]
-        if m["better"] == "higher":
-            better = sum(b > a for a, b in zip(old, new))
-        else:
-            better = sum(b < a for a, b in zip(old, new))
+        sign = 1 if m["better"] == "higher" else -1  # gains read positive
+        better = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        was, now = spread(old), spread(new)
+        ahead = sign * (statistics.median(new) - statistics.median(old))
         out[name] = {
             "unit": m["unit"],
-            "parent": spread(old),
-            "change": spread(new),
+            "parent": was,
+            "change": now,
             "change_better": better,
+            "gain": 10 * better >= 9 * len(old) and ahead > was["q3"] - was["q1"],
+            "within_bound": ahead >= -m["bound"] * statistics.median(old),
         }
     return out
 
@@ -147,7 +153,10 @@ def main(argv=None) -> int:
         "End-to-end metrics of 'perfbench/run.py --trace 0' over alternating pairs of "
         "runs of each workload's parent commit and the change, same seed and --seconds, "
         "made by scripts/bench_pairs.py. Each metric gives both sides' median and "
-        "quartiles over the pairs and the number of pairs the change read better."
+        "quartiles over the pairs, the number of pairs the change read better, 'gain' "
+        "(better in at least 9 of 10 pairs, medians further apart than the parent's "
+        "quartile spread) and 'within_bound' (the change's median no worse than the "
+        "parent's by more than the metric's bound in BENCHMARK.json)."
     )
     out.write_text(json.dumps({"about": about, "workloads": workloads}, indent=1) + "\n")
     print(f"wrote {out}")

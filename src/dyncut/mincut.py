@@ -13,6 +13,15 @@ every two-edge path and every three-edge path from the source, then along
 shortest paths steered by distance labels, until a gap in the labels cuts
 the source off from the sink (Ahuja & Orlin 1991).  The greedy paths only
 seed the flow; the labelled search finds the rest and proves it maximum.
+The labels come from one search back from the sink that stops as soon as
+it labels the source.  Each vertex then reads its row through a current
+arc (Goldberg & Tarjan 1988): a dict iterator that resumes where it
+stopped and is made anew only when the vertex is relabelled.  Resuming is
+sound for two reasons.  No row changes size inside :func:`min_cut`, since
+the residual copy holds both arcs of every edge from the start.  And an
+arc passed over at label d cannot turn admissible before its tail is
+relabelled: labels only rise, and flow pushed back along it comes from a
+head one label above the tail.
 The side is read by one search from s: over residual arcs when the flow
 left s, over reversed residual arcs (the vertices that can still send flow
 to s) when it came from t.  Either way it is the same smallest side.  t
@@ -128,31 +137,50 @@ def _prepush(res, s, t) -> int:
     return flow
 
 
-def _augment(res, s, t) -> int:
-    """Push flow along shortest residual s-t paths until none is left.
+def _sink_labels(res, s, t) -> tuple[dict[int, int], int]:
+    """Distances to t by a search back from t that stops once it labels s.
 
-    ``dist`` stays valid (``dist[x] <= dist[y] + 1`` on every residual arc
-    x->y); flow follows admissible arcs, one label down.  A dead end is lifted
-    above its lowest residual neighbours, whose arcs alone can turn admissible.
-    A label left empty is a gap that no s-t path can cross.
+    Returns the labels and the label of every vertex left out: s's depth,
+    or n when s cannot reach t.  The search has read the rows of every
+    layer two or more below s's, so an unlabelled vertex has no residual arc
+    into those layers, and giving it s's depth keeps the labelling valid.
     """
-    # exact distances to t up to s's layer; the rest lie beyond it (or at n)
     dist, layer, depth = {t: 0}, [t], 0
-    while layer and s not in dist:
+    while layer:
         depth += 1
         nxt = []
         for y in layer:
             for x in res[y]:
                 if x not in dist and res[x][y]:
                     dist[x] = depth
+                    if x == s:
+                        return dist, depth
                     nxt.append(x)
         layer = nxt
+    return dist, len(res)
+
+
+def _augment(res, s, t) -> int:
+    """Push flow along shortest residual s-t paths until none is left.
+
+    ``dist`` stays valid (``dist[x] <= dist[y] + 1`` on every residual arc
+    x->y); flow follows admissible arcs, one label down.  Each vertex keeps a
+    current arc, and a dict iterator over the rest of its row that resumes
+    where it stopped, so a visit reads the row only up to its next
+    admissible arc.  No row changes size here, so the iterators stay valid.
+    An arc passed over cannot turn admissible before its tail is relabelled:
+    labels only rise, and flow pushed back along it comes from a head one
+    label above the tail.  A dead end is lifted above its lowest residual
+    neighbours; the first of them becomes its current arc, and its iterator
+    starts afresh.  A label left empty is a gap that no s-t path can cross.
+    """
+    dist, far = _sink_labels(res, s, t)
     n = len(res)
-    far = depth + 1 if s in dist else n
     count = [0] * (2 * n + 2)  # s is lifted to 2n + 1 once its arcs saturate
     for x in res:
         count[dist.setdefault(x, far)] += 1
-    arcs: dict[int, list[int]] = {}  # candidate admissible arcs, used from the end
+    cur: dict[int, int] = {}  # current arc of each vertex visited
+    rest: dict = {}  # iterator over the rest of its row
     total, path = 0, [s]
     while dist[s] < n:
         x = path[-1]
@@ -169,30 +197,32 @@ def _augment(res, s, t) -> int:
             del path[cut:]  # back to the first arc at the bottleneck
             continue
         rx, down = res[x], dist[x] - 1
-        ax = arcs.get(x)
-        if ax is None:
-            ax = arcs[x] = [y for y, c in rx.items() if c and dist[y] == down]
-        while ax:
-            y = ax[-1]
+        y = cur.get(x)
+        if y is None:  # first visit
+            it = rest[x] = iter(rx)
+        elif rx[y] and dist[y] == down:
+            path.append(y)
+            continue
+        else:
+            it = rest[x]
+        for y in it:
             if rx[y] and dist[y] == down:
+                cur[x] = y
                 path.append(y)
                 break
-            ax.pop()
         else:
-            low, ax = 2 * n, []
-            for y, c in rx.items():
+            low = 2 * n
+            for z, c in rx.items():
                 if c:
-                    d = dist[y]
+                    d = dist[z]
                     if d < low:
-                        low, ax = d, [y]
-                    elif d == low:
-                        ax.append(y)
-            arcs[x] = ax
+                        low, y = d, z
             count[down + 1] -= 1
             if not count[down + 1]:
                 break
             dist[x] = low + 1
             count[low + 1] += 1
+            cur[x], rest[x] = y, iter(rx)
             if x != s:
                 path.pop()
     return total

@@ -339,17 +339,18 @@ IntermediateTree = CutTree
 
 def contract_links(
     tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]]
-) -> tuple[DynamicGraph, dict[int, int]]:
+) -> tuple[DynamicGraph, dict[int, int] | None]:
     """``graph`` with the subtree beyond each link ``(far, near)`` contracted, and its node map.
 
     When every ``far`` is a leaf there is nothing to merge, so the result is
-    ``graph`` itself, not a copy, with the identity map; callers only read it.
+    ``graph`` itself, not a copy, and no node map: every vertex is its own
+    node.  Callers only read the graph.
     """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is
     groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
     if not groups:
-        return graph, {v: v for v in graph.vertices}
+        return graph, None
     return contract(graph, groups)
 
 
@@ -359,7 +360,7 @@ def cut_step(
     links: list[tuple[int, int]],
     u: int,
     v: int,
-    contraction: tuple[DynamicGraph, dict[int, int]] | None = None,
+    contraction: tuple[DynamicGraph, dict[int, int] | None] | None = None,
 ) -> tuple[Cut, list[int]]:
     """One Gomory-Hu step: cut u from v, then re-hang the node's subtrees by side.
 
@@ -377,7 +378,7 @@ def cut_step(
     cut = min_cut(quotient, u, v)
     moved = []
     for far, near in links:
-        to_u = node_of[far] in cut.side
+        to_u = (far if node_of is None else node_of[far]) in cut.side
         if (near in cut.side) != to_u:
             c, thin = adj[far][near], near in tree._thin.get(far, ())
             tree.remove_edge(far, near)

@@ -297,8 +297,13 @@ def checked_decrease_walk(graph, b, d, delta):
         on_path = tree.path_vertices(b, d)
         assert v in on_path and u not in on_path, (u, v, on_path)
         check(tree)
-        quotient, node_of = contract(g, [tree.subtree(far, near) for far, near in links])
-        if contraction is not None:
+        groups = [tree.subtree(far, near) for far, near in links]
+        quotient, node_of = contract(g, groups)
+        if contraction is not None and contraction[1] is None:
+            assert all(len(group) == 1 for group in groups), (
+                f"a subtree beyond the node merges, but the cut of {u} from {v} skipped contract"
+            )
+        elif contraction is not None:
             assert contraction[1] == node_of, f"stale node map for the cut of {u} from {v}"
         fresh.append(quotient)
         result = cut_step(tree, g, links, u, v, contraction)

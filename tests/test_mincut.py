@@ -7,7 +7,7 @@ from hypothesis import given
 
 from dyncut import Cut, DynamicGraph, cut_cost, min_cut
 from dyncut.errors import SameVertex, VertexMissing
-from dyncut.mincut import _prepush, counter
+from dyncut.mincut import _augment, _prepush, _sink_labels, counter
 from helpers import all_pairs_connectivity, graphs, nx_min_cut, sparse_graph
 
 
@@ -262,3 +262,51 @@ def test_prepush_fills_three_edge_paths():
     res = {x: nbrs.copy() for x, nbrs in g._adj.items()}
     assert _prepush(res, 1, 4) == 3
     assert min_cut(g, 1, 4) == Cut(frozenset({1}), 3)
+
+
+def test_source_labelled_part_way_through_its_layer():
+    # Two paths from s = 0 to t = 9, s-5-4-1-t and s-7-6-2-3-t, too long for
+    # the prepush.  The search back from t meets s in 5's row, before 5's
+    # other neighbour 8 and before 6's row, so it stops with 7 and 8, as
+    # near t as s, unlabelled.  Once the first path is full, all that is
+    # left runs through 7.
+    edges = [(1, 9, 3), (3, 9, 3), (1, 4, 2), (3, 2, 2), (4, 5, 2), (2, 6, 2),
+             (5, 0, 2), (5, 8, 1), (6, 7, 1), (0, 7, 2)]
+    g = DynamicGraph(edges=edges)
+    res = {x: nbrs.copy() for x, nbrs in g._adj.items()}
+    assert _prepush(res, 0, 9) == 0
+    dist, far = _sink_labels(res, 0, 9)
+    assert dist == {9: 0, 1: 1, 3: 1, 4: 2, 2: 2, 5: 3, 6: 3, 0: 4} and far == 4
+    cost, side = nx_min_cut(g, 0, 9)
+    assert (cost, side) == (3, frozenset({0, 7}))
+    assert _augment(res, 0, 9) == cost
+    assert min_cut(g, 0, 9) == Cut(side, cost)
+
+
+class _CountingRow(dict):
+    """A residual row that counts the arcs its iterators yield."""
+
+    reads = 0
+
+    def __iter__(self):
+        for y in super().__iter__():
+            self.reads += 1
+            yield y
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+def test_augment_reads_a_hub_row_only_to_its_admissible_arc():
+    # hub 1 leads on to t = 99 through its first arc, to 2, which carries
+    # all the flow s = 0 can send, so 1 is never relabelled; its 60 other
+    # arcs go to leaves.  Only the search back from t may read past the
+    # first arc, and it reads the row at most once.
+    edges = [(1, 2, 9), (0, 1, 5), (2, 99, 9)] + [(1, x, 1) for x in range(100, 160)]
+    g = DynamicGraph(edges=edges)
+    res = {x: _CountingRow(nbrs) for x, nbrs in g._adj.items()}
+    assert _augment(res, 0, 99) == 5
+    assert res[1].reads <= len(res[1]) + 1
+    assert min_cut(g, 0, 99) == Cut(frozenset({0}), 5)
