@@ -33,7 +33,7 @@ from .graph import (
     contract,
     cut_cost,
 )
-from .mincut import CutCounter, counter, min_cut
+from .mincut import min_cut
 from .oracle import VerifyReport, Violation, verify_cut_tree
 from .replay import ReplayReport, ReplayRow, apply_event, replay
 from .stream import (
@@ -58,7 +58,6 @@ __all__ = [
     "BALANCED_EDGE_MIX",
     "ChangeEvent",
     "Cut",
-    "CutCounter",
     "CutTree",
     "DECREASE_WEIGHT",
     "DynCutError",
@@ -80,7 +79,6 @@ __all__ = [
     "apply_event",
     "complete",
     "contract",
-    "counter",
     "cut_cost",
     "detect_bridge",
     "format_stream",

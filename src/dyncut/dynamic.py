@@ -36,7 +36,6 @@ from .errors import (
 )
 # contract and min_cut are unused here; perfbench/tracer.py wraps both names
 from .graph import (
-    ChangeEvent,
     DynamicGraph,
     Pair,
     check_weight,
@@ -62,7 +61,10 @@ UNFOLD_TAG = "unfold"
 
 @dataclass(frozen=True)
 class UpdateStats:
-    """Per-event accounting of cut computations and reuse rules.
+    """What one update decided: its cut computations and reuse rules.
+
+    The event itself and its static-equivalent cost are the caller's to
+    record; :func:`dyncut.replay.replay` writes both into its row.
 
     ``reuse_breakdown`` counts, per rule, the former tree edges the routine
     actually processed; edges re-certified inside a retained subtree inherit
@@ -72,9 +74,7 @@ class UpdateStats:
     reuse-soundness checks.
     """
 
-    event: ChangeEvent
-    cuts_used: int
-    static_equivalent: int
+    cuts_used: int = 0
     reuse_breakdown: dict[str, int] = field(default_factory=dict)
     accepted_stale: tuple[tuple[Pair, int, str], ...] = ()
 
@@ -148,12 +148,6 @@ def update_increase(
     if new_w < delta:
         raise InvalidDelta(f"weight {new_w} of {{{b},{d}}} is below delta {delta}")
     old_w = new_w - delta
-    event = (
-        ChangeEvent.increase_weight(b, d, delta)
-        if old_w
-        else ChangeEvent.add_edge(b, d, delta)
-    )
-    static_eq = max(0, graph.vertex_count - 1)
     # one path search serves the bridge test and the rebuild
     verts = tree.path_vertices(b, d)
     pedges = list(zip(verts, verts[1:]))
@@ -165,13 +159,13 @@ def update_increase(
         if not tree.has_edge(b, d):
             raise InternalInvariantViolation("a bridge must appear as a tree edge")
         tree.set_cost(b, d, tree.cost(b, d) + delta)
-        return UpdateStats(event, 0, static_eq, {RULE_BRIDGE: 1})
+        return UpdateStats(0, {RULE_BRIDGE: 1})
 
     if kind == NEW_BRIDGE:
         x, y = pedges[costs.index(0)]
         tree.remove_edge(x, y)
         tree.add_edge(b, d, new_w)
-        return UpdateStats(event, 0, static_eq, {RULE_NEW_BRIDGE: 1})
+        return UpdateStats(0, {RULE_NEW_BRIDGE: 1})
 
     # General route: every edge off the b-d path keeps its cut; the cheapest
     # path edge (nearest to b on ties) is a minimum b-d cut, so it stays
@@ -188,7 +182,7 @@ def update_increase(
             f"rebuild used {cuts} cuts, expected {len(pedges) - 1}"
         )
     breakdown = {RULE_RECOMPUTED: cuts} if cuts else {}
-    return UpdateStats(event, cuts, static_eq, breakdown)
+    return UpdateStats(cuts, breakdown)
 
 
 def update_decrease(
@@ -206,13 +200,7 @@ def update_decrease(
     graph after the change and every thin edge one of the graph before.
     """
     check_weight(delta)
-    if graph.has_edge(b, d):
-        old_w = graph.weight(b, d) + delta
-        event = ChangeEvent.decrease_weight(b, d, delta)
-    else:
-        old_w = delta
-        event = ChangeEvent.remove_edge(b, d)
-    static_eq = max(0, graph.vertex_count - 1)
+    old_w = graph.weight(b, d) + delta if graph.has_edge(b, d) else delta
 
     # one path search serves the bridge test and the whole stale-cost walk
     pverts = tree.path_vertices(b, d)
@@ -224,7 +212,7 @@ def update_decrease(
         accepted = tuple(
             (pair_key(x, y), c, RULE_BRIDGE) for x, y, c in sorted(tree.edges())
         )
-        return UpdateStats(event, 0, static_eq, {RULE_BRIDGE: len(pedges)}, accepted)
+        return UpdateStats(0, {RULE_BRIDGE: len(pedges)}, accepted)
 
     # Stale-cost walk: path edges stay valid at cost -delta; everything else
     # turns thin and is re-certified most-expensive-first.
@@ -275,10 +263,7 @@ def update_decrease(
             rule = RULE_THRESHOLD
 
         if rule is not None:
-            inherited = _fatten_subtree(tree, u, v)
-            breakdown[rule] = breakdown.get(rule, 0) + 1 + len(inherited)
             accepted.append((pair_key(u, v), stale, rule))
-            accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
         else:
             # the node is v plus u's subtree; v's other subtrees hang off it
             links = [(x, v) for x in tree.neighbors(v) if x != u]
@@ -297,19 +282,7 @@ def update_decrease(
                 raise InternalInvariantViolation(
                     f"recomputed cut {cut.cost} exceeds the stale bound {stale}"
                 )
-            if cut.cost == stale:
-                # u's subtree is then a minimum cut too, and min_cut returns
-                # the smallest minimum side, which lies inside it
-                if moved:
-                    raise InternalInvariantViolation(
-                        f"revalidated cut {{{u},{v}}} moved subtrees at {moved}"
-                    )
-                inherited = _fatten_subtree(tree, u, v)
-                breakdown[RULE_REVALIDATED] = (
-                    breakdown.get(RULE_REVALIDATED, 0) + 1 + len(inherited)
-                )
-                accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
-            else:
+            if cut.cost < stale:
                 tree.mark_fat(u, v, cut.cost)
                 breakdown[RULE_RECOMPUTED] = breakdown.get(RULE_RECOMPUTED, 0) + 1
                 if sum(x in flanks for x in moved) != 1:
@@ -319,6 +292,17 @@ def update_decrease(
                 # u now sits on the path between the moved flank and v
                 pset.add(u)
                 push_frontier(u)
+                continue
+            # an equal cost makes u's subtree a minimum cut too, and min_cut
+            # returns the smallest minimum side, which lies inside it
+            if moved:
+                raise InternalInvariantViolation(
+                    f"revalidated cut {{{u},{v}}} moved subtrees at {moved}"
+                )
+            rule = RULE_REVALIDATED
+        inherited = _fatten_subtree(tree, u, v)
+        breakdown[rule] = breakdown.get(rule, 0) + 1 + len(inherited)
+        accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
 
     if tree.thin_edges():
         raise InternalInvariantViolation("thin edges remain but none touches the path")
@@ -326,7 +310,7 @@ def update_decrease(
         raise InternalInvariantViolation(
             f"{cuts} cuts used, more than the {initial_thin} stale edges"
         )
-    return UpdateStats(event, cuts, static_eq, breakdown, tuple(accepted))
+    return UpdateStats(cuts, breakdown, tuple(accepted))
 
 
 def _fatten_subtree(tree: CutTree, u: int, v: int) -> list[tuple[Pair, int]]:

@@ -57,23 +57,11 @@ class ReplayRow:
 
 
 @dataclass
-class KindTotals:
-    count: int = 0
-    cuts: int = 0
-    static: int = 0
-
-    @property
-    def ratio(self) -> float:
-        return self.cuts / self.static if self.static else 0.0
-
-
-@dataclass
 class ReplayReport:
     rows: list[ReplayRow] = field(default_factory=list)
     stats: list[UpdateStats] = field(default_factory=list)
     cum_dynamic: int = 0
     cum_static: int = 0
-    per_kind: dict[str, KindTotals] = field(default_factory=dict)
     final_graph: DynamicGraph = field(default_factory=DynamicGraph)
     final_tree: CutTree = field(default_factory=CutTree)
 
@@ -89,11 +77,13 @@ class ReplayReport:
             f"events {len(self.rows)}  dynamic_cuts {self.cum_dynamic}  "
             f"static_cuts {self.cum_static}  ratio {self.ratio:.6f}"
         ]
-        for kind in sorted(self.per_kind):
-            t = self.per_kind[kind]
+        for kind in sorted({r.kind for r in self.rows}):
+            rows = [r for r in self.rows if r.kind == kind]
+            cuts = sum(r.cuts_used for r in rows)
+            static = sum(r.static_equiv for r in rows)
             lines.append(
-                f"  {kind}: events {t.count}  cuts {t.cuts}  "
-                f"static {t.static}  ratio {t.ratio:.6f}"
+                f"  {kind}: events {len(rows)}  cuts {cuts}  "
+                f"static {static}  ratio {cuts / static if static else 0.0:.6f}"
             )
         return "\n".join(lines)
 
@@ -115,7 +105,7 @@ def apply_event(tree: CutTree, graph: DynamicGraph, ev: ChangeEvent) -> UpdateSt
     else:
         delta = ev.delta if ev.kind == DECREASE_WEIGHT else removed_w
         return update_decrease(tree, graph, ev.u, ev.v, delta)
-    return UpdateStats(ev, 0, max(0, graph.vertex_count - 1))
+    return UpdateStats()
 
 
 def replay(
@@ -144,9 +134,10 @@ def replay(
             check = verify_cut_tree(tree, graph)
             if not check.ok:
                 raise VerificationFailed(step, check)
+        static = max(0, graph.vertex_count - 1)
         report.stats.append(st)
         report.cum_dynamic += st.cuts_used
-        report.cum_static += st.static_equivalent
+        report.cum_static += static
         ratio = report.cum_dynamic / report.cum_static if report.cum_static else 0.0
         report.rows.append(
             ReplayRow(
@@ -155,19 +146,14 @@ def replay(
                 graph.vertex_count,
                 m,
                 st.cuts_used,
-                st.static_equivalent,
+                static,
                 report.cum_dynamic,
                 report.cum_static,
                 ratio,
             )
         )
-        totals = report.per_kind.setdefault(CODE_OF_KIND[ev.kind], KindTotals())
-        totals.count += 1
-        totals.cuts += st.cuts_used
-        totals.static += st.static_equivalent
     report.final_graph = graph
-    # one copy per replay compacts the rows that the updates edited
-    report.final_tree = tree.copy()
+    report.final_tree = tree
     if csv_out is not None:
         Path(csv_out).write_text(report.csv_text())
     return report

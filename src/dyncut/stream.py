@@ -63,14 +63,9 @@ BALANCED_EDGE_MIX: Mapping[str, float] = {
 
 @dataclass(frozen=True)
 class EventStream:
-    """Ordered change events plus their 1-based source line numbers."""
+    """Ordered change events."""
 
     events: tuple[ChangeEvent, ...]
-    lines: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.lines and len(self.lines) != len(self.events):
-            raise ValueError("one line number per event")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -133,7 +128,7 @@ def parse_stream(text: str) -> EventStream:
             apply_change(g, ev)
         except DynCutError as exc:
             raise StreamValidationError(ln, str(exc)) from None
-    return EventStream(tuple(events), tuple(lines))
+    return EventStream(tuple(events))
 
 
 @dataclass(frozen=True)
@@ -267,5 +262,5 @@ def generate(params: GenParams, seed: int) -> EventStream:
         ev = _draw(schedule[i], g, rng, params.weight_max)
         apply_change(g, ev)
         events.append(ev)
-    return EventStream(tuple(events), tuple(range(1, len(events) + 1)))
+    return EventStream(tuple(events))
 

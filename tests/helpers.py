@@ -243,6 +243,24 @@ def _assert_partial_tree(tree, graph, lam, thin_graph=None, thin_lam=None):
 
 
 @contextmanager
+def count_cuts():
+    """Collect every cut that ``min_cut`` returns inside the block.
+
+    ``dyncut.tree`` holds the package's only call of the kernel, so the
+    length of the yielded list is the block's count of cut computations.
+    """
+    cuts, min_cut = [], dyncut.tree.min_cut
+
+    def counted(graph, s, t):
+        cuts.append(min_cut(graph, s, t))
+        return cuts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyncut.tree, "min_cut", counted)
+        yield cuts
+
+
+@contextmanager
 def checked_complete(graph):
     """Certify the fat edges before and after every split ``complete`` makes on ``graph``.
 

@@ -26,12 +26,12 @@ from dyncut import (
     verify_cut_tree,
 )
 from dyncut.dynamic import EXISTING_BRIDGE, NON_BRIDGE
-from dyncut.mincut import counter
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
 from helpers import (
     SCENARIO_MIX,
     all_pairs_connectivity,
     bend_cut,
+    count_cuts,
     random_event,
     random_graph,
 )
@@ -102,9 +102,9 @@ def test_criterion_2_static_cut_count():
     for seed in range(2000, 2100):
         rng = random.Random(seed)
         g = random_graph(rng, n_min=2, n_max=12, edge_prob=0.5)
-        before = counter.value
-        static_build(g)
-        used = counter.value - before
+        with count_cuts() as cuts:
+            static_build(g)
+        used = len(cuts)
         if used != g.vertex_count - 1:
             bad.append((seed, used, g.vertex_count))
     _report(2, "static build uses n-1 cuts", not bad, f"100 graphs{bad[:3] or ''}")

@@ -30,6 +30,7 @@ def test_disconnected_endpoints():
     assert cut.side == frozenset({1, 3})
 
 
+# the counter's only reader is perfbench/run.py:377
 def test_counter_increments_once_per_call(t3):
     before = counter.value
     min_cut(t3, 1, 2)

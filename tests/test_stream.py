@@ -31,12 +31,10 @@ class TestParse:
             ChangeEvent.add_vertex(2),
             ChangeEvent.add_edge(1, 2, 3),
         )
-        assert stream.lines == (1, 2, 3)
 
     def test_comments_and_blanks_skipped(self):
         stream = parse_stream("# comment\n\nav 7\nav 8  # trailing\nae 7 8 1\n")
         assert [ev.kind for ev in stream.events] == [ADD_VERTEX, ADD_VERTEX, ADD_EDGE]
-        assert stream.lines == (3, 4, 5)
 
     def test_unknown_code(self):
         with pytest.raises(StreamSyntaxError) as err:

@@ -22,10 +22,9 @@ from dyncut.errors import (
     VertexMissing,
 )
 from dyncut.graph import apply_change, pair_key
-from dyncut.mincut import counter
 from dyncut.stream import MIX_ORDER, GenParams, generate
 from dyncut.tree import contract_links
-from helpers import checked_complete, graphs, path
+from helpers import checked_complete, count_cuts, graphs, path
 
 
 def _side_without(tree, u, v, anchor):
@@ -36,15 +35,15 @@ def _side_without(tree, u, v, anchor):
 
 class TestStaticBuild:
     def test_p3_bridges(self, p3):
-        before = counter.value
-        tree = static_build(p3)
-        assert counter.value - before == 2
+        with count_cuts() as cuts:
+            tree = static_build(p3)
+        assert len(cuts) == 2
         assert tree == CutTree(edges=[(1, 2, 3), (2, 3, 2)])
 
     def test_t3(self, t3):
-        before = counter.value
-        tree = static_build(t3)
-        assert counter.value - before == 2
+        with count_cuts() as cuts:
+            tree = static_build(t3)
+        assert len(cuts) == 2
         assert query_value(tree, 1, 2) == 3
         assert query_value(tree, 2, 3) == 3
         assert query_value(tree, 1, 3) == 4
@@ -67,9 +66,9 @@ class TestStaticBuild:
 
     @given(graphs())
     def test_valid_and_uses_n_minus_1_cuts(self, g):
-        before = counter.value
-        tree = static_build(g)
-        assert counter.value - before == g.vertex_count - 1
+        with count_cuts() as cuts:
+            tree = static_build(g)
+        assert len(cuts) == g.vertex_count - 1
         assert verify_cut_tree(tree, g).ok
 
     @pytest.mark.parametrize("seed", [5, 5 + 1_000_003])
@@ -89,17 +88,17 @@ class TestStaticBuild:
 class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
         work = t3_tree.copy()
-        before = counter.value
-        complete(work, t3)
+        with count_cuts() as cuts:
+            complete(work, t3)
         assert work == t3_tree
-        assert counter.value == before
+        assert cuts == []
         assert verify_cut_tree(work, t3).ok
 
     def test_all_thin_star_equals_static_build(self, p3):
         star = CutTree.star(p3.vertices)
-        before = counter.value
-        complete(star, p3)
-        assert counter.value - before == 2
+        with count_cuts() as cuts:
+            complete(star, p3)
+        assert len(cuts) == 2
         assert star == static_build(p3)
 
     def test_partial_tree_after_increase(self, t3):
@@ -109,10 +108,9 @@ class TestComplete:
         work = CutTree(vertices=(1, 2, 3))
         work.add_edge(2, 3, 5)
         work.add_edge(1, 3, 4, thin=True)
-        before = counter.value
-        with checked_complete(raised):
+        with count_cuts() as cuts, checked_complete(raised):
             complete(work, raised)
-        assert counter.value - before == 1
+        assert len(cuts) == 1
         assert verify_cut_tree(work, raised).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
             assert query_value(work, a, b) == 5
