@@ -15,7 +15,8 @@ _MIX_HELP = "comma-separated fractions for av,rv,ae,re,iw,dw (must sum to 1)"
 
 
 def _read_stream(path: str):
-    return parse_stream(Path(path).read_text())
+    # a byte that is not UTF-8 becomes U+FFFD, which the parser reports by line
+    return parse_stream(Path(path).read_text(encoding="utf-8", errors="replace"))
 
 
 def _cmd_build(args) -> int:
@@ -86,10 +87,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DynCutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DynCutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,6 @@ from heapq import heappop, heappush
 from .errors import (
     InternalInvariantViolation,
     InvalidDelta,
-    VertexExists,
     VertexMissing,
     VertexNotIsolated,
 )
@@ -103,8 +102,6 @@ def _bridge_kind(w_before: int, lam: int) -> str:
 
 def update_add_vertex(tree: CutTree, vertex: int) -> None:
     """Insert an isolated vertex, attached by a zero-cost edge."""
-    if vertex in tree.vertices:
-        raise VertexExists(f"vertex {vertex} already present")
     anchor = min(tree.vertices) if tree.vertex_count else None
     tree.add_vertex(vertex)
     if anchor is not None:

@@ -136,14 +136,56 @@ class Cut:
     cost: int
 
 
-class DynamicGraph:
+class Rows:
+    """Symmetric weighted rows: ``_adj[u][v] == _adj[v][u]``, the weight of {u, v}.
+
+    The reads and the vertex admission that graphs and cut trees share.
+    """
+
+    __slots__ = ("_adj",)
+
+    @property
+    def vertices(self):
+        return self._adj.keys()
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self._adj)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u in self._adj and v in self._adj[u]
+
+    def neighbors(self, v: int) -> Mapping[int, int]:
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise VertexMissing(f"no vertex {v}") from None
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        for u, nbrs in self._adj.items():
+            for v, w in nbrs.items():
+                if u < v:
+                    yield u, v, w
+
+    def add_vertex(self, v: int) -> None:
+        if v in self._adj:
+            raise VertexExists(f"vertex {v} already present")
+        check_vertex_id(v)
+        self._adj[v] = {}
+
+
+class DynamicGraph(Rows):
     """Mutable undirected graph with positive integer edge weights.
 
     No self-loops and at most one edge per vertex pair; parallel edges given
     at construction are merged by summing their weights.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -167,41 +209,14 @@ class DynamicGraph:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def vertices(self):
-        return self._adj.keys()
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._adj)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     def weight(self, u: int, v: int) -> int:
         try:
             return self._adj[u][v]
         except KeyError:
             raise EdgeMissing(f"no edge {{{u},{v}}}") from None
 
-    def neighbors(self, v: int) -> Mapping[int, int]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise VertexMissing(f"no vertex {v}") from None
-
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    yield u, v, w
 
     def copy(self) -> "DynamicGraph":
         g = DynamicGraph()
@@ -217,12 +232,6 @@ class DynamicGraph:
         return f"DynamicGraph({self.vertex_count} vertices, {self.edge_count} edges)"
 
     # -- mutation ----------------------------------------------------------
-
-    def add_vertex(self, v: int) -> None:
-        if v in self._adj:
-            raise VertexExists(f"vertex {v} already present")
-        check_vertex_id(v)
-        self._adj[v] = {}
 
     def remove_vertex(self, v: int) -> None:
         if v not in self._adj:

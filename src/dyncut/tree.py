@@ -30,17 +30,16 @@ and costs of the thin edges inside a node affect the finished tree.
 from __future__ import annotations
 
 from math import inf
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     EdgeExists,
     EdgeMissing,
     EmptyGraph,
     SameVertex,
-    VertexExists,
     VertexMissing,
 )
-from .graph import Cut, DynamicGraph, contract
+from .graph import Cut, DynamicGraph, Rows, contract
 from .mincut import min_cut
 
 
@@ -66,18 +65,19 @@ def _reach(nbrs: dict, start: int, seen: set[int]) -> list[int]:
     return found
 
 
-class CutTree:
+class CutTree(Rows):
     """Weighted tree on the graph's vertices encoding all-pairs minimum cuts.
 
-    ``_adj[u][v]`` is the cost of tree edge {u, v}.  ``_thin[u]`` is the set
-    of u's thin neighbours, for the vertices that have one: no empty set is
-    kept, so a compound node's walk reads its own members only.  Every other
+    ``_adj`` holds the :class:`~dyncut.graph.Rows`: ``_adj[u][v]`` is the
+    cost of tree edge {u, v}.  ``_thin[u]`` is the set of u's thin
+    neighbours, for the vertices that have one: no empty set is kept, so a
+    compound node's walk reads its own members only.  Every other
     edge is fat, and a finished tree has none.  ``_up[x]`` is x's parent, or
     ``None`` at a root; the cost to it is in the rows.  The root depends on
     the edit history, so equality ignores it.
     """
 
-    __slots__ = ("_adj", "_thin", "_up")
+    __slots__ = ("_thin", "_up")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
         self._adj: dict[int, dict[int, int]] = {}
@@ -99,38 +99,11 @@ class CutTree:
             t.add_edge(verts[0], v, 0, thin=True)
         return t
 
-    @property
-    def vertices(self):
-        return self._adj.keys()
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._adj)
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        for u, nbrs in self._adj.items():
-            for v, c in nbrs.items():
-                if u < v:
-                    yield u, v, c
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(n) for n in self._adj.values()) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     def cost(self, u: int, v: int) -> int:
         try:
             return self._adj[u][v]
         except KeyError:
             raise EdgeMissing(f"no tree edge {{{u},{v}}}") from None
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise VertexMissing(f"no vertex {v}") from None
 
     def set_cost(self, u: int, v: int, c: int) -> None:
         self.cost(u, v)
@@ -140,9 +113,7 @@ class CutTree:
         self._adj[v][u] = c
 
     def add_vertex(self, v: int) -> None:
-        if v in self._adj:
-            raise VertexExists(f"vertex {v} already present")
-        self._adj[v] = {}
+        super().add_vertex(v)
         self._up[v] = None
 
     def remove_vertex(self, v: int) -> None:

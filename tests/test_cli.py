@@ -81,6 +81,16 @@ def test_invalid_stream_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["build"], ["replay"], ["query", "1", "2"]], ids=lambda a: a[0])
+def test_non_utf8_byte_is_a_line_error(tmp_path, capsys, argv):
+    # the file is read as UTF-8 whatever the locale; a bad byte is a syntax
+    # error on its line, and inside a comment it is harmless
+    f = tmp_path / "stream.txt"
+    f.write_bytes(b"av 1\n# \xff\nav 2\n\xff\n")
+    assert main([argv[0], str(f), *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4: ")
+
+
 def test_missing_file_fails_cleanly(capsys):
     rc = main(["build", "/nonexistent/stream.txt"])
     assert rc == 1

@@ -72,6 +72,14 @@ class TestVertexUpdates:
             update_add_vertex(t3_tree, 2)
         assert t3_tree == before
 
+    def test_add_bad_id_rejected(self, t3_tree):
+        # a tree admits the ids a graph admits, and no others
+        before = t3_tree.copy()
+        for v in (2.5, -1, "a"):
+            with pytest.raises(ValueError):
+                update_add_vertex(t3_tree, v)
+            assert t3_tree == before and set(t3_tree._up) == {1, 2, 3}
+
     def test_remove_leaf_with_zero_edge(self):
         tree = CutTree(edges=[(1, 2, 3), (2, 3, 0)])
         update_remove_vertex(tree, 3)

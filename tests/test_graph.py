@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from dyncut import (
     ChangeEvent,
+    CutTree,
     DynamicGraph,
     apply_change,
     contract,
@@ -20,6 +21,7 @@ from dyncut.errors import (
     VertexMissing,
     VertexNotIsolated,
 )
+from dyncut.graph import pair_key
 from helpers import ALL_KINDS_MIX, graphs, inverse_event, random_event
 
 
@@ -48,6 +50,9 @@ class TestConstruction:
             lambda: DynamicGraph(vertices=[False, True]),
             lambda: DynamicGraph(edges=[(True, 2, 1)]),
             lambda: DynamicGraph().add_vertex(-1),
+            lambda: CutTree(vertices=[-1]),
+            lambda: CutTree(vertices=["a"]),
+            lambda: CutTree(edges=[(1, 2.5, 0)]),
             lambda: ChangeEvent.add_vertex(-1),
             lambda: ChangeEvent.add_vertex(True),
             lambda: ChangeEvent.add_edge(1, -2, 1),
@@ -58,6 +63,57 @@ class TestConstruction:
     def test_endpoints_in_vertex_set(self):
         g = DynamicGraph(edges=[(1, 2, 3)])
         assert set(g.vertices) == {1, 2}
+
+
+@pytest.mark.parametrize("kind", [DynamicGraph, CutTree])
+@given(st.integers(2, 10), st.integers(0, 10**6))
+def test_shared_reads_match_a_pair_key_model(kind, n, seed):
+    # graphs and cut trees read the same rows; the edits keep a forest so
+    # that each is legal on both
+    rng = random.Random(seed)
+    rows = kind(vertices=range(n))
+    verts, weight = set(range(n)), {}  # the reference: vertex set, pair key -> weight
+
+    def reached(x):
+        seen = [x]
+        for y in seen:
+            seen += [a + b - y for a, b in weight if y in (a, b) and a + b - y not in seen]
+        return seen
+
+    for _ in range(60):
+        op = rng.choice(["ae", "ae", "re", "av", "rv"])
+        if op == "ae" and len(verts) > 1:
+            u, v = rng.sample(sorted(verts), 2)
+            if v not in reached(u):
+                w = rng.randint(1, 9)
+                rows.add_edge(u, v, w)
+                weight[pair_key(u, v)] = w
+        elif op == "re" and weight:
+            u, v = rng.sample(rng.choice(sorted(weight)), 2)
+            rows.remove_edge(u, v)
+            del weight[pair_key(u, v)]
+        elif op == "av":
+            x = rng.randrange(2 * n)
+            if x not in verts:
+                rows.add_vertex(x)
+                verts.add(x)
+        elif op == "rv" and verts:
+            x = rng.choice(sorted(verts))
+            if all(x not in p for p in weight):
+                rows.remove_vertex(x)
+                verts.discard(x)
+        assert sorted(rows.edges()) == sorted((u, v, w) for (u, v), w in weight.items())
+        assert rows.edge_count == len(weight)
+        assert rows.vertex_count == len(verts) and set(rows.vertices) == verts
+        for u in range(2 * n):
+            for v in range(2 * n):
+                assert rows.has_edge(u, v) == (pair_key(u, v) in weight)
+            if u in verts:
+                want = {b if a == u else a: w for (a, b), w in weight.items() if u in (a, b)}
+                assert rows.neighbors(u) == want
+            else:
+                with pytest.raises(VertexMissing):
+                    rows.neighbors(u)
 
 
 class TestApplyChange:
