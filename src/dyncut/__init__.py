@@ -1,23 +1,13 @@
 """Dynamic Gomory-Hu cut trees.
 
-Maintains a cut tree of an undirected weighted graph across arbitrary
-atomic changes (vertex/edge insertion and deletion, weight increases and
-decreases), reusing previously computed minimum cuts wherever the change
-provably leaves them valid, and accounts every min-cut computation against
-the static rebuild baseline.
+``DynamicCutTree`` owns an undirected weighted graph and its cut tree, and
+keeps the tree valid across arbitrary atomic changes (vertex/edge insertion
+and deletion, weight increases and decreases), reusing previously computed
+minimum cuts wherever the change provably leaves them valid.  ``replay``
+accounts every min-cut computation against the static rebuild baseline.
 """
 
-from .dynamic import (
-    EXISTING_BRIDGE,
-    NEW_BRIDGE,
-    NON_BRIDGE,
-    UpdateStats,
-    detect_bridge,
-    update_add_vertex,
-    update_decrease,
-    update_increase,
-    update_remove_vertex,
-)
+from .dynamic import UpdateStats
 from .errors import DynCutError
 from .graph import (
     ADD_EDGE,
@@ -30,12 +20,11 @@ from .graph import (
     Cut,
     DynamicGraph,
     apply_change,
-    contract,
     cut_cost,
 )
 from .mincut import min_cut
 from .oracle import VerifyReport, Violation, verify_cut_tree
-from .replay import ReplayReport, ReplayRow, apply_event, replay
+from .replay import DynamicCutTree, ReplayReport, ReplayRow, replay
 from .stream import (
     BALANCED_EDGE_MIX,
     EventStream,
@@ -44,13 +33,7 @@ from .stream import (
     generate,
     parse_stream,
 )
-from .tree import (
-    CutTree,
-    complete,
-    query_cut,
-    query_value,
-    static_build,
-)
+from .tree import CutTree
 
 __all__ = [
     "ADD_EDGE",
@@ -61,13 +44,11 @@ __all__ = [
     "CutTree",
     "DECREASE_WEIGHT",
     "DynCutError",
+    "DynamicCutTree",
     "DynamicGraph",
     "EventStream",
-    "EXISTING_BRIDGE",
     "GenParams",
     "INCREASE_WEIGHT",
-    "NEW_BRIDGE",
-    "NON_BRIDGE",
     "REMOVE_EDGE",
     "REMOVE_VERTEX",
     "ReplayReport",
@@ -76,22 +57,11 @@ __all__ = [
     "VerifyReport",
     "Violation",
     "apply_change",
-    "apply_event",
-    "complete",
-    "contract",
     "cut_cost",
-    "detect_bridge",
     "format_stream",
     "generate",
     "min_cut",
     "parse_stream",
-    "query_cut",
-    "query_value",
     "replay",
-    "static_build",
-    "update_add_vertex",
-    "update_decrease",
-    "update_increase",
-    "update_remove_vertex",
     "verify_cut_tree",
 ]

@@ -172,9 +172,9 @@ class Rows:
                     yield u, v, w
 
     def add_vertex(self, v: int) -> None:
+        check_vertex_id(v)
         if v in self._adj:
             raise VertexExists(f"vertex {v} already present")
-        check_vertex_id(v)
         self._adj[v] = {}
 
 

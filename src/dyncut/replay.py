@@ -1,8 +1,10 @@
-"""Replay change streams through the tree updater, accounting every cut.
+"""The owner of a graph and its cut tree, and stream replay with cut accounting.
 
-Each event's cut computations are compared against the static baseline of
-rebuilding the tree from scratch (n-1 computations at the current vertex
-count).  The cumulative ratio of the two is the headline savings number.
+``DynamicCutTree`` holds a graph and its finished cut tree and carries both
+across one event at a time; ``replay`` feeds it a stream.  Each event's cut
+computations are compared against the static baseline of rebuilding the
+tree from scratch (n-1 computations at the current vertex count).  The
+cumulative ratio of the two is the headline savings number.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from .graph import (
     REMOVE_EDGE,
     REMOVE_VERTEX,
     ChangeEvent,
+    Cut,
     DynamicGraph,
     apply_change,
 )
 from .oracle import verify_cut_tree
 from .stream import CODE_OF_KIND, EventStream
-from .tree import CutTree
+from .tree import CutTree, query_cut, query_value, static_build
 
 CSV_HEADER = "step,kind,n,m,cuts_used,static_equiv,cum_dynamic,cum_static,cum_ratio"
 
@@ -88,24 +91,54 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def apply_event(tree: CutTree, graph: DynamicGraph, ev: ChangeEvent) -> UpdateStats:
-    """Apply one event to ``graph`` and carry ``tree`` across it, both in place.
+class DynamicCutTree:
+    """A graph and its cut tree, kept valid together one event at a time.
 
-    Returns the event's accounting.  An invalid event raises before either
-    is changed.
+    ``graph`` and ``tree`` are live, for reading only; the tree is never partial.
     """
-    removed_w = graph.weight(ev.u, ev.v) if ev.kind == REMOVE_EDGE else 0
-    apply_change(graph, ev)
-    if ev.kind == ADD_VERTEX:
-        update_add_vertex(tree, ev.u)
-    elif ev.kind == REMOVE_VERTEX:
-        update_remove_vertex(tree, ev.u)
-    elif ev.kind in (ADD_EDGE, INCREASE_WEIGHT):
-        return update_increase(tree, graph, ev.u, ev.v, ev.delta)
-    else:
-        delta = ev.delta if ev.kind == DECREASE_WEIGHT else removed_w
-        return update_decrease(tree, graph, ev.u, ev.v, delta)
-    return UpdateStats()
+
+    __slots__ = ("_graph", "_tree")
+
+    def __init__(self, graph: DynamicGraph | None = None):
+        """Take ``graph`` as its own, without a copy, and build its tree; or start empty."""
+        self._graph = DynamicGraph() if graph is None else graph
+        self._tree = static_build(self._graph) if self._graph.vertex_count else CutTree()
+
+    @property
+    def graph(self) -> DynamicGraph:
+        return self._graph
+
+    @property
+    def tree(self) -> CutTree:
+        return self._tree
+
+    def apply(self, ev: ChangeEvent) -> UpdateStats:
+        """Apply one event to the graph and carry the tree across it, both in place.
+
+        Returns the event's accounting.  An invalid event raises before either
+        is changed.
+        """
+        graph, tree = self._graph, self._tree
+        removed_w = graph.weight(ev.u, ev.v) if ev.kind == REMOVE_EDGE else 0
+        apply_change(graph, ev)
+        if ev.kind == ADD_VERTEX:
+            update_add_vertex(tree, ev.u)
+        elif ev.kind == REMOVE_VERTEX:
+            update_remove_vertex(tree, ev.u)
+        elif ev.kind in (ADD_EDGE, INCREASE_WEIGHT):
+            return update_increase(tree, graph, ev.u, ev.v, ev.delta)
+        else:
+            delta = ev.delta if ev.kind == DECREASE_WEIGHT else removed_w
+            return update_decrease(tree, graph, ev.u, ev.v, delta)
+        return UpdateStats()
+
+    def query(self, u: int, v: int) -> int:
+        """Connectivity of {u, v}: the cheapest edge cost on their tree path."""
+        return query_value(self._tree, u, v)
+
+    def cut(self, u: int, v: int) -> Cut:
+        """A minimum u-v cut of the graph, read off the tree; its side holds u."""
+        return query_cut(self._tree, u, v)
 
 
 def replay(
@@ -114,31 +147,30 @@ def replay(
     verify: bool = False,
     csv_out: str | Path | None = None,
 ) -> ReplayReport:
-    """Apply every event, maintaining graph and tree together.
+    """Apply every event through one ``DynamicCutTree``, starting empty.
 
     With ``verify`` on, the tree is checked by the Gomory-Hu certificate
     after every event and the first violation aborts the replay.  ``csv_out``
     writes one accounting row per event.
     """
-    graph = DynamicGraph()
-    tree = CutTree()
-    report = ReplayReport()
+    cut_tree = DynamicCutTree()
+    graph = cut_tree.graph
+    report = ReplayReport(final_graph=graph, final_tree=cut_tree.tree)
     m = 0  # graph.edge_count sums every row; a vertex leaves only once isolated
     for step, ev in enumerate(stream.events, start=1):
-        st = apply_event(tree, graph, ev)
+        st = cut_tree.apply(ev)
         if ev.kind == ADD_EDGE:
             m += 1
         elif ev.kind == REMOVE_EDGE:
             m -= 1
         if verify:
-            check = verify_cut_tree(tree, graph)
+            check = verify_cut_tree(cut_tree.tree, graph)
             if not check.ok:
                 raise VerificationFailed(step, check)
         static = max(0, graph.vertex_count - 1)
         report.stats.append(st)
         report.cum_dynamic += st.cuts_used
         report.cum_static += static
-        ratio = report.cum_dynamic / report.cum_static if report.cum_static else 0.0
         report.rows.append(
             ReplayRow(
                 step,
@@ -149,11 +181,9 @@ def replay(
                 static,
                 report.cum_dynamic,
                 report.cum_static,
-                ratio,
+                report.ratio,
             )
         )
-    report.final_graph = graph
-    report.final_tree = tree
     if csv_out is not None:
         Path(csv_out).write_text(report.csv_text())
     return report

@@ -20,11 +20,11 @@ from dyncut import (
     REMOVE_VERTEX,
     Cut,
     DynamicGraph,
-    contract,
     cut_cost,
     verify_cut_tree,
 )
 from dyncut.errors import EmptyGraph, VertexMissing
+from dyncut.graph import contract
 from dyncut.stream import MIX_ORDER, _applicable, _draw
 
 SCENARIO_MIX = {

@@ -12,21 +12,24 @@ import pytest
 from dyncut import (
     Cut,
     CutTree,
+    DynamicCutTree,
     DynamicGraph,
     GenParams,
-    apply_event,
     cut_cost,
-    detect_bridge,
     generate,
     min_cut,
     replay,
-    static_build,
-    update_decrease,
-    update_increase,
     verify_cut_tree,
 )
-from dyncut.dynamic import EXISTING_BRIDGE, NON_BRIDGE
+from dyncut.dynamic import (
+    EXISTING_BRIDGE,
+    NON_BRIDGE,
+    detect_bridge,
+    update_decrease,
+    update_increase,
+)
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
+from dyncut.tree import static_build
 from helpers import (
     SCENARIO_MIX,
     all_pairs_connectivity,
@@ -60,14 +63,15 @@ def suite1():
     for seed in range(SUITE1_SCENARIOS):
         rng = random.Random(seed)
         g = random_graph(rng, n_min=4, n_max=10, edge_prob=0.5, max_weight=8)
-        tree = static_build(g)
+        cut_tree = DynamicCutTree(g)
+        tree = cut_tree.tree
         report = verify_cut_tree(tree, g)
         if not report.ok:
             failures.append((seed, "static", str(report)))
             continue
         for step in range(SUITE1_EVENTS):
             ev = random_event(g, rng, SCENARIO_MIX, weight_max=8, max_vertices=12)
-            stats = apply_event(tree, g, ev)
+            stats = cut_tree.apply(ev)
             lam = all_pairs_connectivity(g) if g.vertex_count > 1 else {}
             report = verify_cut_tree(tree, g, lam=lam)
             events_checked += 1

@@ -5,16 +5,9 @@ import pytest
 from dyncut import (
     ChangeEvent,
     CutTree,
+    DynamicCutTree,
     DynamicGraph,
-    apply_event,
     cut_cost,
-    detect_bridge,
-    query_value,
-    static_build,
-    update_add_vertex,
-    update_decrease,
-    update_increase,
-    update_remove_vertex,
     verify_cut_tree,
 )
 from dyncut.dynamic import (
@@ -27,6 +20,11 @@ from dyncut.dynamic import (
     RULE_REVALIDATED,
     RULE_THRESHOLD,
     RULE_ZERO_OR_BRIDGE,
+    detect_bridge,
+    update_add_vertex,
+    update_decrease,
+    update_increase,
+    update_remove_vertex,
 )
 from dyncut.errors import (
     DynCutError,
@@ -44,6 +42,7 @@ from dyncut.graph import (
     REMOVE_VERTEX,
     pair_key,
 )
+from dyncut.tree import query_value, static_build
 from helpers import (
     SCENARIO_MIX,
     all_pairs_connectivity,
@@ -280,21 +279,22 @@ INVALID_EVENTS = {
 
 
 @pytest.mark.parametrize("ev, error", INVALID_EVENTS.values(), ids=INVALID_EVENTS.keys())
-def test_apply_event_rejects_invalid_event_unchanged(t3, t3_tree, ev, error):
+def test_apply_event_rejects_invalid_event_unchanged(t3, ev, error):
     assert issubclass(error, DynCutError)
-    t3.add_vertex(4)
-    update_add_vertex(t3_tree, 4)
-    graph_before, tree_before = t3.copy(), t3_tree.copy()
+    cut_tree = DynamicCutTree(t3)
+    cut_tree.apply(ChangeEvent.add_vertex(4))
+    graph_before, tree_before = t3.copy(), cut_tree.tree.copy()
     with pytest.raises(error):
-        apply_event(t3_tree, t3, ev)
+        cut_tree.apply(ev)
     assert t3 == graph_before
-    assert t3_tree == tree_before
+    assert cut_tree.tree == tree_before
 
 
 def _run_scenario(seed, events=15, check_contracts=True):
     rng = random.Random(seed)
     g = random_graph(rng)
-    tree = static_build(g)
+    cut_tree = DynamicCutTree(g)
+    tree = cut_tree.tree
     assert verify_cut_tree(tree, g).ok
     for _ in range(events):
         ev = random_event(g, rng, SCENARIO_MIX, weight_max=8, max_vertices=12)
@@ -303,7 +303,7 @@ def _run_scenario(seed, events=15, check_contracts=True):
             kind = detect_bridge(tree, g, ev.u, ev.v)
             n_before = g.vertex_count
         with count_cuts() as cuts:
-            stats = apply_event(tree, g, ev)
+            stats = cut_tree.apply(ev)
         used = len(cuts)
         assert stats.cuts_used == used
         assert stats.cuts_used <= g.vertex_count - 1

@@ -9,7 +9,6 @@ from dyncut import (
     CutTree,
     DynamicGraph,
     apply_change,
-    contract,
     cut_cost,
 )
 from dyncut.errors import (
@@ -21,7 +20,7 @@ from dyncut.errors import (
     VertexMissing,
     VertexNotIsolated,
 )
-from dyncut.graph import pair_key
+from dyncut.graph import contract, pair_key
 from helpers import ALL_KINDS_MIX, graphs, inverse_event, random_event
 
 
@@ -63,6 +62,16 @@ class TestConstruction:
     def test_endpoints_in_vertex_set(self):
         g = DynamicGraph(edges=[(1, 2, 3)])
         assert set(g.vertices) == {1, 2}
+
+
+@pytest.mark.parametrize("kind", [DynamicGraph, CutTree])
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_add_vertex_checks_the_id_before_presence(kind, bad):
+    # True == 1.0 == 1, so a presence test first would answer VertexExists
+    rows = kind(vertices=[1])
+    with pytest.raises(ValueError):
+        rows.add_vertex(bad)
+    assert list(rows.vertices) == [1]
 
 
 @pytest.mark.parametrize("kind", [DynamicGraph, CutTree])

@@ -10,7 +10,6 @@ from dyncut import (
     DynamicGraph,
     cut_cost,
     min_cut,
-    static_build,
     verify_cut_tree,
 )
 from dyncut.errors import (
@@ -21,6 +20,7 @@ from dyncut.errors import (
 )
 from dyncut.graph import pair_key
 from dyncut.oracle import max_flow_value
+from dyncut.tree import static_build
 from helpers import (
     EnumerationTooLarge,
     _bits,

@@ -1,4 +1,5 @@
 import itertools
+import random
 from hashlib import sha256
 
 import hypothesis.strategies as st
@@ -10,30 +11,28 @@ from dyncut import (
     ADD_EDGE,
     ADD_VERTEX,
     DECREASE_WEIGHT,
-    NON_BRIDGE,
     REMOVE_EDGE,
     REMOVE_VERTEX,
     ChangeEvent,
     Cut,
     CutTree,
+    DynamicCutTree,
     DynamicGraph,
     GenParams,
     apply_change,
-    apply_event,
-    complete,
     cut_cost,
-    detect_bridge,
     generate,
     parse_stream,
     replay,
-    update_increase,
     verify_cut_tree,
 )
+from dyncut.dynamic import NON_BRIDGE, detect_bridge, update_increase
 from dyncut.errors import DynCutError, VerificationFailed
 from dyncut.graph import EVENT_KINDS
 from dyncut.replay import CSV_HEADER
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
-from helpers import ALL_KINDS_MIX, path, random_event
+from dyncut.tree import complete, query_cut, query_value, static_build
+from helpers import ALL_KINDS_MIX, path, random_event, random_graph
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
 T3_BUILD = "av 1\nav 2\nav 3\nae 1 2 1\nae 2 3 2\nae 1 3 3\n"
@@ -236,10 +235,11 @@ def test_update_increase_edits_tree_as_complete_does():
 
 def _certified_replay(stream, every=25):
     """Apply the stream event by event; certify every ``every`` events and after the last."""
-    graph, tree = DynamicGraph(), CutTree()
+    cut_tree = DynamicCutTree()
+    graph, tree = cut_tree.graph, cut_tree.tree
     last = len(stream.events)
     for step, ev in enumerate(stream.events, start=1):
-        apply_event(tree, graph, ev)
+        cut_tree.apply(ev)
         if step % every == 0 or step == last:
             report = verify_cut_tree(tree, graph)
             if not report.ok:
@@ -274,6 +274,36 @@ def test_certified_replay_catches_a_faulty_kernel(monkeypatch):
     with pytest.raises(VerificationFailed) as err:
         _certified_replay(_n100_stream())
     assert any(v.kind == "edge-connectivity" for v in err.value.report.violations)
+
+
+def test_owner_takes_its_graph_and_builds_the_static_tree():
+    for seed in range(10):
+        g = random_graph(random.Random(seed))
+        want = static_build(g.copy())
+        cut_tree = DynamicCutTree(g)
+        assert cut_tree.graph is g
+        assert cut_tree.tree == want
+    for cut_tree in (DynamicCutTree(), DynamicCutTree(DynamicGraph())):
+        assert cut_tree.graph == DynamicGraph() and cut_tree.tree == CutTree()
+        cut_tree.apply(ChangeEvent.add_vertex(3))
+        assert cut_tree.tree == CutTree(vertices=[3])
+
+
+def test_owner_queries_answer_as_the_tree_routines():
+    stream = generate(GenParams(n_vertices=15, n_events=300, mix=ALL_KINDS_MIX), seed=4)
+    rng, cut_tree, asked = random.Random(4), DynamicCutTree(), 0
+    for ev in stream.events:
+        cut_tree.apply(ev)
+        if cut_tree.graph.vertex_count < 2:
+            continue
+        u, v = rng.sample(sorted(cut_tree.graph.vertices), 2)
+        value, cut = cut_tree.query(u, v), cut_tree.cut(u, v)
+        assert value == query_value(cut_tree.tree, u, v)
+        assert cut == query_cut(cut_tree.tree, u, v)
+        assert cut.cost == value == cut_cost(cut_tree.graph, cut.side)
+        assert u in cut.side and v not in cut.side
+        asked += 1
+    assert asked > 250
 
 
 VERTEX_IDS = st.integers(0, 7)
@@ -313,7 +343,8 @@ class EventGrammar(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.graph, self.tree = DynamicGraph(), CutTree()
+        self.cut_tree = DynamicCutTree()
+        self.graph, self.tree = self.cut_tree.graph, self.cut_tree.tree
 
     @initialize(rng=st.randoms(use_true_random=False), n=st.integers(0, 8), m=st.integers(0, 16))
     def fill(self, rng, n, m):
@@ -325,13 +356,14 @@ class EventGrammar(RuleBasedStateMachine):
 
     def _apply(self, ev):
         if _applies(self.graph, ev):
-            apply_event(self.tree, self.graph, ev)
+            self.cut_tree.apply(ev)
+            assert not self.cut_tree.tree.thin_edges()
             report = verify_cut_tree(self.tree, self.graph)
             assert report.ok, (ev, str(report))
         else:
             graph, tree = self.graph.copy(), self.tree.copy()
             with pytest.raises(DynCutError):
-                apply_event(self.tree, self.graph, ev)
+                self.cut_tree.apply(ev)
             assert self.graph == graph and self.tree == tree
 
     @rule(ev=change_events())

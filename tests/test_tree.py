@@ -8,11 +8,7 @@ import dyncut.tree as tree_mod
 from dyncut import (
     CutTree,
     DynamicGraph,
-    complete,
     cut_cost,
-    query_cut,
-    query_value,
-    static_build,
     verify_cut_tree,
 )
 from dyncut.errors import (
@@ -23,7 +19,7 @@ from dyncut.errors import (
 )
 from dyncut.graph import apply_change, pair_key
 from dyncut.stream import MIX_ORDER, GenParams, generate
-from dyncut.tree import contract_links
+from dyncut.tree import complete, contract_links, query_cut, query_value, static_build
 from helpers import checked_complete, count_cuts, graphs, path
 
 
