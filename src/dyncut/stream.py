@@ -116,9 +116,7 @@ def parse_stream(text: str) -> EventStream:
                 ev = ChangeEvent.remove_edge(nums[0], nums[1])
             else:
                 ev = ChangeEvent(KIND_OF_CODE[code], nums[0], nums[1], nums[2])
-        except DynCutError as exc:
-            raise StreamSyntaxError(ln, str(exc)) from None
-        except ValueError as exc:
+        except (DynCutError, ValueError) as exc:
             raise StreamSyntaxError(ln, str(exc)) from None
         events.append(ev)
         lines.append(ln)

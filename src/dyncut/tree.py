@@ -9,7 +9,10 @@ in two kinds: *fat* edges stand for already-certified minimum separating
 cuts of the current graph, *thin* edges only group vertices into compound
 nodes and carry stale costs.  A finished cut tree has only fat edges.
 :func:`complete` unfolds a partial tree node by node, in place, until
-every edge is fat, spending one min-cut computation per thin edge.
+every edge is fat, spending one min-cut computation per thin edge.  Thin
+edges exist only on the way into and through it: the decrease walk in
+:mod:`dyncut.dynamic` marks none, since there an edge is stale exactly
+until the walk reaches it.
 
 A tree is plain cost rows (``dict[int, dict[int, int]]``), thin adjacency
 sets (``dict[int, set[int]]``), and a parent map.  ``remove_edge`` makes
@@ -158,8 +161,8 @@ class CutTree(Rows):
         if thin:
             self._add_thin(u, v)
 
-    # unrolled, and no set is made that is not kept: a decrease walk marks
-    # and unmarks every stale edge of the tree
+    # unrolled, and no set is made that is not kept: every split of
+    # complete adds thin star edges
     def _add_thin(self, u: int, v: int) -> None:
         thin = self._thin
         if u in thin:
@@ -198,13 +201,6 @@ class CutTree(Rows):
         """Every thin edge as ``(u, v, cost)`` with u < v, in no fixed order."""
         adj = self._adj
         return [(u, v, adj[u][v]) for u, nbrs in self._thin.items() for v in nbrs if u < v]
-
-    def mark_fat(self, u: int, v: int, cost: int | None = None) -> None:
-        self.cost(u, v)
-        if v in self._thin.get(u, ()):
-            self._drop_thin(u, v)
-        if cost is not None:
-            self.set_cost(u, v, cost)
 
     def mark_thin(self, u: int, v: int) -> None:
         self.cost(u, v)

@@ -222,24 +222,17 @@ def _connectivity(graph):
     return None
 
 
-def _assert_partial_tree(tree, graph, lam, thin_graph=None, thin_lam=None):
-    """Run the Gomory-Hu certificate on a partial tree, edge kind by edge kind.
+def _assert_partial_tree(tree, graph, lam, judged, kind):
+    """Run the Gomory-Hu certificate on a partial tree against ``graph``.
 
-    Every fat edge must pass against ``graph`` and its connectivities
-    ``lam``; with ``thin_graph`` given, every thin edge must pass against it
-    and ``thin_lam``.  Otherwise thin edges are not checked.
+    ``lam`` holds the connectivities of ``graph`` or is None (flows per
+    edge).  The structure and every edge whose pair ``judged`` accepts must
+    pass; the other edges are not checked.  ``kind`` names the judged edges
+    in the failure message.
     """
-    checks = [(graph, lam, False)]
-    if thin_graph is not None:
-        checks.append((thin_graph, thin_lam, True))
-    for g, g_lam, thin in checks:
-        report = verify_cut_tree(tree, g, g_lam)
-        bad = [
-            str(x)
-            for x in report.violations
-            if x.kind == "structure" or tree.is_thin(*x.pair) == thin
-        ]
-        assert not bad, f"{'thin' if thin else 'fat'} edges fail: {'; '.join(bad)}"
+    report = verify_cut_tree(tree, graph, lam)
+    bad = [str(x) for x in report.violations if x.kind == "structure" or judged(x.pair)]
+    assert not bad, f"{kind} edges fail: {'; '.join(bad)}"
 
 
 @contextmanager
@@ -274,10 +267,13 @@ def checked_complete(graph):
     lam = _connectivity(graph)
     split = dyncut.tree._split_node
 
+    def check(tree, g):
+        _assert_partial_tree(tree, g, lam, lambda pair: not tree.is_thin(*pair), "fat")
+
     def checked_split(tree, g, node):
-        _assert_partial_tree(tree, g, lam)
+        check(tree, g)
         split(tree, g, node)
-        _assert_partial_tree(tree, g, lam)
+        check(tree, g)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dyncut.tree, "_split_node", checked_split)
@@ -287,16 +283,23 @@ def checked_complete(graph):
 @contextmanager
 def checked_decrease_walk(graph, b, d, delta):
     """Certify the decrease walk's tree before every cut it spends and after
-    every subtree it certifies.
+    every subtree it certifies; yield a log of the cuts.
 
-    ``graph`` is the graph after {b, d} lost ``delta``.  Thin edges must be
-    minimum cuts of the graph before the change, fat edges of the graph
-    after.  At each cut, the near end v must lie on the current b-d tree
-    path and the far end u off it, and the quotient that ``min_cut``
-    receives, with the node map beside it, must equal a fresh contraction of
-    the subtrees beyond v's other links in the current tree.  A quotient the
-    walk reused after a reshape changed those subtrees fails here, even
-    where the cut it yields happens to be right.
+    ``graph`` is the graph after {b, d} lost ``delta``.  The walk marks no
+    edge: an edge is stale until the walk reaches it.  So an edge counts as
+    settled when both ends lie on the current b-d path, or when an end was
+    certified, that is, is the ``u`` of a certified {u, v} or lies in the
+    subtree hanging at it.  Settled edges must be minimum cuts of the graph
+    after the change, every other edge one of the graph before.  No cut may
+    move a certified vertex.  At each cut, the near end v must lie on the
+    current b-d path and the far end u off it, and the quotient that
+    ``min_cut`` receives, with the node map beside it, must equal a fresh
+    contraction of the subtrees beyond v's other links in the current tree.
+    A quotient the walk reused after a reshape changed those subtrees fails
+    here, even where the cut it yields happens to be right.
+
+    The log gets one ``(moved, held)`` entry per cut: the far ends the cut
+    moved, and the far ends of its links that were certified.
     """
     before = graph.copy()
     if before.has_edge(b, d):
@@ -304,12 +307,20 @@ def checked_decrease_walk(graph, b, d, delta):
     else:
         before.add_edge(b, d, delta)
     lam_before, lam_after = _connectivity(before), _connectivity(graph)
-    cut_step, fatten = dyncut.dynamic.cut_step, dyncut.dynamic._fatten_subtree
+    cut_step, stale_subtree = dyncut.dynamic.cut_step, dyncut.dynamic._stale_subtree
     min_cut = dyncut.tree.min_cut
     fresh = []  # the quotient the pending cut must receive
+    certified: set[int] = set()
+    log = []
 
     def check(tree):
-        _assert_partial_tree(tree, graph, lam_after, before, lam_before)
+        on_path = set(tree.path_vertices(b, d))
+
+        def settled(pair):
+            return on_path.issuperset(pair) or not certified.isdisjoint(pair)
+
+        _assert_partial_tree(tree, graph, lam_after, settled, "settled")
+        _assert_partial_tree(tree, before, lam_before, lambda p: not settled(p), "stale")
 
     def checked_cut_step(tree, g, links, u, v, contraction=None):
         on_path = tree.path_vertices(b, d)
@@ -324,21 +335,24 @@ def checked_decrease_walk(graph, b, d, delta):
         elif contraction is not None:
             assert contraction[1] == node_of, f"stale node map for the cut of {u} from {v}"
         fresh.append(quotient)
-        result = cut_step(tree, g, links, u, v, contraction)
+        held = [far for far, _ in links if far in certified]
+        cut, moved = cut_step(tree, g, links, u, v, contraction)
         assert not fresh, f"the cut of {u} from {v} reached no min_cut"
-        return result
+        assert certified.isdisjoint(moved), f"the cut of {u} from {v} moved certified {moved}"
+        log.append((moved, held))
+        return cut, moved
 
     def checked_min_cut(quotient, s, t):
         assert quotient == fresh.pop(), f"stale quotient for the cut of {s} from {t}"
         return min_cut(quotient, s, t)
 
-    def checked_fatten(tree, u, v):
-        inherited = fatten(tree, u, v)
+    def checked_stale_subtree(tree, u, v):
+        certified.update(tree.subtree(u, v))
         check(tree)
-        return inherited
+        return stale_subtree(tree, u, v)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dyncut.dynamic, "cut_step", checked_cut_step)
-        mp.setattr(dyncut.dynamic, "_fatten_subtree", checked_fatten)
+        mp.setattr(dyncut.dynamic, "_stale_subtree", checked_stale_subtree)
         mp.setattr(dyncut.tree, "min_cut", checked_min_cut)
-        yield
+        yield log

@@ -50,6 +50,7 @@ from helpers import (
     count_cuts,
     random_event,
     random_graph,
+    sparse_graph,
 )
 
 
@@ -349,6 +350,28 @@ def test_decrease_verify_mode_on_random_cases():
             update_decrease(tree, new, u, v, delta)
         assert verify_cut_tree(tree, new).ok
         done += 1
+
+
+def test_decrease_walk_checked_beyond_the_enumeration_cap():
+    # 16-24 vertices, past the enumeration cap, so the walk's helper checks
+    # every edge by its own flows at each step
+    rng = random.Random(0)
+    past_certified = 0
+    for _ in range(6):
+        g = sparse_graph(rng, rng.randint(16, 24), big=False)
+        tree = static_build(g)
+        u, v, w = sorted(g.edges())[rng.randrange(g.edge_count)]
+        delta = rng.randint(1, w)
+        if delta == w:
+            g.remove_edge(u, v)
+        else:
+            g.decrease_weight(u, v, delta)
+        with checked_decrease_walk(g, u, v, delta) as log:
+            update_decrease(tree, g, u, v, delta)
+        assert verify_cut_tree(tree, g).ok
+        past_certified += sum(1 for moved, held in log if moved and held)
+    # a reshape beside a certified edge, which must stay where it is
+    assert past_certified
 
 
 def test_increase_keeps_off_path_cuts():

@@ -271,7 +271,8 @@ class TestIntermediateTree:
     def test_unmarked_thin_edge_leaves_no_trace(self, t3_tree):
         work = t3_tree.copy()
         work.mark_thin(2, 3)
-        work.mark_fat(3, 2)
+        work.remove_edge(3, 2)
+        work.add_edge(2, 3, 3)
         assert work == t3_tree
         work.mark_thin(1, 3)
         work.remove_edge(3, 1)
@@ -281,7 +282,7 @@ class TestIntermediateTree:
         work = t3_tree.copy()
         work.mark_thin(1, 3)
         other = work.copy()
-        other.mark_fat(1, 3)
+        other.remove_edge(1, 3)
         other.mark_thin(2, 3)
         assert work.is_thin(1, 3) and not work.is_thin(2, 3)
         assert work.thin_edges() == [(1, 3, 4)]
@@ -312,7 +313,9 @@ class TestIntermediateTree:
                 thin.add(pair_key(u, v))
             elif op == "fat" and edges:
                 u, v = rng.sample(rng.choice(edges), 2)
-                tree.mark_fat(u, v, rng.randint(0, 9) if rng.random() < 0.5 else None)
+                c = tree.cost(u, v)
+                tree.remove_edge(u, v)
+                tree.add_edge(u, v, c)
                 thin.discard(pair_key(u, v))
             elif op == "rv" and len(verts) > 2:
                 x = rng.choice(verts)
