@@ -55,8 +55,6 @@ RULE_ZERO_OR_BRIDGE = "zero-or-bridge-edge"
 RULE_REVALIDATED = "revalidated"
 RULE_RECOMPUTED = "recomputed"
 
-UNFOLD_TAG = "unfold"
-
 
 @dataclass(frozen=True)
 class UpdateStats:
@@ -68,9 +66,10 @@ class UpdateStats:
     ``reuse_breakdown`` counts, per rule, the former tree edges the routine
     actually processed; edges re-certified inside a retained subtree inherit
     the rule of the edge that triggered the retention.  ``accepted_stale``
-    lists every edge that was accepted without a fresh cut computation,
-    with its (stale) cost and the rule that accepted it - audit data for
-    reuse-soundness checks.
+    lists each edge the decrease walk certified by the threshold or
+    zero-or-bridge rule, with its stale cost and that rule: audit data for
+    reuse-soundness checks.  Edges inside a certified subtree and bridges
+    get no row; each keeps its final cost in the tree.
     """
 
     cuts_used: int = 0
@@ -206,12 +205,18 @@ def update_decrease(
     pedges = list(zip(pverts, pverts[1:]))
     lam = min(tree.cost(x, y) for x, y in pedges)
     if _bridge_kind(old_w, lam) == EXISTING_BRIDGE:
-        for x, y in pedges:
-            tree.set_cost(x, y, tree.cost(x, y) - delta)
-        accepted = tuple(
-            (pair_key(x, y), c, RULE_BRIDGE) for x, y, c in sorted(tree.edges())
-        )
-        return UpdateStats(0, {RULE_BRIDGE: len(pedges)}, accepted)
+        # The b-d path is the one edge {b, d}.  Before the change w(b,d) =
+        # lam > 0, so the vertices split into B holding b and D holding d,
+        # joined by {b, d} alone.  Let x be b's path neighbour and S b's side
+        # of {b, x}, at cost c >= lam; {b, d} crosses S, so S | D costs at
+        # most c - lam.  If x were in B, S | D would cut b from x below c.  If
+        # x were in D but not d, (B, D) would make c = lam, and S | D would
+        # cut b at cost 0 from d's path neighbour y, which the mirror argument
+        # puts in B: below lambda(b, y) >= lam.
+        if not tree.has_edge(b, d):
+            raise InternalInvariantViolation("a bridge must appear as a tree edge")
+        tree.set_cost(b, d, lam - delta)
+        return UpdateStats(0, {RULE_BRIDGE: 1})
 
     # Stale-cost walk: path edges stay valid at cost -delta.  Every other edge
     # is stale until the walk reaches it, most expensive first.  A certified
@@ -294,9 +299,7 @@ def update_decrease(
                     f"revalidated cut {{{u},{v}}} moved subtrees at {moved}"
                 )
             rule = RULE_REVALIDATED
-        inherited = _stale_subtree(tree, u, v)
-        breakdown[rule] = breakdown.get(rule, 0) + 1 + len(inherited)
-        accepted.extend((p, c, UNFOLD_TAG) for p, c in inherited)
+        breakdown[rule] = breakdown.get(rule, 0) + _stale_subtree(tree, u, v)
 
     # each stale edge is certified once, or recomputed and so on the path
     if sum(breakdown.values()) != initial_stale:
@@ -306,12 +309,6 @@ def update_decrease(
     return UpdateStats(cuts, breakdown, tuple(accepted))
 
 
-def _stale_subtree(tree: CutTree, u: int, v: int) -> list[tuple[Pair, int]]:
-    """The edges of the subtree hanging at u, which {u, v}'s certificate covers."""
-    inside = tree.subtree(u, v)
-    return sorted(
-        ((x, y), c)
-        for x in inside
-        for y, c in tree.neighbors(x).items()
-        if x < y and y in inside
-    )
+def _stale_subtree(tree: CutTree, u: int, v: int) -> int:
+    """How many stale edges {u, v}'s certificate covers: it and the subtree hanging at u."""
+    return len(tree.subtree(u, v))

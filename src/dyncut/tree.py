@@ -335,21 +335,20 @@ def cut_step(
     and v, ``near`` inside it.  The subtree beyond each ``far`` is contracted
     for the cut; ``contraction``, if given, must be what
     :func:`contract_links` returns for them now.  A subtree that lands on the
-    other side from its ``near`` moves, with its cost and kind, to u or v,
-    whichever shares its side.  No move can close a cycle: far's subtree is
-    cut off first, and u and v lie in the other part.
-    Returns the cut and the far ends that moved.
+    other side from its ``near`` moves, with its cost, to u or v, whichever
+    shares its side; a link leaves its node, so it is never thin.  No move
+    can close a cycle: far's subtree is cut off first, and u and v lie in
+    the other part.  Returns the cut and the far ends that moved.
     """
-    adj = tree._adj
     quotient, node_of = contraction or contract_links(tree, graph, links)
     cut = min_cut(quotient, u, v)
     moved = []
     for far, near in links:
         to_u = (far if node_of is None else node_of[far]) in cut.side
         if (near in cut.side) != to_u:
-            c, thin = adj[far][near], near in tree._thin.get(far, ())
+            c = tree.cost(far, near)
             tree.remove_edge(far, near)
-            tree.add_edge(far, u if to_u else v, c, thin)
+            tree.add_edge(far, u if to_u else v, c)
             moved.append(far)
     return cut, moved
 

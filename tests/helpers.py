@@ -255,7 +255,8 @@ def count_cuts():
 
 @contextmanager
 def checked_complete(graph):
-    """Certify the fat edges before and after every split ``complete`` makes on ``graph``.
+    """Certify the fat edges before and after every split ``complete`` makes on ``graph``,
+    and check before each split that no edge leaving the node is thin.
 
     ``complete`` needs only Gomory and Hu's node-level property: each fat
     edge's two sides form a minimum cut, at its cost, between some member of
@@ -271,6 +272,11 @@ def checked_complete(graph):
         _assert_partial_tree(tree, g, lam, lambda pair: not tree.is_thin(*pair), "fat")
 
     def checked_split(tree, g, node):
+        # cut_step re-hangs links with their cost alone: none may be thin
+        thin_links = [
+            (x, y) for x in node for y in tree.neighbors(x) if y not in node and tree.is_thin(x, y)
+        ]
+        assert not thin_links, f"thin edges leave the node: {thin_links}"
         check(tree, g)
         split(tree, g, node)
         check(tree, g)

@@ -20,6 +20,7 @@ from dyncut.dynamic import (
     RULE_REVALIDATED,
     RULE_THRESHOLD,
     RULE_ZERO_OR_BRIDGE,
+    UpdateStats,
     detect_bridge,
     update_add_vertex,
     update_decrease,
@@ -228,6 +229,61 @@ class TestDecrease:
         assert verify_cut_tree(tree, g).ok
         assert stats.cuts_used == 2
         assert stats.reuse_breakdown == {RULE_RECOMPUTED: 1, RULE_REVALIDATED: 1}
+
+
+def test_bridges_are_tree_edges_that_decrease_alone():
+    # An edge whose weight is its endpoints' connectivity is a tree edge, and
+    # decreasing or deleting it lowers that one tree edge and nothing else.
+    rng = random.Random(24)
+    bridges = 0
+    for _ in range(400):
+        g = random_graph(rng, edge_prob=0.3)
+        tree = static_build(g)
+        lam = all_pairs_connectivity(g)
+        for b, d, w in sorted(g.edges()):
+            if w != lam[pair_key(b, d)]:
+                continue
+            assert tree.has_edge(b, d)
+            new, updated, expected = g.copy(), tree.copy(), tree.copy()
+            delta = rng.randint(1, w)
+            if delta == w:
+                new.remove_edge(b, d)
+            else:
+                new.decrease_weight(b, d, delta)
+            stats = update_decrease(updated, new, b, d, delta)
+            expected.set_cost(b, d, w - delta)
+            assert updated == expected
+            assert stats == UpdateStats(0, {RULE_BRIDGE: 1})
+            assert verify_cut_tree(updated, new, lam=all_pairs_connectivity(new)).ok
+            bridges += 1
+    assert bridges >= 800
+
+
+def test_bridge_decrease_makes_no_whole_tree_pass(monkeypatch):
+    # A graph that is a tree is its own cut tree, and each of its edges is a
+    # bridge.  Lowering one reads its path and sets its cost; no pass lists
+    # the tree's edges or a subtree.
+    rng = random.Random(3)
+    edges = [(v, rng.randrange(v), rng.randint(2, 9)) for v in range(1, 2000)]
+    g = DynamicGraph(vertices=range(2000), edges=edges)
+    tree = CutTree(edges=edges)
+    b, d, _ = edges[1000]
+    g.decrease_weight(b, d, 1)
+    calls = []
+    for name in ("edges", "subtree"):
+        real = getattr(CutTree, name)
+
+        def spy(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(CutTree, name, spy)
+    stats = update_decrease(tree, g, b, d, 1)
+    monkeypatch.undo()
+    assert calls == []
+    assert stats.accepted_stale == ()
+    assert stats.reuse_breakdown == {"bridge": 1}
+    assert tree == CutTree(edges=g.edges())
 
 
 class TestDeltaChecks:

@@ -171,20 +171,26 @@ def test_golden_replay_digests(mix, seed, csv_digest, tree_digest):
 @pytest.mark.parametrize(
     "mix, seed, audit_digest",
     [
-        (GROW_MIX, 5, "011f61f38780d69103f7b912e59b1c315e9b22a88119eb8383e67b1f86ef24a9"),
-        (CHURN_MIX, 1, "206425ddd8fd6ee6d943098274b696c604c00fafc586ddd8fbda0992e0ddba65"),
+        (GROW_MIX, 5, "39a909f9d97d91024a9faf6c442ec981b2ce8dd0ef9ee9c76d59f283d3c00890"),
+        (CHURN_MIX, 1, "93b20d502d027b43da3df2269a3d715ddfde6c75058332b1e3c69f90f55402d3"),
     ],
     ids=["grow_increase", "dense_churn"],
 )
 def test_golden_per_event_audit(mix, seed, audit_digest):
-    # pinned digest of every event's accounting: which rule certified each
-    # stale edge and which edges were accepted without a fresh cut
+    # pinned digest of every event's accounting and of the tree after it:
+    # which rule certified each stale edge, which edges the walk accepted
+    # without a fresh cut, and every cost and shape along the way
     stream = generate(GenParams(n_vertices=40, n_events=400, mix=mix), seed=seed)
-    report = replay(stream)
-    text = "".join(
-        repr((st.cuts_used, sorted(st.reuse_breakdown.items()), st.accepted_stale)) + "\n"
-        for st in report.stats
-    )
+    cut_tree = DynamicCutTree()
+    text = ""
+    for ev in stream.events:
+        st = cut_tree.apply(ev)
+        text += repr((
+            st.cuts_used,
+            sorted(st.reuse_breakdown.items()),
+            st.accepted_stale,
+            cut_tree.tree.to_lines(),
+        )) + "\n"
     assert _digest(text) == audit_digest
 
 
