@@ -282,7 +282,7 @@ def test_bridge_decrease_makes_no_whole_tree_pass(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert stats.accepted_stale == ()
-    assert stats.reuse_breakdown == {"bridge": 1}
+    assert stats.reuse_breakdown == {RULE_BRIDGE: 1}
     assert tree == CutTree(edges=g.edges())
 
 
