@@ -77,15 +77,17 @@ class CutTree(Rows):
     compound node's walk reads its own members only.  Every other
     edge is fat, and a finished tree has none.  ``_up[x]`` is x's parent, or
     ``None`` at a root; the cost to it is in the rows.  The root depends on
-    the edit history, so equality ignores it.
+    the edit history, so equality ignores it.  ``_least`` is the smallest
+    vertex id, or ``None`` for an empty tree.
     """
 
-    __slots__ = ("_thin", "_up")
+    __slots__ = ("_thin", "_up", "_least")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
         self._adj: dict[int, dict[int, int]] = {}
         self._thin: dict[int, set[int]] = {}
         self._up: dict[int, int | None] = {}
+        self._least: int | None = None
         edges = list(edges)
         for v in (*vertices, *(x for u, v, _ in edges for x in (u, v))):
             if v not in self._adj:
@@ -115,9 +117,16 @@ class CutTree(Rows):
         self._adj[u][v] = c
         self._adj[v][u] = c
 
+    @property
+    def least_vertex(self) -> int | None:
+        """The smallest vertex id, or ``None`` for an empty tree, in O(1)."""
+        return self._least
+
     def add_vertex(self, v: int) -> None:
         super().add_vertex(v)
         self._up[v] = None
+        if self._least is None or v < self._least:
+            self._least = v
 
     def remove_vertex(self, v: int) -> None:
         if v not in self._adj:
@@ -126,6 +135,8 @@ class CutTree(Rows):
             self.remove_edge(v, x)
         del self._adj[v]
         del self._up[v]
+        if v == self._least:
+            self._least = min(self._adj, default=None)
 
     def _evert(self, x: int) -> None:
         """Make x the root of its component by reversing its path to the old root."""
@@ -247,6 +258,7 @@ class CutTree(Rows):
         t._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         t._thin = {v: set(nbrs) for v, nbrs in self._thin.items()}
         t._up = dict(self._up)
+        t._least = self._least
         return t
 
     def __eq__(self, other) -> bool:

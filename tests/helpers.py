@@ -2,6 +2,7 @@
 
 import random
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import numpy as np
@@ -24,7 +25,7 @@ from dyncut import (
     verify_cut_tree,
 )
 from dyncut.errors import EmptyGraph, VertexMissing
-from dyncut.graph import contract
+from dyncut.graph import contract, pair_key
 from dyncut.stream import MIX_ORDER, _applicable, _draw
 
 SCENARIO_MIX = {
@@ -286,6 +287,35 @@ def checked_complete(graph):
         yield
 
 
+def merged_into(graph, v, groups, merged):
+    """``contract(graph, groups + [{v} | merged])`` with that last node named v.
+
+    The quotient the decrease walk should hand ``min_cut``: the subtrees in
+    ``groups`` each one node, and those in ``merged`` one node with v.
+    """
+    node = {v}.union(merged)
+    quotient, _ = contract(graph, [*groups, node])
+    rep = min(node)
+
+    def name(x):
+        return v if x == rep else x
+
+    return DynamicGraph(
+        vertices=[name(x) for x in quotient.vertices],
+        edges=[(name(x), name(y), w) for x, y, w in quotient.edges()],
+    )
+
+
+class WalkCut(NamedTuple):
+    """One cut of the decrease walk, as ``checked_decrease_walk`` logs it."""
+
+    moved: list  # the far ends the cut moved
+    held: list  # the far ends of its links that were certified
+    folded: list  # the far ends whose node was merged into v before the cut
+    tied: list  # the far ends of settled links at exactly the stale cost
+    edges: tuple  # edges of the quotient min_cut received, and of the unmerged one
+
+
 @contextmanager
 def checked_decrease_walk(graph, b, d, delta):
     """Certify the decrease walk's tree before every cut it spends and after
@@ -298,14 +328,17 @@ def checked_decrease_walk(graph, b, d, delta):
     subtree hanging at it.  Settled edges must be minimum cuts of the graph
     after the change, every other edge one of the graph before.  No cut may
     move a certified vertex.  At each cut, the near end v must lie on the
-    current b-d path and the far end u off it, and the quotient that
-    ``min_cut`` receives, with the node map beside it, must equal a fresh
-    contraction of the subtrees beyond v's other links in the current tree.
-    A quotient the walk reused after a reshape changed those subtrees fails
-    here, even where the cut it yields happens to be right.
+    current b-d path and the far end u off it.  The node map beside the
+    quotient must be that of a fresh contraction of the subtrees beyond v's
+    other links in the current tree.  The quotient that ``min_cut``
+    receives must be that contraction with exactly these subtrees merged
+    into v: each link {x, v} settled at a tree cost strictly above the
+    stale cost of {u, v}, and each such cost must be lambda(x, v) after the
+    change.  The cut must be the one ``min_cut`` returns on the unmerged
+    contraction.  A quotient the walk reused after a reshape changed those
+    subtrees fails here, even where the cut it yields happens to be right.
 
-    The log gets one ``(moved, held)`` entry per cut: the far ends the cut
-    moved, and the far ends of its links that were certified.
+    The log gets one :class:`WalkCut` per cut.
     """
     before = graph.copy()
     if before.has_edge(b, d):
@@ -315,7 +348,7 @@ def checked_decrease_walk(graph, b, d, delta):
     lam_before, lam_after = _connectivity(before), _connectivity(graph)
     cut_step, stale_subtree = dyncut.dynamic.cut_step, dyncut.dynamic._stale_subtree
     min_cut = dyncut.tree.min_cut
-    fresh = []  # the quotient the pending cut must receive
+    fresh = []  # the quotient the pending cut must receive, and the unmerged one
     certified: set[int] = set()
     log = []
 
@@ -327,6 +360,9 @@ def checked_decrease_walk(graph, b, d, delta):
 
         _assert_partial_tree(tree, graph, lam_after, settled, "settled")
         _assert_partial_tree(tree, before, lam_before, lambda p: not settled(p), "stale")
+
+    def lam(x, y):
+        return nx_min_cut(graph, x, y)[0] if lam_after is None else lam_after[pair_key(x, y)]
 
     def checked_cut_step(tree, g, links, u, v, contraction=None):
         on_path = tree.path_vertices(b, d)
@@ -340,17 +376,31 @@ def checked_decrease_walk(graph, b, d, delta):
             )
         elif contraction is not None:
             assert contraction[1] == node_of, f"stale node map for the cut of {u} from {v}"
-        fresh.append(quotient)
+        stale = tree.cost(u, v)
+        settled = {far: tree.cost(far, v) for far, _ in links if far in on_path or far in certified}
+        folded = [far for far, c in settled.items() if c > stale]
+        for far in folded:
+            assert settled[far] == lam(far, v), f"merged link {{{far},{v}}} is not lambda"
+        merged = [group for (far, _), group in zip(links, groups) if far in folded]
+        kept = [group for (far, _), group in zip(links, groups) if far not in folded]
+        expected = merged_into(g, v, kept, set().union(*merged))
+        fresh.append((expected, quotient))
         held = [far for far, _ in links if far in certified]
         cut, moved = cut_step(tree, g, links, u, v, contraction)
         assert not fresh, f"the cut of {u} from {v} reached no min_cut"
         assert certified.isdisjoint(moved), f"the cut of {u} from {v} moved certified {moved}"
-        log.append((moved, held))
+        tied = [far for far, c in settled.items() if c == stale]
+        log.append(
+            WalkCut(moved, held, folded, tied, (expected.edge_count, quotient.edge_count))
+        )
         return cut, moved
 
     def checked_min_cut(quotient, s, t):
-        assert quotient == fresh.pop(), f"stale quotient for the cut of {s} from {t}"
-        return min_cut(quotient, s, t)
+        expected, unmerged = fresh.pop()
+        assert quotient == expected, f"stale quotient for the cut of {s} from {t}"
+        cut = min_cut(quotient, s, t)
+        assert cut == min_cut(unmerged, s, t), f"merging changed the cut of {s} from {t}"
+        return cut
 
     def checked_stale_subtree(tree, u, v):
         certified.update(tree.subtree(u, v))

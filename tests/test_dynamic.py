@@ -1,7 +1,10 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+import dyncut.dynamic
 from dyncut import (
     ChangeEvent,
     CutTree,
@@ -21,6 +24,7 @@ from dyncut.dynamic import (
     RULE_THRESHOLD,
     RULE_ZERO_OR_BRIDGE,
     UpdateStats,
+    _fold,
     detect_bridge,
     update_add_vertex,
     update_decrease,
@@ -49,6 +53,8 @@ from helpers import (
     all_pairs_connectivity,
     checked_decrease_walk,
     count_cuts,
+    graphs,
+    merged_into,
     random_event,
     random_graph,
     sparse_graph,
@@ -109,6 +115,27 @@ class TestVertexUpdates:
         with pytest.raises(VertexMissing):
             update_remove_vertex(t3_tree, 9)
         assert t3_tree == before
+
+    def test_anchor_tracks_the_smallest_vertex(self):
+        # a seeded mix of vertex inserts and deletes, some of them of the
+        # smallest vertex: the anchor a new vertex hangs on stays the
+        # smallest id, in the tree and in its copies
+        rng = random.Random(25)
+        cut_tree, smallest_removed = DynamicCutTree(), 0
+        for _ in range(400):
+            verts = sorted(cut_tree.graph.vertices)
+            if len(verts) == 30 or verts and rng.random() < 0.45:
+                v = rng.choice(verts)
+                smallest_removed += v == verts[0]
+                cut_tree.apply(ChangeEvent.remove_vertex(v))
+            else:
+                v = rng.choice([x for x in range(30) if x not in verts])
+                cut_tree.apply(ChangeEvent.add_vertex(v))
+            tree = cut_tree.tree
+            assert tree.least_vertex == min(tree.vertices, default=None)
+            assert tree.copy().least_vertex == tree.least_vertex
+        assert smallest_removed
+        assert CutTree().least_vertex is None
 
 
 class TestDetectBridge:
@@ -229,6 +256,64 @@ class TestDecrease:
         assert verify_cut_tree(tree, g).ok
         assert stats.cuts_used == 2
         assert stats.reuse_breakdown == {RULE_RECOMPUTED: 1, RULE_REVALIDATED: 1}
+
+    def test_walk_check_refuses_a_leaf_quotient_kept_past_a_reshape(self, monkeypatch):
+        # The case above, with every quotient at a path vertex kept for good:
+        # the cut of leaf 4 from 3 then gets the quotient from before flank 1
+        # moved onto 2, and the walk's check must refuse it.
+        kept, contract_links = {}, dyncut.dynamic.contract_links
+
+        def keep_forever(tree, graph, links):
+            return kept.setdefault(links[0][1], contract_links(tree, graph, links))
+
+        monkeypatch.setattr(dyncut.dynamic, "contract_links", keep_forever)
+        g = DynamicGraph(edges=[(1, 2, 6), (1, 3, 6), (2, 3, 3), (2, 4, 4), (3, 4, 7)])
+        tree = static_build(g)
+        g.decrease_weight(1, 3, 5)
+        with pytest.raises(AssertionError, match="skipped contract"):
+            with checked_decrease_walk(g, 1, 3, 5):
+                update_decrease(tree, g, 1, 3, 5)
+
+    @pytest.mark.parametrize(
+        "edges, change, folded",
+        [
+            # path edge {3,4} at 14 - 2 = 12 lies above the stale cost 11 of
+            # {1,4}, a cut of the non-leaf 1 whose links are both leaves
+            (
+                [(1, 2, 6), (1, 4, 7), (2, 3, 3), (2, 5, 1), (3, 4, 8), (3, 5, 3), (4, 5, 7)],
+                (3, 5, 2),
+                [[3]],
+            ),
+            # {2,3}, revalidated at 14 by the first cut, lies above the stale
+            # cost 13 of the next leaf at 2, which shares the first's quotient
+            ([(1, 2, 8), (1, 3, 5), (2, 3, 5), (2, 4, 6), (3, 4, 4)], (2, 4, 1), [[], [3]]),
+        ],
+    )
+    def test_settled_links_above_the_stale_cost_merge_into_the_path_vertex(
+        self, edges, change, folded
+    ):
+        g = DynamicGraph(edges=edges)
+        tree = static_build(g)
+        b, d, delta = change
+        g.decrease_weight(b, d, delta)
+        with checked_decrease_walk(g, b, d, delta) as log:
+            update_decrease(tree, g, b, d, delta)
+        assert [cut.folded for cut in log] == folded
+        assert all(cut.edges[0] < cut.edges[1] for cut in log if cut.folded)
+        assert verify_cut_tree(tree, g).ok
+
+    def test_a_link_settled_at_the_stale_cost_is_not_merged(self):
+        # Lowering {3,4} by 1: the cut of 1 from 3 certifies {1,3} at 5.  The
+        # cut of 2 from 3 has stale cost 5 as well, so {1,3} is settled at
+        # exactly that cost, and 1 stays a node of its own.
+        g = DynamicGraph(edges=[(1, 2, 1), (1, 3, 4), (2, 3, 2), (2, 4, 2), (3, 4, 2)])
+        tree = static_build(g)
+        assert tree.to_lines() == ["1 3 5", "2 3 5", "3 4 4"]
+        g.decrease_weight(3, 4, 1)
+        with checked_decrease_walk(g, 3, 4, 1) as log:
+            update_decrease(tree, g, 3, 4, 1)
+        assert [(cut.folded, cut.tied) for cut in log] == [([], []), ([], [1])]
+        assert verify_cut_tree(tree, g).ok
 
 
 def test_bridges_are_tree_edges_that_decrease_alone():
@@ -387,9 +472,21 @@ def test_random_scenarios_stay_valid(seed):
     _run_scenario(seed)
 
 
+@given(graphs(max_vertices=6), st.data())
+def test_fold_merges_a_node_by_the_sum_rule(g, data):
+    v, w = data.draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2, max_size=2, unique=True))
+    folded = g.copy()
+    _fold(folded._adj, v, w)
+    assert folded == merged_into(g, v, [], {w})
+    rest = [x for x in g.vertices if x not in (v, w)]
+    for mask in range(1 << len(rest)):
+        side = {x for i, x in enumerate(rest) if mask >> i & 1}
+        assert cut_cost(folded, side | {v}) == cut_cost(g, side | {v, w})
+
+
 def test_decrease_verify_mode_on_random_cases():
     rng = random.Random(99)
-    done = 0
+    done = merged = 0
     while done < 60:
         g = random_graph(rng, n_min=4, n_max=9)
         if g.edge_count == 0:
@@ -402,10 +499,13 @@ def test_decrease_verify_mode_on_random_cases():
             new.remove_edge(u, v)
         else:
             new.decrease_weight(u, v, delta)
-        with checked_decrease_walk(new, u, v, delta):
+        with checked_decrease_walk(new, u, v, delta) as log:
             update_decrease(tree, new, u, v, delta)
         assert verify_cut_tree(tree, new).ok
+        merged += sum(1 for cut in log if cut.folded and cut.edges[0] < cut.edges[1])
         done += 1
+    # some cut gets a quotient that merging settled links made smaller
+    assert merged
 
 
 def test_decrease_walk_checked_beyond_the_enumeration_cap():
@@ -425,7 +525,7 @@ def test_decrease_walk_checked_beyond_the_enumeration_cap():
         with checked_decrease_walk(g, u, v, delta) as log:
             update_decrease(tree, g, u, v, delta)
         assert verify_cut_tree(tree, g).ok
-        past_certified += sum(1 for moved, held in log if moved and held)
+        past_certified += sum(1 for cut in log if cut.moved and cut.held)
     # a reshape beside a certified edge, which must stay where it is
     assert past_certified
 
