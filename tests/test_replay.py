@@ -194,6 +194,22 @@ def test_golden_per_event_audit(mix, seed, audit_digest):
     assert _digest(text) == audit_digest
 
 
+@pytest.mark.parametrize(
+    "weight_max, seed, tree_digest",
+    [
+        (1, 2, "724130033090b4f561b999ef2c3e441348d93c591536118c0f74f1fda046ef4e"),
+        (2, 1, "366d8e56bd20db7b44ca0ad7657ad345ef6178a32c71d6b9d22ac2acb4ecdb5e"),
+    ],
+)
+def test_golden_static_build_digests(weight_max, seed, tree_digest):
+    # On the golden streams static_build gives the replay's own tree, so
+    # those digests cannot tell a change of split order.  With light
+    # weights ties abound, and the tree depends on which node is split first.
+    params = GenParams(n_vertices=40, n_events=400, weight_max=weight_max, mix=CHURN_MIX)
+    graph = replay(generate(params, seed=seed)).final_graph.copy()
+    assert _digest("\n".join(static_build(graph).to_lines())) == tree_digest
+
+
 def test_leaf_cuts_share_a_quotient(monkeypatch):
     # The stream of the dense_churn digests above.  Every cut of a leaf at
     # the same path vertex reuses one contraction until a reshape, and a
