@@ -14,9 +14,9 @@ once per v and drops every kept one when a cut moves a subtree.  Before a
 cut of stale cost c, each of v's neighbour subtrees whose edge is settled,
 a path edge or one the walk certified, at a cost above c is merged into v:
 splitting it from v costs more than c, and the stale side costs at most
-c, so no minimum cut does.  ``complete`` merges no such node: its fat
-edges hold only Gomory and Hu's node-level property, which gives no lower
-bound on a cut of the edge's own ends.
+c, so no minimum cut does.  ``complete`` merges no such node: an edge
+between two of its compound nodes holds only Gomory and Hu's node-level
+property, which gives no lower bound on a cut of the edge's own ends.
 
 Every routine edits the tree it is given.  The vertex routines return
 nothing; the increase and decrease routines return the event's
@@ -39,7 +39,8 @@ from .errors import (
     VertexMissing,
     VertexNotIsolated,
 )
-# contract and min_cut are unused here; perfbench/tracer.py wraps both names
+# contract, min_cut and query_value are unused here; perfbench/tracer.py
+# wraps all three names
 from .graph import (
     DynamicGraph,
     Pair,
@@ -83,19 +84,12 @@ class UpdateStats:
     accepted_stale: tuple[tuple[Pair, int, str], ...] = ()
 
 
-def detect_bridge(tree: CutTree, graph: DynamicGraph, b: int, d: int) -> str:
-    """Classify {b, d} with tree lookups only (no cut computation).
+def _bridge_kind(w_before: int, lam: int) -> str:
+    """Classify {b, d} from its weight before the change (0 if absent) and lambda(b, d).
 
     An existing edge is a bridge iff its weight equals the connectivity of
-    its endpoints; {b, d} is a new bridge iff the endpoints are currently
-    disconnected (connectivity zero).
+    its endpoints; {b, d} is a new bridge iff they are disconnected.
     """
-    w = graph.weight(b, d) if graph.has_edge(b, d) else 0
-    return _bridge_kind(w, query_value(tree, b, d))
-
-
-def _bridge_kind(w_before: int, lam: int) -> str:
-    """Classify {b, d} from its weight before the change (0 if absent)."""
     if w_before > lam:
         raise InvalidDelta(f"weight {w_before} before the change exceeds connectivity {lam}")
     if w_before == lam and lam > 0:
@@ -171,18 +165,11 @@ def update_increase(
 
     # General route: every edge off the b-d path keeps its cut; the cheapest
     # path edge (nearest to b on ties) is a minimum b-d cut, so it stays
-    # valid with cost +delta and stays fat.  The other path edges turn thin,
-    # and complete rebuilds them with one cut each.
-    chosen = pedges[costs.index(lam)]
-    for x, y in pedges:
-        if (x, y) != chosen:
-            tree.mark_thin(x, y)
-    tree.set_cost(*chosen, lam + delta)
-    cuts = complete(tree, graph)
-    if cuts != len(pedges) - 1:
-        raise InternalInvariantViolation(
-            f"rebuild used {cuts} cuts, expected {len(pedges) - 1}"
-        )
+    # valid with cost +delta.  The path's two parts on either side of it are
+    # compound nodes, and complete splits them with one cut per other edge.
+    i = costs.index(lam)
+    tree.set_cost(*pedges[i], lam + delta)
+    cuts = complete(tree, graph, [verts[: i + 1], verts[i + 1 :]])
     breakdown = {RULE_RECOMPUTED: cuts} if cuts else {}
     return UpdateStats(cuts, breakdown)
 

@@ -4,34 +4,33 @@ A cut tree (Gomory-Hu tree) spans the graph's vertices; each tree edge, when
 removed, induces a minimum cut between its endpoints, and the cheapest edge
 on the tree path between any two vertices gives their connectivity.
 
-One tree type serves finished and partially built trees.  Its edges come
-in two kinds: *fat* edges stand for already-certified minimum separating
-cuts of the current graph, *thin* edges only group vertices into compound
-nodes and carry stale costs.  A finished cut tree has only fat edges.
-:func:`complete` unfolds a partial tree node by node, in place, until
-every edge is fat, spending one min-cut computation per thin edge.  Thin
-edges exist only on the way into and through it: the decrease walk in
-:mod:`dyncut.dynamic` marks none, since there an edge is stale exactly
-until the walk reaches it.
+A partial tree is a tree of *compound nodes*: disjoint vertex sets, each
+joined by tree edges among its own members.  Those inner edges, the
+paper's *thin* edges, carry no cut.  Every other edge stands for a minimum
+cut of the current graph between the nodes at its two ends.
+:func:`complete` takes a partial tree and its nodes, and splits the nodes
+one by one, in place, spending one min-cut computation per split, until
+every node is a single vertex.  Nodes live only inside that call, so the
+tree itself marks no edge, and a tree at rest is always finished.
 
-A tree is plain cost rows (``dict[int, dict[int, int]]``), thin adjacency
-sets (``dict[int, set[int]]``), and a parent map.  ``remove_edge`` makes
-the child a root, and ``add_edge`` is the one edit that re-roots: it everts
-the shallower end's path, hangs it below the other end, and refuses an edge
-that would close a cycle.  So a tree path is two walks up to the lowest
-common ancestor, O(depth).  Link-cut trees (Sleator and Tarjan, "A data
-structure for dynamic trees", JCSS 1983) would bound that by O(log n); at
-the depths met here they cost more.
+A tree is plain cost rows (``dict[int, dict[int, int]]``) and a parent
+map.  ``remove_edge`` makes the child a root, and ``add_edge`` is the one
+edit that re-roots: it everts the shallower end's path, hangs it below the
+other end, and refuses an edge that would close a cycle.  So a tree path
+is two walks up to the lowest common ancestor, O(depth).  Link-cut trees
+(Sleator and Tarjan, "A data structure for dynamic trees", JCSS 1983)
+would bound that by O(log n); at the depths met here they cost more.
 
 :func:`cut_step` is the one Gomory-Hu step that reshapes a tree, for
 :func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
 Where it re-hangs a subtree, the cut alone decides (Gomory and Hu's
-node-level rule), so neither the member a fat edge touches nor the shape
-and costs of the thin edges inside a node affect the finished tree.
+node-level rule), so neither the member an outer edge touches nor the
+shape and costs of the edges inside a node affect the finished tree.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Iterable
 
@@ -72,20 +71,16 @@ class CutTree(Rows):
     """Weighted tree on the graph's vertices encoding all-pairs minimum cuts.
 
     ``_adj`` holds the :class:`~dyncut.graph.Rows`: ``_adj[u][v]`` is the
-    cost of tree edge {u, v}.  ``_thin[u]`` is the set of u's thin
-    neighbours, for the vertices that have one: no empty set is kept, so a
-    compound node's walk reads its own members only.  Every other
-    edge is fat, and a finished tree has none.  ``_up[x]`` is x's parent, or
+    cost of tree edge {u, v}.  ``_up[x]`` is x's parent, or
     ``None`` at a root; the cost to it is in the rows.  The root depends on
     the edit history, so equality ignores it.  ``_least`` is the smallest
     vertex id, or ``None`` for an empty tree.
     """
 
-    __slots__ = ("_thin", "_up", "_least")
+    __slots__ = ("_up", "_least")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int, int]] = ()):
         self._adj: dict[int, dict[int, int]] = {}
-        self._thin: dict[int, set[int]] = {}
         self._up: dict[int, int | None] = {}
         self._least: int | None = None
         edges = list(edges)
@@ -94,15 +89,6 @@ class CutTree(Rows):
                 self.add_vertex(v)
         for u, v, c in edges:
             self.add_edge(u, v, c)
-
-    @classmethod
-    def star(cls, vertices: Iterable[int]) -> "CutTree":
-        """All-thin star centered on the smallest vertex."""
-        verts = sorted(vertices)
-        t = cls(verts)
-        for v in verts[1:]:
-            t.add_edge(verts[0], v, 0, thin=True)
-        return t
 
     def cost(self, u: int, v: int) -> int:
         try:
@@ -144,7 +130,7 @@ class CutTree(Rows):
         while x is not None:
             up[x], prev, x = prev, x, up[x]
 
-    def add_edge(self, u: int, v: int, c: int, thin: bool = False) -> None:
+    def add_edge(self, u: int, v: int, c: int) -> None:
         """Join two components by edge {u, v}, re-rooting the shallower end below the other."""
         adj, up = self._adj, self._up
         if u == v:
@@ -169,68 +155,17 @@ class CutTree(Rows):
         up[u] = v
         adj[u][v] = c
         adj[v][u] = c
-        if thin:
-            self._add_thin(u, v)
-
-    # unrolled, and no set is made that is not kept: every split of
-    # complete adds thin star edges
-    def _add_thin(self, u: int, v: int) -> None:
-        thin = self._thin
-        if u in thin:
-            thin[u].add(v)
-        else:
-            thin[u] = {v}
-        if v in thin:
-            thin[v].add(u)
-        else:
-            thin[v] = {u}
-
-    def _drop_thin(self, u: int, v: int) -> None:
-        thin = self._thin
-        nbrs = thin[u]
-        nbrs.remove(v)
-        if not nbrs:
-            del thin[u]
-        nbrs = thin[v]
-        nbrs.remove(u)
-        if not nbrs:
-            del thin[v]
 
     def remove_edge(self, u: int, v: int) -> None:
         self.cost(u, v)
         del self._adj[u][v]
         del self._adj[v][u]
-        if v in self._thin.get(u, ()):
-            self._drop_thin(u, v)
         self._up[u if self._up[u] == v else v] = None
 
-    def is_thin(self, u: int, v: int) -> bool:
-        self.cost(u, v)
-        return v in self._thin.get(u, ())
-
-    def thin_edges(self) -> list[tuple[int, int, int]]:
-        """Every thin edge as ``(u, v, cost)`` with u < v, in no fixed order."""
-        adj = self._adj
-        return [(u, v, adj[u][v]) for u, nbrs in self._thin.items() for v in nbrs if u < v]
-
-    def mark_thin(self, u: int, v: int) -> None:
-        self.cost(u, v)
-        self._add_thin(u, v)
-
-    def thin_component(self, v: int) -> set[int]:
-        """The compound node containing v: vertices connected by thin edges."""
-        if v not in self._adj:
-            raise VertexMissing(f"no vertex {v}")
-        # walk the thin sets alone: a member's row may hold many fat edges
-        seen: set[int] = set()
-        _reach(self._thin, v, seen)
-        return seen
-
-    def next_multi_node(self) -> set[int] | None:
-        """Compound node to process next: the one holding the smallest vertex."""
-        if not self._thin:
-            return None
-        return self.thin_component(min(self._thin))
+    # perfbench/tracer.py:67 wraps this name, and will not install without
+    # it; no tree holds a thin edge
+    def thin_edges(self) -> list:
+        return []
 
     def subtree(self, root: int, banned: int) -> set[int]:
         """Vertices on root's side when tree edge {root, banned} is ignored."""
@@ -256,7 +191,6 @@ class CutTree(Rows):
         """Independent copy; its rows drop the space that removed entries left."""
         t = CutTree()
         t._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
-        t._thin = {v: set(nbrs) for v, nbrs in self._thin.items()}
         t._up = dict(self._up)
         t._least = self._least
         return t
@@ -264,7 +198,7 @@ class CutTree(Rows):
     def __eq__(self, other) -> bool:
         if not isinstance(other, CutTree):
             return NotImplemented
-        return (self._adj, self._thin) == (other._adj, other._thin)
+        return self._adj == other._adj
 
     def __repr__(self) -> str:
         return f"CutTree({self.vertex_count} vertices)"
@@ -365,20 +299,26 @@ def cut_step(
     return cut, moved
 
 
-def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
-    """Split a compound node along a minimum cut of its two smallest members."""
-    members = sorted(node)
+def _split_node(
+    tree: CutTree, graph: DynamicGraph, members: list[int]
+) -> tuple[list[int], list[int]]:
+    """Split a compound node along a minimum cut of its two smallest members.
+
+    ``members`` lists the node in increasing order.  Returns the two sides,
+    u's and then v's, in the same order.
+    """
+    node = set(members)
     u, v = members[0], members[1]
     links = [(far, near) for near in members for far in tree._adj[near] if far not in node]
     cut, _ = cut_step(tree, graph, links, u, v)
 
-    # Every thin edge touching the node lies inside it, and every edge inside
-    # it is thin: a member's edge to a parent in the node.  Each side becomes
-    # a thin star on its smallest member, u or v.  An inside edge that
-    # already belongs to a star stays; the others go, and only the members
-    # they left re-join their centre.  {u, v} goes too and comes back fat,
-    # so add_edge hangs one side below the other as a full rebuild would,
-    # which keeps tree paths as short.  No split reads a thin edge's cost.
+    # Every edge inside the node is a member's edge to a parent in the node.
+    # Each side becomes a zero-cost star on its smallest member, u or v.  An
+    # inside edge that already belongs to a star stays; the others go, and
+    # only the members they left re-join their centre.  {u, v} goes too and
+    # comes back at the cut's cost, so add_edge hangs one side below the
+    # other as a full rebuild would, which keeps tree paths as short.  No
+    # split reads the cost of an edge inside its node.
     up, adj = tree._up, tree._adj
     hub = {w: u if w in cut.side else v for w in members[2:]}
     for w in members:
@@ -388,23 +328,32 @@ def _split_node(tree: CutTree, graph: DynamicGraph, node: set[int]) -> None:
     tree.add_edge(u, v, cut.cost)
     for w, h in hub.items():
         if h not in adj[w]:
-            tree.add_edge(h, w, 0, thin=True)
+            tree.add_edge(h, w, 0)
+    return [w for w in members if w in cut.side], [w for w in members if w not in cut.side]
 
 
-def complete(tree: CutTree, graph: DynamicGraph) -> int:
-    """Unfold a partial tree, in place, into a finished cut tree of ``graph``.
+def complete(tree: CutTree, graph: DynamicGraph, nodes: Iterable[Iterable[int]]) -> int:
+    """Split a partial tree's compound ``nodes``, in place, until it is a cut tree of ``graph``.
 
-    Every fat edge of the input must already hold Gomory and Hu's
-    node-level property: its two sides form a minimum cut of ``graph``, at
-    its cost, between some member of the compound node at one end and some
-    member of the node at the other.  Each split keeps that so, and once
-    every node is a single vertex the cut separates the edge's own ends.
-    Spends exactly one min-cut computation per thin edge of the input and
-    returns their number.
+    The nodes must be disjoint, and each must be joined by tree edges among
+    its own members; a vertex in no node is a node of its own.  Every edge
+    between two nodes must already hold Gomory and Hu's node-level
+    property: its two sides form a minimum cut of ``graph``, at its cost,
+    between some member of the node at one end and some member of the node
+    at the other.  Each split keeps that so, and once every node is a
+    single vertex the cut separates the edge's own ends.  The node with
+    the smallest member is split first, and each side of two or more
+    members waits as a node of its own.  Spends one min-cut computation per
+    split, ``len(node) - 1`` per node, and returns their number.
     """
+    # disjoint sorted lists compare by their first, smallest members
+    heap = [members for members in map(sorted, nodes) if len(members) > 1]
+    heapify(heap)
     splits = 0
-    while (node := tree.next_multi_node()) is not None:
-        _split_node(tree, graph, node)
+    while heap:
+        for side in _split_node(tree, graph, heappop(heap)):
+            if len(side) > 1:
+                heappush(heap, side)
         splits += 1
     return splits
 
@@ -413,6 +362,8 @@ def static_build(graph: DynamicGraph) -> CutTree:
     """Build a cut tree from scratch with n-1 min-cut computations."""
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a cut tree of an empty graph")
-    tree = CutTree.star(graph.vertices)
-    complete(tree, graph)
+    # one node of every vertex, joined by a zero-cost star on the smallest
+    verts = sorted(graph.vertices)
+    tree = CutTree(verts, [(verts[0], v, 0) for v in verts[1:]])
+    complete(tree, graph, [verts])
     return tree

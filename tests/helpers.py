@@ -256,35 +256,57 @@ def count_cuts():
 
 @contextmanager
 def checked_complete(graph):
-    """Certify the fat edges before and after every split ``complete`` makes on ``graph``,
-    and check before each split that no edge leaving the node is thin.
+    """Yield ``complete``, checked on ``graph``; ``static_build`` and
+    ``update_increase`` call the checked one too inside the block.
 
-    ``complete`` needs only Gomory and Hu's node-level property: each fat
-    edge's two sides form a minimum cut, at its cost, between some member of
-    each end's compound node.  This check asks more, a minimum cut between
-    the edge's own ends, so it suits inputs whose fat edges already hold
-    that.  The path edge that ``update_increase`` keeps fat is a minimum
-    cut of the changed pair and can fail it until the splits re-hang it.
+    The nodes handed to ``complete`` must be disjoint.  Before each split,
+    the node's members must be joined by tree edges among themselves.
+    Before and after each split, every edge that does not lie inside a
+    pending node, one that ``complete`` has yet to split, is certified.
+
+    ``complete`` needs only Gomory and Hu's node-level property: each edge
+    between two nodes has sides that form a minimum cut, at its cost,
+    between some member of each end's node.  This check asks more, a
+    minimum cut between the edge's own ends, so it suits inputs whose edges
+    between nodes already hold that.  The path edge that
+    ``update_increase`` keeps is a minimum cut of the changed pair and can
+    fail it until the splits re-hang it.
     """
     lam = _connectivity(graph)
-    split = dyncut.tree._split_node
+    complete, split = dyncut.tree.complete, dyncut.tree._split_node
+    pending = []  # the member sets of the nodes complete has yet to split
 
     def check(tree, g):
-        _assert_partial_tree(tree, g, lam, lambda pair: not tree.is_thin(*pair), "fat")
+        def outer(pair):
+            return not any(pair[0] in node and pair[1] in node for node in pending)
 
-    def checked_split(tree, g, node):
-        # cut_step re-hangs links with their cost alone: none may be thin
-        thin_links = [
-            (x, y) for x in node for y in tree.neighbors(x) if y not in node and tree.is_thin(x, y)
-        ]
-        assert not thin_links, f"thin edges leave the node: {thin_links}"
+        _assert_partial_tree(tree, g, lam, outer, "fat")
+
+    def checked(tree, g, nodes):
+        nodes = [set(node) for node in nodes]
+        assert sum(map(len, nodes)) == len(set().union(*nodes)), f"nodes overlap: {nodes}"
+        pending[:] = [node for node in nodes if len(node) > 1]
+        return complete(tree, g, nodes)
+
+    def checked_split(tree, g, members):
+        node = set(members)
+        assert node in pending, f"split of a node complete was not given: {members}"
+        reached = [members[0]]
+        for x in reached:
+            reached += [y for y in tree.neighbors(x) if y in node and y not in reached]
+        assert len(reached) == len(node), f"node {members} is not joined by its own edges"
         check(tree, g)
-        split(tree, g, node)
+        sides = split(tree, g, members)
+        pending.remove(node)
+        pending.extend(set(side) for side in sides if len(side) > 1)
         check(tree, g)
+        return sides
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dyncut.tree, "_split_node", checked_split)
-        yield
+        mp.setattr(dyncut.tree, "complete", checked)
+        mp.setattr(dyncut.dynamic, "complete", checked)
+        yield checked
 
 
 def merged_into(graph, v, groups, merged):

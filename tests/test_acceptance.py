@@ -24,12 +24,12 @@ from dyncut import (
 from dyncut.dynamic import (
     EXISTING_BRIDGE,
     NON_BRIDGE,
-    detect_bridge,
+    _bridge_kind,
     update_decrease,
     update_increase,
 )
 from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
-from dyncut.tree import static_build
+from dyncut.tree import query_value, static_build
 from helpers import (
     SCENARIO_MIX,
     all_pairs_connectivity,
@@ -129,7 +129,7 @@ def test_criterion_3_increase_contract():
                 new.increase_weight(u, v, delta)
             else:
                 new.add_edge(u, v, delta)
-            kind = detect_bridge(tree, g, u, v)
+            kind = _bridge_kind(g.neighbors(u).get(v, 0), query_value(tree, u, v))
             plen = len(tree.path_vertices(u, v)) - 1
             stats = update_increase(tree, new, u, v, delta)
             if kind == NON_BRIDGE:
@@ -169,7 +169,7 @@ def test_criterion_4_decrease_contract():
                 new.remove_edge(u, v)
             else:
                 new.decrease_weight(u, v, delta)
-            kind = detect_bridge(tree, g, u, v)
+            kind = _bridge_kind(g.neighbors(u).get(v, 0), query_value(tree, u, v))
             plen = len(tree.path_vertices(u, v)) - 1
             n = g.vertex_count
             stats = update_decrease(tree, new, u, v, delta)

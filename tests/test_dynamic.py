@@ -24,8 +24,8 @@ from dyncut.dynamic import (
     RULE_THRESHOLD,
     RULE_ZERO_OR_BRIDGE,
     UpdateStats,
+    _bridge_kind,
     _fold,
-    detect_bridge,
     update_add_vertex,
     update_decrease,
     update_increase,
@@ -138,22 +138,27 @@ class TestVertexUpdates:
         assert CutTree().least_vertex is None
 
 
+def _kind(tree, graph, b, d):
+    """How ``_bridge_kind`` classifies {b, d} of ``graph`` before a change."""
+    return _bridge_kind(graph.neighbors(b).get(d, 0), query_value(tree, b, d))
+
+
 class TestDetectBridge:
     def test_existing_bridge(self, p3, p3_tree):
-        assert detect_bridge(p3_tree, p3, 1, 2) == EXISTING_BRIDGE
+        assert _kind(p3_tree, p3, 1, 2) == EXISTING_BRIDGE
 
     def test_new_bridge_across_components(self):
         g = DynamicGraph(vertices=[1, 2, 3], edges=[(1, 2, 5)])
         tree = CutTree(edges=[(1, 2, 5), (1, 3, 0)])
-        assert detect_bridge(tree, g, 1, 3) == NEW_BRIDGE
-        assert detect_bridge(tree, g, 2, 3) == NEW_BRIDGE
+        assert _kind(tree, g, 1, 3) == NEW_BRIDGE
+        assert _kind(tree, g, 2, 3) == NEW_BRIDGE
 
     def test_non_bridge(self, t3, t3_tree):
-        assert detect_bridge(t3_tree, t3, 1, 2) == NON_BRIDGE
+        assert _kind(t3_tree, t3, 1, 2) == NON_BRIDGE
 
     def test_costs_no_cuts(self, t3, t3_tree):
         with count_cuts() as cuts:
-            detect_bridge(t3_tree, t3, 1, 2)
+            _kind(t3_tree, t3, 1, 2)
         assert cuts == []
 
 
@@ -442,7 +447,7 @@ def _run_scenario(seed, events=15, check_contracts=True):
         ev = random_event(g, rng, SCENARIO_MIX, weight_max=8, max_vertices=12)
         if check_contracts and ev.kind not in (ADD_VERTEX, REMOVE_VERTEX):
             plen = len(tree.path_vertices(ev.u, ev.v)) - 1
-            kind = detect_bridge(tree, g, ev.u, ev.v)
+            kind = _kind(tree, g, ev.u, ev.v)
             n_before = g.vertex_count
         with count_cuts() as cuts:
             stats = cut_tree.apply(ev)
@@ -540,7 +545,7 @@ def test_increase_keeps_off_path_cuts():
         tree = static_build(g)
         verts = sorted(g.vertices)
         b, d = rng.sample(verts, 2)
-        if detect_bridge(tree, g, b, d) != NON_BRIDGE:
+        if _kind(tree, g, b, d) != NON_BRIDGE:
             continue
         new = g.copy()
         delta = rng.randint(1, 8)

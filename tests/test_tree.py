@@ -17,7 +17,7 @@ from dyncut.errors import (
     SameVertex,
     VertexMissing,
 )
-from dyncut.graph import apply_change, pair_key
+from dyncut.graph import apply_change
 from dyncut.stream import MIX_ORDER, GenParams, generate
 from dyncut.tree import complete, contract_links, query_cut, query_value, static_build
 from helpers import checked_complete, count_cuts, graphs, path
@@ -85,15 +85,15 @@ class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
         work = t3_tree.copy()
         with count_cuts() as cuts:
-            complete(work, t3)
+            assert complete(work, t3, [{1}, {2}, {3}]) == 0
         assert work == t3_tree
         assert cuts == []
         assert verify_cut_tree(work, t3).ok
 
     def test_all_thin_star_equals_static_build(self, p3):
-        star = CutTree.star(p3.vertices)
+        star = CutTree(edges=[(1, 2, 0), (1, 3, 0)])
         with count_cuts() as cuts:
-            complete(star, p3)
+            complete(star, p3, [p3.vertices])
         assert len(cuts) == 2
         assert star == static_build(p3)
 
@@ -103,9 +103,9 @@ class TestComplete:
         raised.increase_weight(1, 2, 2)
         work = CutTree(vertices=(1, 2, 3))
         work.add_edge(2, 3, 5)
-        work.add_edge(1, 3, 4, thin=True)
-        with count_cuts() as cuts, checked_complete(raised):
-            complete(work, raised)
+        work.add_edge(1, 3, 4)
+        with count_cuts() as cuts, checked_complete(raised) as checked:
+            checked(work, raised, [{1, 3}])
         assert len(cuts) == 1
         assert verify_cut_tree(work, raised).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
@@ -113,10 +113,10 @@ class TestComplete:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_checked_from_a_thin_path(self, seed):
-        # the shape update_increase hands over: a thin tree path between fat
-        # subtrees.  The whole path is thinned here, since the path edge that
-        # update_increase keeps fat is a minimum cut of the path's ends, not
-        # always of its own, until the splits re-hang it.
+        # the shape update_increase hands over: a tree path as compound nodes
+        # between finished subtrees.  The whole path is one node here, since
+        # the path edge that update_increase keeps is a minimum cut of the
+        # path's ends, not always of its own, until the splits re-hang it.
         rng = random.Random(seed)
         # a weighted path with light chords has a deep cut tree
         g = DynamicGraph(edges=[(i, i + 1, rng.randint(3, 8)) for i in range(23)])
@@ -132,41 +132,35 @@ class TestComplete:
         a = farthest(0)
         verts = work.path_vertices(a, farthest(a))
         assert len(verts) > 10
-        for x, y in zip(verts, verts[1:]):
-            work.mark_thin(x, y)
-        with checked_complete(g):
-            assert complete(work, g) == len(verts) - 1
+        with checked_complete(g) as checked:
+            assert checked(work, g, [verts]) == len(verts) - 1
         assert verify_cut_tree(work, g).ok
 
     def test_lying_fat_label_caught_in_verify_mode(self, t3):
-        # the thin edge makes complete split once, so the check runs
+        # the node {2, 3} makes complete split once, so the check runs
         work = CutTree(vertices=(1, 2, 3))
         work.add_edge(1, 3, 9)
-        work.add_edge(2, 3, 3, thin=True)
+        work.add_edge(2, 3, 3)
         with pytest.raises(AssertionError, match=r"fat edges fail: induced-cost at \(1, 3\)"):
-            with checked_complete(t3):
-                complete(work, t3)
+            with checked_complete(t3) as checked:
+                checked(work, t3, [{2, 3}])
 
     @given(graphs(min_vertices=3))
     @settings(max_examples=40)
     def test_never_recuts_existing_fat_edges(self, g):
-        # thin out the path between the two smallest vertices of a finished
-        # tree; the remaining fat cuts must survive completion unchanged
-        tree = static_build(g)
+        # make the path between the two smallest vertices of a finished tree
+        # one node; the cuts off the path must survive completion unchanged
+        work = static_build(g)
         a, b = sorted(g.vertices)[:2]
-        verts = tree.path_vertices(a, b)
+        verts = work.path_vertices(a, b)
         on_path = {frozenset(e) for e in zip(verts, verts[1:])}
-        work = tree.copy()
-        for u, v, _ in work.edges():
-            if {u, v} in on_path:
-                work.mark_thin(u, v)
         anchor = min(g.vertices)
         fat_before = {
             (_side_without(work, u, v, anchor), c)
             for u, v, c in work.edges()
-            if not work.is_thin(u, v)
+            if {u, v} not in on_path
         }
-        complete(work, g)
+        complete(work, g, [verts])
         fat_after = {(_side_without(work, u, v, anchor), c) for u, v, c in work.edges()}
         assert fat_before <= fat_after
 
@@ -174,27 +168,58 @@ class TestComplete:
     @settings(max_examples=40)
     def test_split_ignores_where_fat_edges_meet_a_node(self, g, seed):
         # Gomory-Hu's node-level rule: the finished tree depends neither on
-        # the member of a compound node a fat edge touches nor on the costs
-        # of the thin edges inside the node
+        # the member of a compound node an outer edge touches nor on the
+        # costs of the edges inside the node
         rng = random.Random(seed)
         work = static_build(g)
-        for u, v, _ in list(work.edges()):
-            if rng.random() < 0.5:
-                work.mark_thin(u, v)
+        nodes, node_of = _random_nodes(work, rng)
         moved = work.copy()
         for u, v, _ in list(work.edges()):
-            if work.is_thin(u, v):
+            if node_of[u] is node_of[v]:
                 moved.set_cost(u, v, rng.randint(0, 9))
                 continue
             far, near = rng.sample((u, v), 2)
-            others = sorted(work.thin_component(near) - {near})
+            others = sorted(node_of[near] - {near})
             if others:
                 moved.remove_edge(far, near)
                 moved.add_edge(far, rng.choice(others), work.cost(u, v))
-        assert complete(work, g) == complete(moved, g)
+        assert complete(work, g, nodes) == complete(moved, g, nodes)
         assert work.to_lines() == moved.to_lines()
         assert verify_cut_tree(work, g).ok
         assert verify_cut_tree(moved, g).ok
+
+    @given(graphs(min_vertices=2, max_vertices=10), st.integers(0, 10**6))
+    @settings(max_examples=40)
+    def test_any_order_of_the_nodes_gives_one_tree(self, g, seed):
+        # complete picks the node with the smallest member first, whatever
+        # order the nodes and their members come in
+        rng = random.Random(seed)
+        work = static_build(g)
+        nodes, _ = _random_nodes(work, rng)
+        shuffled = [rng.sample(sorted(node), len(node)) for node in nodes]
+        rng.shuffle(shuffled)
+        other = work.copy()
+        splits = sum(len(node) - 1 for node in nodes)
+        assert complete(work, g, nodes) == splits
+        assert complete(other, g, shuffled[::-1]) == splits
+        assert work.to_lines() == other.to_lines()
+        assert verify_cut_tree(work, g).ok
+        assert verify_cut_tree(other, g).ok
+
+
+def _random_nodes(tree, rng):
+    """The compound nodes that a random half of ``tree``'s edges join, and each vertex's node."""
+    inner: dict[int, set[int]] = {}
+    for u, v, _ in tree.edges():
+        if rng.random() < 0.5:
+            inner.setdefault(u, set()).add(v)
+            inner.setdefault(v, set()).add(u)
+    nodes, node_of = [], {}
+    for x in sorted(tree.vertices):
+        if x not in node_of:
+            nodes.append(_component(inner, x))
+            node_of.update(dict.fromkeys(nodes[-1], nodes[-1]))
+    return nodes, node_of
 
 
 class TestQueries:
@@ -244,8 +269,9 @@ class TestPath:
         assert path(t3_tree, 2, 3) == [(2, 3)]
 
     def test_works_on_intermediate_trees(self, t3_tree):
+        # the cost of an edge inside a compound node means nothing
         work = t3_tree.copy()
-        work.mark_thin(2, 3)
+        work.set_cost(2, 3, 0)
         assert work != t3_tree
         assert path(work, 1, 2) == [(1, 3), (3, 2)]
 
@@ -257,119 +283,6 @@ class TestSerialization:
     def test_roundtrip_via_constructor(self, t3_tree):
         edges = [tuple(int(x) for x in line.split()) for line in t3_tree.to_lines()]
         assert CutTree(edges=edges) == t3_tree
-
-
-class TestIntermediateTree:
-    def test_thin_component_and_subtree(self, t3_tree):
-        work = t3_tree.copy()
-        work.mark_thin(2, 3)
-        assert work.thin_component(2) == {2, 3}
-        assert work.thin_component(1) == {1}
-        assert work.subtree(1, 3) == {1}
-        assert work.subtree(3, 1) == {2, 3}
-
-    def test_unmarked_thin_edge_leaves_no_trace(self, t3_tree):
-        work = t3_tree.copy()
-        work.mark_thin(2, 3)
-        work.remove_edge(3, 2)
-        work.add_edge(2, 3, 3)
-        assert work == t3_tree
-        work.mark_thin(1, 3)
-        work.remove_edge(3, 1)
-        assert work == CutTree(vertices=(1,), edges=[(2, 3, 3)])
-
-    def test_copy_has_its_own_thin_edges(self, t3_tree):
-        work = t3_tree.copy()
-        work.mark_thin(1, 3)
-        other = work.copy()
-        other.remove_edge(1, 3)
-        other.mark_thin(2, 3)
-        assert work.is_thin(1, 3) and not work.is_thin(2, 3)
-        assert work.thin_edges() == [(1, 3, 4)]
-
-    @given(st.integers(2, 10), st.integers(0, 10**6))
-    def test_thin_edits_match_a_pair_key_model(self, n, seed):
-        rng = random.Random(seed)
-        tree = CutTree(vertices=range(n))
-        thin: set[tuple[int, int]] = set()  # the reference: pair keys
-        for _ in range(60):
-            op = rng.choice(["ae", "ae", "re", "thin", "fat", "rv", "av"])
-            verts = sorted(tree.vertices)
-            edges = sorted((u, v) for u, v, _ in tree.edges())
-            if op == "ae" and len(verts) > 1:
-                u, v = rng.sample(verts, 2)
-                if _bfs_path(tree, u, v) is None:
-                    is_thin = rng.random() < 0.6
-                    tree.add_edge(u, v, rng.randint(0, 9), thin=is_thin)
-                    if is_thin:
-                        thin.add(pair_key(u, v))
-            elif op == "re" and edges:
-                u, v = rng.sample(rng.choice(edges), 2)
-                tree.remove_edge(u, v)
-                thin.discard(pair_key(u, v))
-            elif op == "thin" and edges:
-                u, v = rng.sample(rng.choice(edges), 2)
-                tree.mark_thin(u, v)
-                thin.add(pair_key(u, v))
-            elif op == "fat" and edges:
-                u, v = rng.sample(rng.choice(edges), 2)
-                c = tree.cost(u, v)
-                tree.remove_edge(u, v)
-                tree.add_edge(u, v, c)
-                thin.discard(pair_key(u, v))
-            elif op == "rv" and len(verts) > 2:
-                x = rng.choice(verts)
-                tree.remove_vertex(x)
-                thin = {p for p in thin if x not in p}
-            elif op == "av":
-                x = rng.randrange(2 * n)
-                if x not in tree.vertices:
-                    tree.add_vertex(x)
-            assert sorted((u, v) for u, v, _ in tree.thin_edges()) == sorted(thin)
-            assert all(c == tree.cost(u, v) for u, v, c in tree.thin_edges())
-            for u, v, _ in tree.edges():
-                assert tree.is_thin(v, u) == ((u, v) in thin)
-            nbrs: dict[int, set[int]] = {}
-            for u, v in thin:
-                nbrs.setdefault(u, set()).add(v)
-                nbrs.setdefault(v, set()).add(u)
-            for x in tree.vertices:
-                assert tree.thin_component(x) == _component(nbrs, x)
-            expected = _component(nbrs, min(thin)[0]) if thin else None
-            assert tree.next_multi_node() == expected
-            # no empty thin set is left behind, so equal trees compare equal
-            assert all(tree._thin.values())
-
-    def test_next_multi_node_reads_only_its_node(self):
-        # a small node {0, 1} holds the smallest vertex; k other two-vertex
-        # thin nodes hang off 0 by fat edges.  Finding the smallest thin
-        # vertex scans the thin map's keys; the walk then reads the entries
-        # of the node's own members, however many other nodes there are.
-        reads = {}
-        for k in (5, 500):
-            tree = CutTree(vertices=range(2 * k + 2))
-            tree.add_edge(0, 1, 0, thin=True)
-            for i in range(1, k + 1):
-                tree.add_edge(2 * i, 2 * i + 1, 0, thin=True)
-                tree.add_edge(0, 2 * i, 1)
-            tree._thin = _CountingDict(tree._thin)
-            assert tree.next_multi_node() == {0, 1}
-            reads[k] = tree._thin.reads
-        assert reads[5] == reads[500] <= 4, reads
-
-
-class _CountingDict(dict):
-    """A dict that counts the entries read through ``[]`` and ``get``."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
 
 
 def _component(nbrs, start):
@@ -498,7 +411,7 @@ class TestParentMap:
             elif op == "ae" and len(verts) > 1:
                 u, v = rng.sample(verts, 2)
                 if _bfs_path(tree, u, v) is None:
-                    tree.add_edge(u, v, rng.randint(0, 9), thin=rng.random() < 0.5)
+                    tree.add_edge(u, v, rng.randint(0, 9))
                 else:
                     _refused(tree, lambda: tree.add_edge(u, v, 1))
             elif op == "re" and edges:
@@ -507,16 +420,15 @@ class TestParentMap:
                 # re-hang far's side of an edge elsewhere, or back if that is refused
                 far, near = rng.sample(rng.choice(edges), 2)
                 new = rng.choice(verts)
-                c, thin = tree.cost(far, near), tree.is_thin(far, near)
+                c = tree.cost(far, near)
                 side = tree.subtree(far, near)
                 tree.remove_edge(far, near)
                 _check_parent_map(tree, rng)
                 if new in side:
                     if new != far:
-                        _refused(tree, lambda: tree.add_edge(far, new, c, thin))
+                        _refused(tree, lambda: tree.add_edge(far, new, c))
                     new = near
-                tree.add_edge(far, new, c, thin)
-                assert tree.is_thin(far, new) == thin
+                tree.add_edge(far, new, c)
             _check_parent_map(tree, rng)
 
     def test_cycle_edits_raise_and_change_nothing(self):
