@@ -343,8 +343,9 @@ def complete(tree: CutTree, graph: DynamicGraph, nodes: Iterable[Iterable[int]])
     at the other.  Each split keeps that so, and once every node is a
     single vertex the cut separates the edge's own ends.  The node with
     the smallest member is split first, and each side of two or more
-    members waits as a node of its own.  Spends one min-cut computation per
-    split, ``len(node) - 1`` per node, and returns their number.
+    members waits as a node of its own; where minimum cuts tie, that order
+    fixes the finished tree.  Spends one min-cut computation per split,
+    ``len(node) - 1`` per node, and returns their number.
     """
     # disjoint sorted lists compare by their first, smallest members
     heap = [members for members in map(sorted, nodes) if len(members) > 1]
