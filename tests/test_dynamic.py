@@ -138,27 +138,22 @@ class TestVertexUpdates:
         assert CutTree().least_vertex is None
 
 
-def _kind(tree, graph, b, d):
-    """How ``_bridge_kind`` classifies {b, d} of ``graph`` before a change."""
-    return _bridge_kind(graph.neighbors(b).get(d, 0), query_value(tree, b, d))
-
-
 class TestDetectBridge:
     def test_existing_bridge(self, p3, p3_tree):
-        assert _kind(p3_tree, p3, 1, 2) == EXISTING_BRIDGE
+        assert _bridge_kind(p3.weight(1, 2), query_value(p3_tree, 1, 2)) == EXISTING_BRIDGE
 
     def test_new_bridge_across_components(self):
         g = DynamicGraph(vertices=[1, 2, 3], edges=[(1, 2, 5)])
         tree = CutTree(edges=[(1, 2, 5), (1, 3, 0)])
-        assert _kind(tree, g, 1, 3) == NEW_BRIDGE
-        assert _kind(tree, g, 2, 3) == NEW_BRIDGE
+        assert _bridge_kind(0, query_value(tree, 1, 3)) == NEW_BRIDGE
+        assert _bridge_kind(0, query_value(tree, 2, 3)) == NEW_BRIDGE
 
     def test_non_bridge(self, t3, t3_tree):
-        assert _kind(t3_tree, t3, 1, 2) == NON_BRIDGE
+        assert _bridge_kind(t3.weight(1, 2), query_value(t3_tree, 1, 2)) == NON_BRIDGE
 
     def test_costs_no_cuts(self, t3, t3_tree):
         with count_cuts() as cuts:
-            _kind(t3_tree, t3, 1, 2)
+            _bridge_kind(t3.weight(1, 2), query_value(t3_tree, 1, 2))
         assert cuts == []
 
 
@@ -447,7 +442,8 @@ def _run_scenario(seed, events=15, check_contracts=True):
         ev = random_event(g, rng, SCENARIO_MIX, weight_max=8, max_vertices=12)
         if check_contracts and ev.kind not in (ADD_VERTEX, REMOVE_VERTEX):
             plen = len(tree.path_vertices(ev.u, ev.v)) - 1
-            kind = _kind(tree, g, ev.u, ev.v)
+            w_before = g.neighbors(ev.u).get(ev.v, 0)
+            kind = _bridge_kind(w_before, query_value(tree, ev.u, ev.v))
             n_before = g.vertex_count
         with count_cuts() as cuts:
             stats = cut_tree.apply(ev)
@@ -545,7 +541,7 @@ def test_increase_keeps_off_path_cuts():
         tree = static_build(g)
         verts = sorted(g.vertices)
         b, d = rng.sample(verts, 2)
-        if _kind(tree, g, b, d) != NON_BRIDGE:
+        if _bridge_kind(g.neighbors(b).get(d, 0), query_value(tree, b, d)) != NON_BRIDGE:
             continue
         new = g.copy()
         delta = rng.randint(1, 8)
