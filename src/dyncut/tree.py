@@ -71,10 +71,10 @@ class CutTree(Rows):
     """Weighted tree on the graph's vertices encoding all-pairs minimum cuts.
 
     ``_adj`` holds the :class:`~dyncut.graph.Rows`: ``_adj[u][v]`` is the
-    cost of tree edge {u, v}.  ``_up[x]`` is x's parent, or
-    ``None`` at a root; the cost to it is in the rows.  The root depends on
-    the edit history, so equality ignores it.  ``_least`` is the smallest
-    vertex id, or ``None`` for an empty tree.
+    cost of tree edge {u, v}.  ``_up[x]`` is x's parent, or ``None`` at a
+    root; the cost to it is in the rows.  The root depends on the edit
+    history, so equality ignores it.  ``_least`` is the smallest vertex id,
+    or ``None`` for an empty tree.
     """
 
     __slots__ = ("_up", "_least")
