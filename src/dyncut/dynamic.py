@@ -11,12 +11,13 @@ fresh min-cut that reshapes the tree only when it finds a cheaper cut.
 Every cut of a leaf u at the same path vertex v contracts the same graph,
 the subtrees beyond v's other neighbours, so the walk builds that quotient
 once per v and drops every kept one when a cut moves a subtree.  Before a
-cut of stale cost c, each of v's neighbour subtrees whose edge is settled,
-a path edge or one the walk certified, at a cost above c is merged into v:
-splitting it from v costs more than c, and the stale side costs at most
-c, so no minimum cut does.  ``complete`` merges no such node: an edge
-between two of its compound nodes holds only Gomory and Hu's node-level
-property, which gives no lower bound on a cut of the edge's own ends.
+cut of stale cost c, :func:`dyncut.tree.fold_links` merges into v each of
+v's neighbour subtrees whose edge is settled, a path edge or one the walk
+certified, at a cost above c: splitting it from v costs more than c, and
+the stale side costs at most c, so no minimum cut does.  ``complete``
+merges no such node: an edge between two of its compound nodes holds
+only Gomory and Hu's node-level property, which gives no lower bound on
+a cut of the edge's own ends.
 
 Every routine edits the tree it is given.  The vertex routines return
 nothing; the increase and decrease routines return the event's
@@ -49,7 +50,7 @@ from .graph import (
     pair_key,
 )
 from .mincut import min_cut
-from .tree import CutTree, complete, contract_links, cut_step, query_value
+from .tree import CutTree, complete, contract_links, cut_step, fold_links, query_value
 
 EXISTING_BRIDGE = "existing-bridge"
 NEW_BRIDGE = "new-bridge"
@@ -231,8 +232,8 @@ def update_decrease(
 
     for v in pverts:
         push_frontier(v)
-    # path vertex v -> the quotient and node map that every cut of a leaf at v uses
-    leaf_quotients: dict[int, tuple[DynamicGraph, dict[int, int] | None]] = {}
+    # path vertex v -> the quotient that every cut of a leaf at v uses
+    leaf_quotients: dict[int, DynamicGraph] = {}
     certified: set[int] = set()  # the far end u of every edge {u, v} certified here
     cuts = 0
     breakdown: dict[str, int] = {}
@@ -264,22 +265,18 @@ def update_decrease(
             # A settled {x, v} costs lambda(x, v) > stale, and u's subtree is
             # a u-v cut of cost at most stale, so no minimum u-v cut splits
             # x's node from v: merged into v, it leaves the cut as it was.
-            # A merged far end is in no side, so it never moves.  The bound
-            # needs a cost strictly above stale; a link settled at stale
-            # stays apart.
+            # The bound needs a cost strictly above stale; a link settled at
+            # stale stays apart.
             folds = [x for x, c in nbrs.items() if c > stale and (x in pset or x in certified)]
-            contraction = None
-            if len(tree.neighbors(u)) == 1:
-                # A leaf u stays a singleton, so every leaf at v shares v's
-                # quotient, merges and all: until a cut moves a subtree no
-                # edge is pushed, so the stale costs at v only fall.
-                contraction = leaf_quotients.get(v) or contract_links(tree, graph, links)
-                if folds:
-                    contraction = _fold_links(contraction, graph, v, folds)
-                leaf_quotients[v] = contraction
-            elif folds:
-                contraction = _fold_links(contract_links(tree, graph, links), graph, v, folds)
-            cut, moved = cut_step(tree, graph, links, u, v, contraction)
+            # A leaf u stays a singleton, so every leaf at v shares v's
+            # quotient, merges and all: until a cut moves a subtree no edge
+            # is pushed, so the stale costs at v only fall.
+            leaf = len(tree.neighbors(u)) == 1
+            quotient = leaf and leaf_quotients.get(v) or contract_links(tree, graph, links)
+            quotient = fold_links(quotient, graph, v, folds)
+            if leaf:
+                leaf_quotients[v] = quotient
+            cut, moved = cut_step(tree, quotient, links, u, v)
             if moved:
                 # a moved subtree changes the groups of the quotients around it
                 leaf_quotients.clear()
@@ -315,39 +312,6 @@ def update_decrease(
             f"the walk settled {sum(breakdown.values())} of {initial_stale} stale edges"
         )
     return UpdateStats(cuts, breakdown, tuple(accepted))
-
-
-def _fold_links(
-    contraction: tuple[DynamicGraph, dict[int, int] | None],
-    graph: DynamicGraph,
-    v: int,
-    folds: list[int],
-) -> tuple[DynamicGraph, dict[int, int] | None]:
-    """Merge the node of each far end in ``folds`` into v, and return the contraction.
-
-    A quotient edits in place; ``graph`` itself is copied first, and only
-    if a node is left to merge.  A node already merged is skipped.  The
-    node map is kept: a merged far end maps to a node the quotient lacks.
-    """
-    quotient, node_of = contraction
-    for x in folds:
-        w = x if node_of is None else node_of[x]
-        if w in quotient._adj:
-            if quotient is graph:
-                quotient = graph.copy()
-            _fold(quotient._adj, v, w)
-    return quotient, node_of
-
-
-def _fold(adj: dict[int, dict[int, int]], v: int, w: int) -> None:
-    """Merge node w into node v of the rows ``adj`` by the sum rule; v keeps its name."""
-    row, into = adj.pop(w), adj[v]
-    row.pop(v, None)
-    into.pop(w, None)
-    for y, c in row.items():
-        far = adj[y]
-        del far[w]
-        far[v] = into[y] = into.get(y, 0) + c
 
 
 def _stale_subtree(tree: CutTree, u: int, v: int) -> int:

@@ -299,7 +299,7 @@ def apply_change(graph: DynamicGraph, event: ChangeEvent) -> DynamicGraph:
 def contract(
     graph: DynamicGraph, groups: Iterable[Iterable[int]]
 ) -> tuple[DynamicGraph, dict[int, int]]:
-    """Contract each group to a single node named after its smallest member.
+    """Contract each group to a single node named after its first member.
 
     Vertices outside every group become singleton nodes under their own id.
     Edge weights between nodes follow the sum rule; edges interior to a group
@@ -309,18 +309,17 @@ def contract(
     node_of: dict[int, int] = {}
     moved: list[int] = []
     for group in groups:
-        members = set(group)
+        members = dict.fromkeys(group)  # in order; a repeated member counts once
         if not members:
             raise ValueError("groups must be non-empty")
-        rep = min(members)
+        rep, *rest = members
         for v in members:
             if v not in adj:
                 raise VertexMissing(f"vertex {v} not in graph")
             if v in node_of:
                 raise OverlappingGroups(f"vertex {v} appears in two groups")
             node_of[v] = rep
-            if v != rep:
-                moved.append(v)
+        moved += rest
     for v in adj:
         node_of.setdefault(v, v)
 

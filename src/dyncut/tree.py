@@ -23,7 +23,9 @@ would bound that by O(log n); at the depths met here they cost more.
 
 :func:`cut_step` is the one Gomory-Hu step that reshapes a tree, for
 :func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
-Where it re-hangs a subtree, the cut alone decides (Gomory and Hu's
+Each subtree off the node is one node of its quotient, named after its
+link's far end, and :func:`fold_links`, the walk's fold, merges such nodes.
+Where the step re-hangs a subtree, the cut alone decides (Gomory and Hu's
 node-level rule), so neither the member an outer edge touches nor the
 shape and costs of the edges inside a node affect the finished tree.
 """
@@ -252,49 +254,68 @@ IntermediateTree = CutTree
 
 def contract_links(
     tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]]
-) -> tuple[DynamicGraph, dict[int, int] | None]:
-    """``graph`` with the subtree beyond each link ``(far, near)`` contracted, and its node map.
+) -> DynamicGraph:
+    """``graph`` with the subtree beyond each link ``(far, near)`` contracted to a node named far.
 
     When every ``far`` is a leaf there is nothing to merge, so the result is
-    ``graph`` itself, not a copy, and no node map: every vertex is its own
-    node.  Callers only read the graph.
+    ``graph`` itself, not a copy.  Callers only read it, or hand it to
+    :func:`fold_links`, which copies ``graph`` before its first edit.
     """
     adj = tree._adj
-    # a leaf is a one-vertex subtree, which contract would leave as it is
+    # a leaf is a one-vertex subtree, which contract would leave as it is;
+    # _reach lists far first, so far names its node
     groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
-    if not groups:
-        return graph, None
-    return contract(graph, groups)
+    return contract(graph, groups)[0] if groups else graph
+
+
+def fold_links(
+    quotient: DynamicGraph, graph: DynamicGraph, v: int, folds: list[int]
+) -> DynamicGraph:
+    """Merge into v the node that each far end in ``folds`` names in ``quotient``; return it.
+
+    A far end no longer in the quotient was merged already, and is skipped.
+    A quotient is edited in place; ``graph`` itself is copied before the first merge.
+    """
+    for x in folds:
+        if x in quotient._adj:
+            if quotient is graph:
+                quotient = graph.copy()
+            _fold(quotient._adj, v, x)
+    return quotient
+
+
+def _fold(adj: dict[int, dict[int, int]], v: int, w: int) -> None:
+    """Merge node w into node v of the rows ``adj`` by the sum rule; v keeps its name."""
+    row, into = adj.pop(w), adj[v]
+    row.pop(v, None)
+    into.pop(w, None)
+    for y, c in row.items():
+        far = adj[y]
+        del far[w]
+        far[v] = into[y] = into.get(y, 0) + c
 
 
 def cut_step(
-    tree: CutTree,
-    graph: DynamicGraph,
-    links: list[tuple[int, int]],
-    u: int,
-    v: int,
-    contraction: tuple[DynamicGraph, dict[int, int] | None] | None = None,
+    tree: CutTree, quotient: DynamicGraph, links: list[tuple[int, int]], u: int, v: int
 ) -> tuple[Cut, list[int]]:
     """One Gomory-Hu step: cut u from v, then re-hang the node's subtrees by side.
 
     ``links`` are the tree edges ``(far, near)`` that leave a node holding u
-    and v, ``near`` inside it.  The subtree beyond each ``far`` is contracted
-    for the cut; ``contraction``, if given, must be what
-    :func:`contract_links` returns for them now.  A subtree that lands on the
-    other side from its ``near`` moves, with its cost, to u or v, whichever
-    shares its side; a link leaves its node, so it is never thin.  No move
-    can close a cycle: far's subtree is cut off first, and u and v lie in
-    the other part.  Returns the cut and the far ends that moved.
+    and v, ``near`` inside it.  ``quotient`` is what :func:`contract_links`
+    builds for them, so each ``far`` names its subtree's node; a far end
+    folded into v is in no side, so it never moves.  A subtree that lands
+    on the other side from its ``near`` moves, with its cost, to u or v,
+    whichever shares its side; a link leaves its node, so it is never thin.
+    No move can close a cycle: far's subtree is cut off first, and u and v
+    lie in the other part.  Returns the cut and the far ends that moved.
     """
-    quotient, node_of = contraction or contract_links(tree, graph, links)
     cut = min_cut(quotient, u, v)
     moved = []
     for far, near in links:
-        to_u = (far if node_of is None else node_of[far]) in cut.side
-        if (near in cut.side) != to_u:
+        if (near in cut.side) != (far in cut.side):
             c = tree.cost(far, near)
             tree.remove_edge(far, near)
-            tree.add_edge(far, u if to_u else v, c)
+            tree.add_edge(far, u if far in cut.side else v, c)
             moved.append(far)
     return cut, moved
 
@@ -310,7 +331,7 @@ def _split_node(
     node = set(members)
     u, v = members[0], members[1]
     links = [(far, near) for near in members for far in tree._adj[near] if far not in node]
-    cut, _ = cut_step(tree, graph, links, u, v)
+    cut, _ = cut_step(tree, contract_links(tree, graph, links), links, u, v)
 
     # Every edge inside the node is a member's edge to a parent in the node.
     # Each side becomes a zero-cost star on its smallest member, u or v.  An

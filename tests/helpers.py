@@ -310,22 +310,13 @@ def checked_complete(graph):
 
 
 def merged_into(graph, v, groups, merged):
-    """``contract(graph, groups + [{v} | merged])`` with that last node named v.
+    """``contract(graph, groups + [[v, *merged]])``: the quotient the decrease
+    walk should hand ``min_cut``.
 
-    The quotient the decrease walk should hand ``min_cut``: the subtrees in
-    ``groups`` each one node, and those in ``merged`` one node with v.
+    Each list in ``groups`` becomes one node named after its first member,
+    and v and the vertices in ``merged`` one node named v.
     """
-    node = {v}.union(merged)
-    quotient, _ = contract(graph, [*groups, node])
-    rep = min(node)
-
-    def name(x):
-        return v if x == rep else x
-
-    return DynamicGraph(
-        vertices=[name(x) for x in quotient.vertices],
-        edges=[(name(x), name(y), w) for x, y, w in quotient.edges()],
-    )
+    return contract(graph, [*groups, [v, *merged]])[0]
 
 
 class WalkCut(NamedTuple):
@@ -350,13 +341,12 @@ def checked_decrease_walk(graph, b, d, delta):
     subtree hanging at it.  Settled edges must be minimum cuts of the graph
     after the change, every other edge one of the graph before.  No cut may
     move a certified vertex.  At each cut, the near end v must lie on the
-    current b-d path and the far end u off it.  The node map beside the
-    quotient must be that of a fresh contraction of the subtrees beyond v's
-    other links in the current tree.  The quotient that ``min_cut``
-    receives must be that contraction with exactly these subtrees merged
-    into v: each link {x, v} settled at a tree cost strictly above the
-    stale cost of {u, v}, and each such cost must be lambda(x, v) after the
-    change.  The cut must be the one ``min_cut`` returns on the unmerged
+    current b-d path and the far end u off it.  The quotient that
+    ``min_cut`` receives must be a fresh contraction of the subtrees beyond
+    v's other links in the current tree, each named after its far end, with
+    exactly these subtrees merged into v: each link {x, v} settled at a tree
+    cost strictly above the stale cost of {u, v}, and each such cost must be
+    lambda(x, v) after the change.  The cut must be the one ``min_cut`` returns on the unmerged
     contraction.  A quotient the walk reused after a reshape changed those
     subtrees fails here, even where the cut it yields happens to be right.
 
@@ -386,18 +376,12 @@ def checked_decrease_walk(graph, b, d, delta):
     def lam(x, y):
         return nx_min_cut(graph, x, y)[0] if lam_after is None else lam_after[pair_key(x, y)]
 
-    def checked_cut_step(tree, g, links, u, v, contraction=None):
+    def checked_cut_step(tree, quotient, links, u, v):
         on_path = tree.path_vertices(b, d)
         assert v in on_path and u not in on_path, (u, v, on_path)
         check(tree)
-        groups = [tree.subtree(far, near) for far, near in links]
-        quotient, node_of = contract(g, groups)
-        if contraction is not None and contraction[1] is None:
-            assert all(len(group) == 1 for group in groups), (
-                f"a subtree beyond the node merges, but the cut of {u} from {v} skipped contract"
-            )
-        elif contraction is not None:
-            assert contraction[1] == node_of, f"stale node map for the cut of {u} from {v}"
+        groups = [[far, *tree.subtree(far, near) - {far}] for far, near in links]
+        unmerged = contract(graph, groups)[0]
         stale = tree.cost(u, v)
         settled = {far: tree.cost(far, v) for far, _ in links if far in on_path or far in certified}
         folded = [far for far, c in settled.items() if c > stale]
@@ -405,15 +389,15 @@ def checked_decrease_walk(graph, b, d, delta):
             assert settled[far] == lam(far, v), f"merged link {{{far},{v}}} is not lambda"
         merged = [group for (far, _), group in zip(links, groups) if far in folded]
         kept = [group for (far, _), group in zip(links, groups) if far not in folded]
-        expected = merged_into(g, v, kept, set().union(*merged))
-        fresh.append((expected, quotient))
+        expected = merged_into(graph, v, kept, set().union(*merged))
+        fresh.append((expected, unmerged))
         held = [far for far, _ in links if far in certified]
-        cut, moved = cut_step(tree, g, links, u, v, contraction)
+        cut, moved = cut_step(tree, quotient, links, u, v)
         assert not fresh, f"the cut of {u} from {v} reached no min_cut"
         assert certified.isdisjoint(moved), f"the cut of {u} from {v} moved certified {moved}"
         tied = [far for far, c in settled.items() if c == stale]
         log.append(
-            WalkCut(moved, held, folded, tied, (expected.edge_count, quotient.edge_count))
+            WalkCut(moved, held, folded, tied, (expected.edge_count, unmerged.edge_count))
         )
         return cut, moved
 

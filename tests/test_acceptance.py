@@ -11,7 +11,6 @@ import pytest
 
 from dyncut import (
     Cut,
-    CutTree,
     DynamicCutTree,
     DynamicGraph,
     GenParams,

@@ -25,7 +25,6 @@ from dyncut.dynamic import (
     RULE_ZERO_OR_BRIDGE,
     UpdateStats,
     _bridge_kind,
-    _fold,
     update_add_vertex,
     update_decrease,
     update_increase,
@@ -47,7 +46,7 @@ from dyncut.graph import (
     REMOVE_VERTEX,
     pair_key,
 )
-from dyncut.tree import query_value, static_build
+from dyncut.tree import _fold, query_value, static_build
 from helpers import (
     SCENARIO_MIX,
     all_pairs_connectivity,
@@ -270,7 +269,7 @@ class TestDecrease:
         g = DynamicGraph(edges=[(1, 2, 6), (1, 3, 6), (2, 3, 3), (2, 4, 4), (3, 4, 7)])
         tree = static_build(g)
         g.decrease_weight(1, 3, 5)
-        with pytest.raises(AssertionError, match="skipped contract"):
+        with pytest.raises(AssertionError, match="stale quotient"):
             with checked_decrease_walk(g, 1, 3, 5):
                 update_decrease(tree, g, 1, 3, 5)
 

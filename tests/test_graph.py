@@ -193,17 +193,25 @@ class TestApplyChange:
 
 class TestContract:
     def test_sum_rule(self, t3):
-        q, node_of = contract(t3, [{2, 3}])
+        q, node_of = contract(t3, [[2, 3]])
         assert set(q.vertices) == {1, 2}
         assert q.weight(1, 2) == 4
         assert node_of == {1: 1, 2: 2, 3: 2}
+
+    def test_a_node_is_named_after_its_first_member(self, t3):
+        q, node_of = contract(t3, [[3, 2]])
+        assert q == DynamicGraph(edges=[(1, 3, 4)])
+        assert node_of == {1: 1, 2: 3, 3: 3}
+
+    def test_a_repeated_member_counts_once(self, t3):
+        assert contract(t3, [[2, 2, 3]]) == contract(t3, [{2, 3}])
 
     def test_singleton_groups_identity(self, t3):
         q, _ = contract(t3, [{1}, {2}, {3}])
         assert q == t3
 
     def test_c4_two_groups(self, c4):
-        q, _ = contract(c4, [{1, 2}, {3, 4}])
+        q, _ = contract(c4, [[1, 2], [3, 4]])
         assert set(q.vertices) == {1, 3}
         assert q.weight(1, 3) == 2
 
@@ -221,10 +229,10 @@ class TestContract:
         verts = sorted(g.vertices)
         rng.shuffle(verts)
         k = rng.randint(1, len(verts) // 2)
-        groups = [set(verts[2 * i : 2 * i + 2]) for i in range(k)]
+        groups = [verts[2 * i : 2 * i + 2] for i in range(k)]
         q, node_of = contract(g, groups)
         chosen = [grp for grp in groups if rng.random() < 0.5]
-        node_side = {min(grp) for grp in chosen}
+        node_side = {grp[0] for grp in chosen}
         vertex_side = set().union(*chosen) if chosen else set()
         assert cut_cost(q, node_side) == cut_cost(g, vertex_side)
 
@@ -243,7 +251,7 @@ class TestContract:
         rng = random.Random(seed)
         groups = _random_groups(g, rng)
         grouped = set().union(*groups)
-        groups += [{v} for v in g.vertices if v not in grouped and rng.random() < 0.5]
+        groups += [[v] for v in g.vertices if v not in grouped and rng.random() < 0.5]
         rng.shuffle(groups)
         multi = [grp for grp in groups if len(grp) > 1]
         assert contract(g, groups) == contract(g, multi)
@@ -251,39 +259,42 @@ class TestContract:
     @given(graphs(), st.integers(0, 10**6))
     def test_invalid_groups_raise_and_leave_graph_unchanged(self, g, seed):
         rng = random.Random(seed)
-        groups = _random_groups(g, rng) or [{min(g.vertices)}]
+        groups = _random_groups(g, rng) or [[min(g.vertices)]]
         before = g.copy()
-        bad = groups + [{max(g.vertices) + 1}]
+        bad = groups + [[max(g.vertices) + 1]]
         with pytest.raises(VertexMissing):
             contract(g, bad)
         taken = rng.choice(sorted(set().union(*groups)))
         with pytest.raises(OverlappingGroups):
-            contract(g, groups + [{taken}])
+            contract(g, groups + [[taken]])
         with pytest.raises(ValueError):
             contract(g, groups + [[]])
         assert g == before
 
 
 def _random_groups(g, rng):
-    """Disjoint groups over a random subset of the vertices."""
+    """Disjoint groups over a random subset of the vertices, each in random order."""
     verts = sorted(g.vertices)
     rng.shuffle(verts)
     chosen = verts[: rng.randint(0, len(verts))]
-    groups: list[set[int]] = []
+    groups: list[list[int]] = []
     for v in chosen:
         if groups and rng.random() < 0.6:
-            rng.choice(groups).add(v)
+            rng.choice(groups).append(v)
         else:
-            groups.append({v})
+            groups.append([v])
     return groups
 
 
 def _reference_contract(g, groups):
-    """Contraction by the sum rule, one edge at a time through the public API."""
+    """Contraction by the sum rule, one edge at a time through the public API.
+
+    Each group's node is named after its first member.
+    """
     node_of = {v: v for v in g.vertices}
     for grp in groups:
         for v in grp:
-            node_of[v] = min(grp)
+            node_of[v] = grp[0]
     q = DynamicGraph(vertices=node_of.values())
     for u, v, w in g.edges():
         a, b = node_of[u], node_of[v]

@@ -18,7 +18,6 @@ from dyncut.graph import (
     DECREASE_WEIGHT,
     INCREASE_WEIGHT,
     REMOVE_EDGE,
-    REMOVE_VERTEX,
 )
 from dyncut.stream import BALANCED_EDGE_MIX, format_event
 

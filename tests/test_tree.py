@@ -8,7 +8,6 @@ import dyncut.tree as tree_mod
 from dyncut import (
     CutTree,
     DynamicGraph,
-    cut_cost,
     verify_cut_tree,
 )
 from dyncut.errors import (
@@ -298,17 +297,20 @@ def _component(nbrs, start):
 class TestContractLinks:
     def test_all_leaf_links_contract_nothing(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (1, 3, 2), (1, 4, 2)])
-        quotient, node_of = contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)])
-        assert quotient is c4
-        assert node_of is None
+        assert contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)]) is c4
 
     def test_multi_vertex_subtree_contracts_a_fresh_graph(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (2, 3, 2), (1, 4, 2)])
         before = c4.copy()
-        quotient, node_of = contract_links(tree, c4, [(2, 1), (4, 1)])
+        quotient = contract_links(tree, c4, [(2, 1), (4, 1)])
         assert quotient is not c4 and c4 == before
-        assert node_of == {1: 1, 2: 2, 3: 2, 4: 4}
         assert quotient == DynamicGraph(edges=[(1, 2, 1), (2, 4, 1), (1, 4, 1)])
+
+    def test_a_subtree_node_is_named_after_its_far_end(self, c4):
+        # the subtree {2, 3} beyond link (3, 1) is node 3, not its smallest member 2
+        tree = CutTree(edges=[(1, 3, 2), (3, 2, 2), (1, 4, 2)])
+        quotient = contract_links(tree, c4, [(3, 1), (4, 1)])
+        assert quotient == DynamicGraph(edges=[(1, 3, 1), (1, 4, 1), (3, 4, 1)])
 
     def test_static_build_of_unit_complete_graph_never_contracts(self, monkeypatch):
         # every minimum cut of a unit complete graph is a one-vertex degree
