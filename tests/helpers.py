@@ -346,9 +346,10 @@ def checked_decrease_walk(graph, b, d, delta):
     v's other links in the current tree, each named after its far end, with
     exactly these subtrees merged into v: each link {x, v} settled at a tree
     cost strictly above the stale cost of {u, v}, and each such cost must be
-    lambda(x, v) after the change.  The cut must be the one ``min_cut`` returns on the unmerged
-    contraction.  A quotient the walk reused after a reshape changed those
-    subtrees fails here, even where the cut it yields happens to be right.
+    lambda(x, v) after the change.  The cut must be the one ``min_cut``
+    returns on the unmerged contraction.  A quotient the walk reused after a
+    reshape changed those subtrees fails here, even where the cut it yields
+    happens to be right.
 
     The log gets one :class:`WalkCut` per cut.
     """
