@@ -15,9 +15,12 @@ cut of stale cost c, :func:`dyncut.tree.fold_links` merges into v each of
 v's neighbour subtrees whose edge is settled, a path edge or one the walk
 certified, at a cost above c: splitting it from v costs more than c, and
 the stale side costs at most c, so no minimum cut does.  ``complete``
-merges no such node: an edge between two of its compound nodes holds
-only Gomory and Hu's node-level property, which gives no lower bound on
-a cut of the edge's own ends.
+folds the same way, with the smaller weighted degree of the two vertices
+it cuts apart in place of c, but only links known to be exact: links whose
+cost is the connectivity of their own ends.  Every edge off an increase's
+b-d path is exact: its cut does not separate b and d, so it keeps its
+cost while connectivity only grows.  The raised path edge need not be, so
+``update_increase`` hands it to ``complete`` as not known to be exact.
 
 Every routine edits the tree it is given.  The vertex routines return
 nothing; the increase and decrease routines return the event's
@@ -170,7 +173,7 @@ def update_increase(
     # compound nodes, and complete splits them with one cut per other edge.
     i = costs.index(lam)
     tree.set_cost(*pedges[i], lam + delta)
-    cuts = complete(tree, graph, [verts[: i + 1], verts[i + 1 :]])
+    cuts = complete(tree, graph, [verts[: i + 1], verts[i + 1 :]], [pedges[i]])
     breakdown = {RULE_RECOMPUTED: cuts} if cuts else {}
     return UpdateStats(cuts, breakdown)
 

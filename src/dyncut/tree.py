@@ -24,7 +24,9 @@ would bound that by O(log n); at the depths met here they cost more.
 :func:`cut_step` is the one Gomory-Hu step that reshapes a tree, for
 :func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
 Each subtree off the node is one node of its quotient, named after its
-link's far end, and :func:`fold_links`, the walk's fold, merges such nodes.
+link's far end.  Both callers merge into a node's member the subtrees that
+no minimum cut of the step parts from it: the walk through
+:func:`fold_links`, and :func:`complete` while it builds each quotient.
 Where the step re-hangs a subtree, the cut alone decides (Gomory and Hu's
 node-level rule), so neither the member an outer edge touches nor the
 shape and costs of the edges inside a node affect the finished tree.
@@ -43,7 +45,7 @@ from .errors import (
     SameVertex,
     VertexMissing,
 )
-from .graph import Cut, DynamicGraph, Rows, contract
+from .graph import Cut, DynamicGraph, Rows, contract, pair_key
 from .mincut import min_cut
 
 
@@ -268,6 +270,63 @@ def contract_links(
     return contract(graph, groups)[0] if groups else graph
 
 
+def _split_quotient(
+    tree: CutTree,
+    graph: DynamicGraph,
+    members: list[int],
+    links: list[tuple[int, int]],
+    folds: list[tuple[int, int]],
+) -> DynamicGraph:
+    """The quotient a split of ``members`` cuts: :func:`contract_links`'s for ``links``, with
+    the subtree beyond each link of ``folds`` merged into its near end's node.
+
+    Some link's far end must not be a leaf.  A folded subtree is listed after
+    its near end, so the node keeps near's name.  A quotient with a node of
+    more than half the vertices is built by :func:`_quotient`, which reads
+    none of that node's rows; every other by :func:`~dyncut.graph.contract`.
+    """
+    adj = tree._adj
+    groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
+    into: dict[int, list[int]] = {}
+    for far, near in folds:
+        into.setdefault(near, [near]).extend(_reach(adj, far, {near}))
+    groups += into.values()
+    big = max(groups, key=len)
+    if 2 * len(big) <= len(graph._adj):
+        return contract(graph, groups)[0]
+    node_of = {w: w for w in members}
+    node_of.update((far, far) for far, _ in links)
+    for group in groups:
+        if group is not big:
+            node_of.update(dict.fromkeys(group, group[0]))
+    # the one vertex of the big node named so far: its far or its near end
+    del node_of[big[0]]
+    return _quotient(graph, node_of, big[0])
+
+
+def _quotient(graph: DynamicGraph, node_of: dict[int, int], big: int) -> DynamicGraph:
+    """``graph`` contracted by ``node_of``, every vertex it does not name in one node ``big``.
+
+    Reads only the rows of the vertices ``node_of`` names.  An arc between two
+    of them is summed from both ends; an arc into ``big`` is read once, from
+    its named end, and mirrored into ``big``'s row.
+    """
+    rows, qadj = graph._adj, {x: {} for x in node_of.values()}
+    into = qadj[big] = {}
+    name = node_of.get
+    for x, nx in node_of.items():
+        row = qadj[nx]
+        for y, w in rows[x].items():
+            ny = name(y, big)
+            if ny != nx:
+                row[ny] = row.get(ny, 0) + w
+                if ny == big:
+                    into[nx] = into.get(nx, 0) + w
+    quotient = DynamicGraph()
+    quotient._adj = qadj
+    return quotient
+
+
 def fold_links(
     quotient: DynamicGraph, graph: DynamicGraph, v: int, folds: list[int]
 ) -> DynamicGraph:
@@ -302,8 +361,10 @@ def cut_step(
 
     ``links`` are the tree edges ``(far, near)`` that leave a node holding u
     and v, ``near`` inside it.  ``quotient`` is what :func:`contract_links`
-    builds for them, so each ``far`` names its subtree's node; a far end
-    folded into v is in no side, so it never moves.  A subtree that lands
+    or, in a split, :func:`_split_quotient` builds for them, so each ``far``
+    names its subtree's node.  A far end
+    folded into v is in no side, so it never moves; a link folded into
+    another near end must be left out of ``links``.  A subtree that lands
     on the other side from its ``near`` moves, with its cost, to u or v,
     whichever shares its side; a link leaves its node, so it is never thin.
     No move can close a cycle: far's subtree is cut off first, and u and v
@@ -321,17 +382,41 @@ def cut_step(
 
 
 def _split_node(
-    tree: CutTree, graph: DynamicGraph, members: list[int]
+    tree: CutTree, graph: DynamicGraph, members: list[int], inexact: set[tuple[int, int]]
 ) -> tuple[list[int], list[int]]:
     """Split a compound node along a minimum cut of its two smallest members.
 
-    ``members`` lists the node in increasing order.  Returns the two sides,
-    u's and then v's, in the same order.
+    ``members`` lists the node in increasing order.  ``inexact`` holds the
+    pairs of the links not known to be exact; one that the step moves is
+    replaced by its new pair.  Returns the two sides, u's and then v's, in
+    the same order.
     """
     node = set(members)
     u, v = members[0], members[1]
-    links = [(far, near) for near in members for far in tree._adj[near] if far not in node]
-    cut, _ = cut_step(tree, contract_links(tree, graph, links), links, u, v)
+    adj = tree._adj
+    links = [(far, near) for near in members for far in adj[near] if far not in node]
+    quotient = graph
+    # Fold only where the step contracts anyway: a step whose far ends are
+    # all leaves cuts graph itself.  A folded link never moves, so cut_step
+    # gets only the others.  The scan yields only at a far end that is not
+    # a leaf, so a step that cannot fold pays no generator switch per link.
+    if any(True for far, _ in links if len(adj[far]) > 1):
+        rows = graph._adj
+        bound = min(sum(rows[u].values()), sum(rows[v].values()))
+        kept, folds = [], []
+        for far, near in links:
+            if adj[far][near] > bound and pair_key(far, near) not in inexact:
+                folds.append((far, near))
+            else:
+                kept.append((far, near))
+        links = kept
+        quotient = _split_quotient(tree, graph, members, links, folds)
+    cut, moved = cut_step(tree, quotient, links, u, v)
+    if inexact and moved:
+        for far, near in links:
+            if far in moved and (pair := pair_key(far, near)) in inexact:
+                inexact.remove(pair)
+                inexact.add(pair_key(far, u if far in cut.side else v))
 
     # Every edge inside the node is a member's edge to a parent in the node.
     # Each side becomes a zero-cost star on its smallest member, u or v.  An
@@ -353,7 +438,12 @@ def _split_node(
     return [w for w in members if w in cut.side], [w for w in members if w not in cut.side]
 
 
-def complete(tree: CutTree, graph: DynamicGraph, nodes: Iterable[Iterable[int]]) -> int:
+def complete(
+    tree: CutTree,
+    graph: DynamicGraph,
+    nodes: Iterable[Iterable[int]],
+    inexact: Iterable[tuple[int, int]],
+) -> int:
     """Split a partial tree's compound ``nodes``, in place, until it is a cut tree of ``graph``.
 
     The nodes must be disjoint, and each must be joined by tree edges among
@@ -367,13 +457,40 @@ def complete(tree: CutTree, graph: DynamicGraph, nodes: Iterable[Iterable[int]])
     members waits as a node of its own; where minimum cuts tie, that order
     fixes the finished tree.  Spends one min-cut computation per split,
     ``len(node) - 1`` per node, and returns their number.
+
+    An edge between two nodes is *exact* when its cost c is lambda of its own
+    two ends in ``graph``.  ``inexact`` lists, as vertex pairs, the edges
+    between two nodes not known to be exact; every other one must be exact.
+    A static build has no such edge.  An increase hands over the path edge
+    it raises: a minimum b-d cut, not always a minimum cut of its own ends.
+
+    The split of u from v folds each exact link (far, near), near in the
+    node, whose cost c is above U, the smaller weighted degree of u and v:
+    far's subtree merges into near's node of the quotient.  Either vertex
+    alone is a u-v cut, so lambda(u, v) <= U.  A cut that parts far's
+    subtree from near separates far from near, so it costs at least c > U,
+    and no minimum u-v cut does that.  The merge keeps every minimum cut,
+    and so the cut's cost and the smallest side that ``min_cut`` returns.
+    A link at exactly U stays apart, and a link in ``inexact`` never folds.
+
+    A link that a split moves stays exact.  Say the cut S holds far and u,
+    and near and v, so the link moves to (far, u).  S separates far from
+    near, so lambda(u, v) >= c.  By Gomory and Hu's lemma some minimum far-u
+    cut does not split the complement of S, so lambda(far, u) may be taken
+    in ``graph`` with that complement shrunk to one vertex s.  There
+    lambda(far, u) >= min(lambda(far, s), lambda(s, u)) >= min(c, lambda(u,
+    v)) = c: a far-s cut parts far from near, and an s-u cut parts v from u.
+    Far's subtree costs c and does not hold u, so lambda(far, u) = c.  The
+    case of far with v is the mirror image.  The edge {u, v} is exact at the
+    cut's cost.  A moved link of ``inexact`` stays in it under its new pair.
     """
     # disjoint sorted lists compare by their first, smallest members
     heap = [members for members in map(sorted, nodes) if len(members) > 1]
     heapify(heap)
+    inexact = {pair_key(x, y) for x, y in inexact}
     splits = 0
     while heap:
-        for side in _split_node(tree, graph, heappop(heap)):
+        for side in _split_node(tree, graph, heappop(heap), inexact):
             if len(side) > 1:
                 heappush(heap, side)
         splits += 1
@@ -387,5 +504,5 @@ def static_build(graph: DynamicGraph) -> CutTree:
     # one node of every vertex, joined by a zero-cost star on the smallest
     verts = sorted(graph.vertices)
     tree = CutTree(verts, [(verts[0], v, 0) for v in verts[1:]])
-    complete(tree, graph, [verts])
+    complete(tree, graph, [verts], ())
     return tree

@@ -11,6 +11,7 @@ import networkx as nx
 from networkx.algorithms.flow import boykov_kolmogorov
 
 import dyncut.dynamic
+import dyncut.mincut
 import dyncut.tree
 from dyncut import (
     ADD_EDGE,
@@ -271,10 +272,25 @@ def checked_complete(graph):
     between nodes already hold that.  The path edge that
     ``update_increase`` keeps is a minimum cut of the changed pair and can
     fail it until the splits re-hang it.
+
+    Each split must fold the links this check derives itself.  Where some
+    link's far end is not a leaf, they are the links whose cost is above U,
+    the smaller weighted degree of the two members cut apart, less those
+    not known to be exact: the pairs ``complete`` was handed as such, each
+    following its link when a split moves it.  A folded link's cost must be
+    lambda of its ends in ``graph``.  ``min_cut`` must receive ``contract``
+    of the subtrees beyond the other links, each named after its far end,
+    with each folded subtree merged into its near end.  Its cut must have
+    the cost and, on the members and the far ends left apart, the side that
+    the kernel gives on the unfolded quotient, ``contract`` of the subtree
+    beyond every link.
     """
     lam = _connectivity(graph)
     complete, split = dyncut.tree.complete, dyncut.tree._split_node
+    min_cut, kernel = dyncut.tree.min_cut, dyncut.mincut.min_cut
     pending = []  # the member sets of the nodes complete has yet to split
+    inexact = set()  # the pairs of the links not known to be exact
+    fresh, cuts = [], []  # the quotient the pending cut must receive, and the cuts made
 
     def check(tree, g):
         def outer(pair):
@@ -282,29 +298,72 @@ def checked_complete(graph):
 
         _assert_partial_tree(tree, g, lam, outer, "fat")
 
-    def checked(tree, g, nodes):
+    def lam_of(x, y):
+        return nx_min_cut(graph, x, y)[0] if lam is None else lam[pair_key(x, y)]
+
+    def checked(tree, g, nodes, loose):
         nodes = [set(node) for node in nodes]
         assert sum(map(len, nodes)) == len(set().union(*nodes)), f"nodes overlap: {nodes}"
         pending[:] = [node for node in nodes if len(node) > 1]
-        return complete(tree, g, nodes)
+        inexact.clear()
+        inexact.update(pair_key(x, y) for x, y in loose)
+        return complete(tree, g, nodes, loose)
 
-    def checked_split(tree, g, members):
+    def checked_split(tree, g, members, loose):
         node = set(members)
         assert node in pending, f"split of a node complete was not given: {members}"
         reached = [members[0]]
         for x in reached:
             reached += [y for y in tree.neighbors(x) if y in node and y not in reached]
         assert len(reached) == len(node), f"node {members} is not joined by its own edges"
+        assert loose == inexact, f"inexact links {loose}, expected {inexact}"
         check(tree, g)
-        sides = split(tree, g, members)
+
+        u, v = members[0], members[1]
+        links = [(far, near) for near in members for far in tree.neighbors(near) if far not in node]
+        bound = min(sum(g.neighbors(u).values()), sum(g.neighbors(v).values()))
+        contracts = any(len(tree.neighbors(far)) > 1 for far, _ in links)
+        folds = [
+            (far, near)
+            for far, near in links
+            if contracts and tree.cost(far, near) > bound and pair_key(far, near) not in inexact
+        ]
+        for far, near in folds:
+            c = tree.cost(far, near)
+            assert c > bound and c == lam_of(far, near), f"folded link {{{far},{near}}} at {c}"
+        kept = [link for link in links if link not in folds]
+        beyond = {far: [far, *tree.subtree(far, near) - {far}] for far, near in links}
+        into = {}
+        for far, near in folds:
+            into.setdefault(near, [near]).extend(beyond[far])
+        fresh.append(contract(g, [*(beyond[far] for far, _ in kept), *into.values()])[0])
+        reference = kernel(contract(g, beyond.values())[0], u, v)
+        sides = split(tree, g, members, loose)
+        assert not fresh, f"the split of {members} reached no min_cut"
+        seen = node | {far for far, _ in kept}
+        assert cuts[-1].cost == reference.cost, f"folding changed the cut of {u} from {v}"
+        assert cuts[-1].side & seen == reference.side & seen, f"folding moved the side of {u}"
+
+        for pair in [pair for pair in inexact if len(node.intersection(pair)) == 1]:
+            far = pair[0] if pair[1] in node else pair[1]
+            (near,) = [w for w in tree.neighbors(far) if w in node]
+            inexact.remove(pair)
+            inexact.add(pair_key(far, near))
         pending.remove(node)
         pending.extend(set(side) for side in sides if len(side) > 1)
         check(tree, g)
         return sides
 
+    def checked_min_cut(quotient, s, t):
+        if fresh:
+            assert quotient == fresh.pop(), f"wrong quotient for the cut of {s} from {t}"
+        cuts.append(min_cut(quotient, s, t))
+        return cuts[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dyncut.tree, "_split_node", checked_split)
         mp.setattr(dyncut.tree, "complete", checked)
+        mp.setattr(dyncut.tree, "min_cut", checked_min_cut)
         mp.setattr(dyncut.dynamic, "complete", checked)
         yield checked
 

@@ -46,7 +46,7 @@ from dyncut.graph import (
     REMOVE_VERTEX,
     pair_key,
 )
-from dyncut.tree import _fold, query_value, static_build
+from dyncut.tree import _fold, complete, query_value, static_build
 from helpers import (
     SCENARIO_MIX,
     all_pairs_connectivity,
@@ -184,6 +184,37 @@ class TestIncrease:
         for a, b in ((1, 2), (1, 3), (2, 3)):
             assert query_value(t3_tree, a, b) == 5
         assert t3_tree == CutTree(edges=[(1, 3, 5), (1, 2, 5)])
+
+    def test_the_raised_path_edge_is_not_folded(self):
+        # Adding {3, 4} at 8 raises the path edge {2, 3} from 2 to 10: a
+        # minimum 3-4 cut, but lambda(2, 3) is 5.  The split of {2, 4} has
+        # U = 5, the weighted degree of 2, so taken as exact the raised edge
+        # would fold 3's subtree {1, 3} into 2 and cut 2 from 4 at 11.
+        g = DynamicGraph(vertices=[1], edges=[(2, 3, 2), (2, 4, 3)])
+        tree = static_build(g)
+        assert tree == CutTree(edges=[(1, 3, 0), (2, 3, 2), (2, 4, 3)])
+        g.add_edge(3, 4, 8)
+        assert update_increase(tree, g, 3, 4, 8).cuts_used == 1
+        assert tree == CutTree(edges=[(1, 3, 0), (2, 4, 5), (3, 4, 10)])
+        assert verify_cut_tree(tree, g).ok
+        # the same partial tree, with the raised edge left out of inexact
+        wrong = CutTree(edges=[(1, 3, 0), (2, 3, 10), (2, 4, 3)])
+        complete(wrong, g, [[3], [2, 4]], ())
+        assert wrong.cost(2, 4) == 11
+        assert not verify_cut_tree(wrong, g).ok
+
+    def test_a_moved_raised_edge_stays_inexact(self):
+        # Adding {1, 3} at 6 raises the path edge {2, 4} from 1 to 7.  The
+        # split of 1 from 4 moves it to {1, 2}, yet lambda(1, 2) is 2.  Taken
+        # as exact there, it would fold {1, 4} into 2 in the split of 2
+        # from 3 (U = 2) and cut 2 from 3 at 7.
+        g = DynamicGraph(edges=[(1, 4, 2), (2, 3, 1), (2, 4, 1)])
+        tree = static_build(g)
+        assert tree == CutTree(edges=[(1, 4, 2), (2, 3, 1), (2, 4, 1)])
+        g.add_edge(1, 3, 6)
+        assert update_increase(tree, g, 1, 3, 6).cuts_used == 2
+        assert tree == CutTree(edges=[(1, 3, 7), (1, 4, 3), (2, 3, 2)])
+        assert verify_cut_tree(tree, g).ok
 
 
 class TestDecrease:

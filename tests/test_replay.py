@@ -215,8 +215,10 @@ def test_leaf_cuts_share_a_quotient(monkeypatch):
     # The stream of the dense_churn digests above.  Every cut of a leaf at
     # the same path vertex reuses one contraction until a reshape, and a
     # step whose links are all leaves does not contract at all, so the
-    # replay contracts fewer times than it cuts.
-    calls = {"contract": 0, "min_cut": 0}
+    # replay builds fewer quotients than it cuts.  A split's quotient whose
+    # largest node holds more than half the vertices is built by _quotient,
+    # the others by contract.
+    calls = {"contract": 0, "_quotient": 0, "min_cut": 0}
     for name in calls:
         real = getattr(tree_mod, name)
 
@@ -226,7 +228,32 @@ def test_leaf_cuts_share_a_quotient(monkeypatch):
 
         monkeypatch.setattr(tree_mod, name, counted)
     replay(generate(GenParams(n_vertices=40, n_events=400, mix=CHURN_MIX), seed=1))
-    assert calls == {"contract": 669, "min_cut": 1561}
+    assert calls == {"contract": 536, "_quotient": 133, "min_cut": 1561}
+    assert calls["contract"] + calls["_quotient"] == 669
+
+
+def test_splits_cut_folded_quotients(monkeypatch):
+    # The stream of the grow_increase digest above.  Each split folds its
+    # exact links above the degree bound into their near ends, so its cut
+    # reads fewer edges than the unfolded quotient holds.
+    edges = {"folded": 0, "unfolded": 0}
+    min_cut, split = tree_mod.min_cut, tree_mod._split_node
+
+    def counted_cut(quotient, s, t):
+        edges["folded"] += quotient.edge_count
+        return min_cut(quotient, s, t)
+
+    def counted_split(tree, graph, members, inexact):
+        node = set(members)
+        links = [(far, near) for near in members for far in tree.neighbors(near) if far not in node]
+        edges["unfolded"] += tree_mod.contract_links(tree, graph, links).edge_count
+        return split(tree, graph, members, inexact)
+
+    monkeypatch.setattr(tree_mod, "min_cut", counted_cut)
+    monkeypatch.setattr(tree_mod, "_split_node", counted_split)
+    replay(generate(GenParams(n_vertices=40, n_events=400, mix=GROW_MIX), seed=5))
+    assert edges == {"folded": 33799, "unfolded": 45736}
+    assert edges["folded"] < edges["unfolded"]
 
 
 def test_update_increase_edits_tree_as_complete_does():
@@ -247,7 +274,7 @@ def test_update_increase_edits_tree_as_complete_does():
         i = costs.index(min(costs))
         work = final.copy()
         work.set_cost(verts[i], verts[i + 1], costs[i] + 3)
-        complete(work, raised, [verts[: i + 1], verts[i + 1 :]])
+        complete(work, raised, [verts[: i + 1], verts[i + 1 :]], [(verts[i], verts[i + 1])])
         if _bridge_kind(graph.weight(b, d), min(costs)) == NON_BRIDGE:
             assert work == tree
             rebuilt += 1
@@ -293,7 +320,7 @@ def test_certified_replay_catches_a_faulty_kernel(monkeypatch):
 
     monkeypatch.setattr(tree_mod, "min_cut", faulty)
     with pytest.raises(VerificationFailed) as err:
-        _certified_replay(_n100_stream())
+        _certified_replay(_n100_stream(), every=5)
     assert any(v.kind == "edge-connectivity" for v in err.value.report.violations)
 
 

@@ -2,7 +2,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import dyncut.tree as tree_mod
 from dyncut import (
@@ -16,7 +16,7 @@ from dyncut.errors import (
     SameVertex,
     VertexMissing,
 )
-from dyncut.graph import apply_change
+from dyncut.graph import apply_change, contract
 from dyncut.stream import MIX_ORDER, GenParams, generate
 from dyncut.tree import complete, contract_links, query_cut, query_value, static_build
 from helpers import checked_complete, count_cuts, graphs, path
@@ -84,7 +84,7 @@ class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
         work = t3_tree.copy()
         with count_cuts() as cuts:
-            assert complete(work, t3, [{1}, {2}, {3}]) == 0
+            assert complete(work, t3, [{1}, {2}, {3}], ()) == 0
         assert work == t3_tree
         assert cuts == []
         assert verify_cut_tree(work, t3).ok
@@ -92,7 +92,7 @@ class TestComplete:
     def test_all_thin_star_equals_static_build(self, p3):
         star = CutTree(edges=[(1, 2, 0), (1, 3, 0)])
         with count_cuts() as cuts:
-            complete(star, p3, [p3.vertices])
+            complete(star, p3, [p3.vertices], ())
         assert len(cuts) == 2
         assert star == static_build(p3)
 
@@ -104,7 +104,7 @@ class TestComplete:
         work.add_edge(2, 3, 5)
         work.add_edge(1, 3, 4)
         with count_cuts() as cuts, checked_complete(raised) as checked:
-            checked(work, raised, [{1, 3}])
+            checked(work, raised, [{1, 3}], [(2, 3)])
         assert len(cuts) == 1
         assert verify_cut_tree(work, raised).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
@@ -132,7 +132,7 @@ class TestComplete:
         verts = work.path_vertices(a, farthest(a))
         assert len(verts) > 10
         with checked_complete(g) as checked:
-            assert checked(work, g, [verts]) == len(verts) - 1
+            assert checked(work, g, [verts], ()) == len(verts) - 1
         assert verify_cut_tree(work, g).ok
 
     def test_lying_fat_label_caught_in_verify_mode(self, t3):
@@ -142,7 +142,18 @@ class TestComplete:
         work.add_edge(2, 3, 3)
         with pytest.raises(AssertionError, match=r"fat edges fail: induced-cost at \(1, 3\)"):
             with checked_complete(t3) as checked:
-                checked(work, t3, [{2, 3}])
+                checked(work, t3, [{2, 3}], ())
+
+    def test_a_link_at_exactly_the_degree_bound_is_not_folded(self):
+        # The split of 3 from 5 has U = 2, the weighted degree of 3.  The
+        # link (1, 5) at 3 folds.  The link (2, 3) at exactly 2 stays apart:
+        # {3} and {2, 3} are both minimum 3-5 cuts, and the smallest side
+        # {3} parts 2 from 3, so 2 moves to 5.
+        g = DynamicGraph(edges=[(1, 4, 2), (1, 5, 3), (2, 3, 1), (2, 5, 1), (3, 5, 1)])
+        work = CutTree(edges=[(1, 4, 2), (1, 5, 3), (2, 3, 2), (3, 5, 2)])
+        with checked_complete(g) as checked:
+            assert checked(work, g, [[3, 5]], ()) == 1
+        assert work == CutTree(edges=[(1, 4, 2), (1, 5, 3), (2, 5, 2), (3, 5, 2)])
 
     @given(graphs(min_vertices=3))
     @settings(max_examples=40)
@@ -159,7 +170,7 @@ class TestComplete:
             for u, v, c in work.edges()
             if {u, v} not in on_path
         }
-        complete(work, g, [verts])
+        complete(work, g, [verts], ())
         fat_after = {(_side_without(work, u, v, anchor), c) for u, v, c in work.edges()}
         assert fat_before <= fat_after
 
@@ -168,11 +179,12 @@ class TestComplete:
     def test_split_ignores_where_fat_edges_meet_a_node(self, g, seed):
         # Gomory-Hu's node-level rule: the finished tree depends neither on
         # the member of a compound node an outer edge touches nor on the
-        # costs of the edges inside the node
+        # costs of the edges inside the node.  A re-hung edge need not be a
+        # minimum cut of its new ends, so complete is told it is not exact.
         rng = random.Random(seed)
         work = static_build(g)
         nodes, node_of = _random_nodes(work, rng)
-        moved = work.copy()
+        moved, rehung = work.copy(), []
         for u, v, _ in list(work.edges()):
             if node_of[u] is node_of[v]:
                 moved.set_cost(u, v, rng.randint(0, 9))
@@ -181,8 +193,9 @@ class TestComplete:
             others = sorted(node_of[near] - {near})
             if others:
                 moved.remove_edge(far, near)
-                moved.add_edge(far, rng.choice(others), work.cost(u, v))
-        assert complete(work, g, nodes) == complete(moved, g, nodes)
+                rehung.append((far, rng.choice(others)))
+                moved.add_edge(*rehung[-1], work.cost(u, v))
+        assert complete(work, g, nodes, ()) == complete(moved, g, nodes, rehung)
         assert work.to_lines() == moved.to_lines()
         assert verify_cut_tree(work, g).ok
         assert verify_cut_tree(moved, g).ok
@@ -199,8 +212,8 @@ class TestComplete:
         rng.shuffle(shuffled)
         other = work.copy()
         splits = sum(len(node) - 1 for node in nodes)
-        assert complete(work, g, nodes) == splits
-        assert complete(other, g, shuffled[::-1]) == splits
+        assert complete(work, g, nodes, ()) == splits
+        assert complete(other, g, shuffled[::-1], ()) == splits
         assert work.to_lines() == other.to_lines()
         assert verify_cut_tree(work, g).ok
         assert verify_cut_tree(other, g).ok
@@ -311,6 +324,48 @@ class TestContractLinks:
         tree = CutTree(edges=[(1, 3, 2), (3, 2, 2), (1, 4, 2)])
         quotient = contract_links(tree, c4, [(3, 1), (4, 1)])
         assert quotient == DynamicGraph(edges=[(1, 3, 1), (1, 4, 1), (3, 4, 1)])
+
+    def test_a_node_of_more_than_half_the_vertices_is_not_read(self, monkeypatch):
+        # beyond (3, 2) lie exactly half the vertices, so contract builds
+        # that quotient; a node of three of the four is built by _quotient
+        built = []
+        for name in ("contract", "_quotient"):
+            real = getattr(tree_mod, name)
+
+            def spy(*args, name=name, real=real):
+                built.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(tree_mod, name, spy)
+        g = DynamicGraph(edges=[(1, 2, 3), (2, 3, 1), (3, 4, 2), (1, 4, 5), (1, 3, 4)])
+        tree = CutTree(edges=[(1, 2, 0), (2, 3, 0), (3, 4, 0)])
+        split_quotient = tree_mod._split_quotient
+        assert split_quotient(tree, g, [2], [(1, 2), (3, 2)], []) == contract(g, [[3, 4]])[0]
+        assert split_quotient(tree, g, [1], [(2, 1)], []) == contract(g, [[2, 3, 4]])[0]
+        assert split_quotient(tree, g, [2], [(1, 2)], [(3, 2)]) == contract(g, [[2, 3, 4]])[0]
+        assert built == ["contract", "_quotient", "_quotient"]
+
+    @given(graphs(min_vertices=2, max_vertices=10), st.integers(0, 10**6))
+    @settings(max_examples=60)
+    def test_the_quotient_of_a_node_equals_contract(self, g, seed):
+        # whichever links fold and whichever node of the quotient is the
+        # largest, a split's quotient is contract's: a subtree named after
+        # its far end, a folded one merged into its near end
+        rng = random.Random(seed)
+        tree = static_build(g)
+        nodes, _ = _random_nodes(tree, rng)
+        node = rng.choice(nodes)
+        links = [(far, near) for near in node for far in tree.neighbors(near) if far not in node]
+        folds = [link for link in links if rng.random() < 0.5]
+        kept = [link for link in links if link not in folds]
+        beyond = {far: [far, *tree.subtree(far, near) - {far}] for far, near in links}
+        into = {}
+        for far, near in folds:
+            into.setdefault(near, [near]).extend(beyond[far])
+        groups = [beyond[far] for far, _ in kept if len(beyond[far]) > 1] + list(into.values())
+        assume(groups)  # a split with nothing to merge cuts the graph itself
+        quotient = tree_mod._split_quotient(tree, g, sorted(node), kept, folds)
+        assert quotient == contract(g, groups)[0]
 
     def test_static_build_of_unit_complete_graph_never_contracts(self, monkeypatch):
         # every minimum cut of a unit complete graph is a one-vertex degree
