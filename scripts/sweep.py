@@ -29,8 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dyncut import DynamicCutTree, GenParams, generate  # noqa: E402
-from dyncut.graph import ADD_VERTEX, DECREASE_WEIGHT, REMOVE_EDGE  # noqa: E402
-from dyncut.stream import MIX_ORDER  # noqa: E402
+from dyncut.graph import ADD_VERTEX, DECREASE_WEIGHT, EVENT_KINDS, REMOVE_EDGE  # noqa: E402
 
 SEED = 3
 DECREASES = (DECREASE_WEIGHT, REMOVE_EDGE)
@@ -45,7 +44,7 @@ def sizes(text: str) -> list[int]:
 
 def sweep(n: int, workload: dict) -> tuple[float, dict[str, list[float]]]:
     """Generate and replay one stream of n vertices; generate's seconds and µs per zero-cut event."""
-    mix = dict(zip(MIX_ORDER, workload["mix"]))
+    mix = dict(zip(EVENT_KINDS, workload["mix"]))
     params = GenParams(n, n * 3 // 2, workload["weight_max"], mix)
     start = time.perf_counter()
     stream = generate(params, SEED)

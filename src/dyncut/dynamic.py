@@ -8,16 +8,18 @@ touch the changed path from a heap, most expensive first, and re-certifies
 each by a cost threshold, a bridge/zero-cost rule, or (only when those
 fail) the Gomory-Hu step of ``complete``, :func:`dyncut.tree.cut_step`: a
 fresh min-cut that reshapes the tree only when it finds a cheaper cut.
-Every cut of a leaf u at the same path vertex v contracts the same graph,
-the subtrees beyond v's other neighbours, so the walk builds that quotient
-once per v and drops every kept one when a cut moves a subtree.  Before a
-cut of stale cost c, :func:`dyncut.tree.fold_links` merges into v each of
-v's neighbour subtrees whose edge is settled, a path edge or one the walk
-certified, at a cost above c: splitting it from v costs more than c, and
-the stale side costs at most c, so no minimum cut does.  ``complete``
-folds the same way, with the smaller weighted degree of the two vertices
-it cuts apart in place of c, but only links known to be exact: links whose
-cost is the connectivity of their own ends.  Every edge off an increase's
+:func:`dyncut.tree.contract_links`, the builder of ``complete``'s splits,
+builds its quotient with no folds.  Every cut of a leaf u at the same path
+vertex v cuts the same quotient, the subtrees beyond v's other neighbours,
+so the walk builds it once per v and drops every kept one when a cut moves
+a subtree.  Then, before a cut of stale cost c,
+:func:`dyncut.tree.fold_links` merges into v each of v's neighbour
+subtrees whose edge is settled, a path edge or one the walk certified, at
+a cost above c: splitting it from v costs more than c, and the stale side
+costs at most c, so no minimum cut does.  ``complete`` folds the same
+way, with the smaller weighted degree of the two vertices it cuts apart
+in place of c, but only links known to be exact: links whose cost is the
+connectivity of their own ends.  Every edge off an increase's
 b-d path is exact: its cut does not separate b and d, so it keeps its
 cost while connectivity only grows.  The raised path edge need not be, so
 ``update_increase`` hands it to ``complete`` as not known to be exact.
@@ -275,7 +277,7 @@ def update_decrease(
             # quotient, merges and all: until a cut moves a subtree no edge
             # is pushed, so the stale costs at v only fall.
             leaf = len(tree.neighbors(u)) == 1
-            quotient = leaf and leaf_quotients.get(v) or contract_links(tree, graph, links)
+            quotient = leaf and leaf_quotients.get(v) or contract_links(tree, graph, links, [])
             quotient = fold_links(quotient, graph, v, folds)
             if leaf:
                 leaf_quotients[v] = quotient

@@ -47,7 +47,7 @@ CODE_OF_KIND = {
 }
 KIND_OF_CODE = {code: kind for kind, code in CODE_OF_KIND.items()}
 
-# canonical kind order for mixes and CLI flags
+# read only by perfbench/run.py:119, which zips each workload's mix with it
 MIX_ORDER = EVENT_KINDS
 
 _ARITY = {"av": 1, "rv": 1, "ae": 3, "re": 2, "iw": 3, "dw": 3}
@@ -140,12 +140,12 @@ class GenParams:
 
 
 def parse_mix(text: str) -> dict[str, float]:
-    """Read comma-separated fractions, one per kind in ``MIX_ORDER``, as a checked mix."""
+    """Read comma-separated fractions, one per kind in ``EVENT_KINDS``, as a checked mix."""
     fractions = text.split(",")
-    if len(fractions) != len(MIX_ORDER):
-        raise InvalidMix(f"--mix needs {len(MIX_ORDER)} fractions, got {len(fractions)}")
+    if len(fractions) != len(EVENT_KINDS):
+        raise InvalidMix(f"--mix needs {len(EVENT_KINDS)} fractions, got {len(fractions)}")
     try:
-        mix = {kind: float(f) for kind, f in zip(MIX_ORDER, fractions)}
+        mix = {kind: float(f) for kind, f in zip(EVENT_KINDS, fractions)}
     except ValueError:
         raise InvalidMix(f"non-numeric fraction in {text!r}") from None
     return _normalized_mix(mix)
@@ -154,7 +154,7 @@ def parse_mix(text: str) -> dict[str, float]:
 def _normalized_mix(mix: Mapping[str, float]) -> dict[str, float]:
     out = {}
     for kind, frac in mix.items():
-        if kind not in MIX_ORDER:
+        if kind not in EVENT_KINDS:
             raise InvalidMix(f"unknown event kind {kind!r}")
         if not math.isfinite(frac) or frac < 0:
             raise InvalidMix(f"fraction for {kind} must be finite and non-negative, got {frac}")
@@ -219,12 +219,12 @@ def _draw(kind: str, g: DynamicGraph, rng: random.Random, weight_max: int) -> Ch
 
 def _quota_schedule(mix: dict[str, float], m: int, rng: random.Random) -> list[str]:
     """Kind multiset matching the mix up to rounding, in seeded order."""
-    base = {k: int(m * mix.get(k, 0.0)) for k in MIX_ORDER}
-    remainder = {k: m * mix.get(k, 0.0) - base[k] for k in MIX_ORDER}
+    base = {k: int(m * mix.get(k, 0.0)) for k in EVENT_KINDS}
+    remainder = {k: m * mix.get(k, 0.0) - base[k] for k in EVENT_KINDS}
     short = m - sum(base.values())
-    for k in sorted(MIX_ORDER, key=lambda k: (-remainder[k], MIX_ORDER.index(k)))[:short]:
+    for k in sorted(EVENT_KINDS, key=lambda k: (-remainder[k], EVENT_KINDS.index(k)))[:short]:
         base[k] += 1
-    schedule = [k for k in MIX_ORDER for _ in range(base[k])]
+    schedule = [k for k in EVENT_KINDS for _ in range(base[k])]
     rng.shuffle(schedule)
     return schedule
 

@@ -23,10 +23,11 @@ would bound that by O(log n); at the depths met here they cost more.
 
 :func:`cut_step` is the one Gomory-Hu step that reshapes a tree, for
 :func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
-Each subtree off the node is one node of its quotient, named after its
-link's far end.  Both callers merge into a node's member the subtrees that
-no minimum cut of the step parts from it: the walk through
-:func:`fold_links`, and :func:`complete` while it builds each quotient.
+:func:`contract_links` builds the quotient for both: each subtree off the
+node is one of its nodes, named after its link's far end.  Both callers
+merge into a node's member the subtrees that no minimum cut of the step
+parts from it: :func:`complete` through the builder, the walk afterwards
+through :func:`fold_links`.
 Where the step re-hangs a subtree, the cut alone decides (Gomory and Hu's
 node-level rule), so neither the member an outer edge touches nor the
 shape and costs of the edges inside a node affect the finished tree.
@@ -255,46 +256,35 @@ IntermediateTree = CutTree
 
 
 def contract_links(
-    tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]]
+    tree: CutTree,
+    graph: DynamicGraph,
+    links: list[tuple[int, int]],
+    folds: list[tuple[int, int]],
 ) -> DynamicGraph:
-    """``graph`` with the subtree beyond each link ``(far, near)`` contracted to a node named far.
+    """A Gomory-Hu step's quotient: ``graph`` with the subtree beyond each link ``(far, near)``
+    a node named far, and beyond each link of ``folds`` merged into near's node, named near.
 
-    When every ``far`` is a leaf there is nothing to merge, so the result is
-    ``graph`` itself, not a copy.  Callers only read it, or hand it to
-    :func:`fold_links`, which copies ``graph`` before its first edit.
+    With nothing to merge the result is ``graph`` itself, not a copy.  A
+    quotient with a node of more than half the vertices is built by
+    :func:`_quotient`, which reads none of that node's rows; every other by
+    :func:`~dyncut.graph.contract`.
     """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is;
     # _reach lists far first, so far names its node
     groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
-    return contract(graph, groups)[0] if groups else graph
-
-
-def _split_quotient(
-    tree: CutTree,
-    graph: DynamicGraph,
-    members: list[int],
-    links: list[tuple[int, int]],
-    folds: list[tuple[int, int]],
-) -> DynamicGraph:
-    """The quotient a split of ``members`` cuts: :func:`contract_links`'s for ``links``, with
-    the subtree beyond each link of ``folds`` merged into its near end's node.
-
-    Some link's far end must not be a leaf.  A folded subtree is listed after
-    its near end, so the node keeps near's name.  A quotient with a node of
-    more than half the vertices is built by :func:`_quotient`, which reads
-    none of that node's rows; every other by :func:`~dyncut.graph.contract`.
-    """
-    adj = tree._adj
-    groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
     into: dict[int, list[int]] = {}
     for far, near in folds:
         into.setdefault(near, [near]).extend(_reach(adj, far, {near}))
     groups += into.values()
+    if not groups:
+        return graph
     big = max(groups, key=len)
     if 2 * len(big) <= len(graph._adj):
         return contract(graph, groups)[0]
-    node_of = {w: w for w in members}
+    # the node's own vertices lie within reach of a near end short of every far end
+    ends = [*links, *folds]
+    node_of = {w: w for w in _reach(adj, ends[0][1], {far for far, _ in ends})}
     node_of.update((far, far) for far, _ in links)
     for group in groups:
         if group is not big:
@@ -361,8 +351,7 @@ def cut_step(
 
     ``links`` are the tree edges ``(far, near)`` that leave a node holding u
     and v, ``near`` inside it.  ``quotient`` is what :func:`contract_links`
-    or, in a split, :func:`_split_quotient` builds for them, so each ``far``
-    names its subtree's node.  A far end
+    builds for them, so each ``far`` names its subtree's node.  A far end
     folded into v is in no side, so it never moves; a link folded into
     another near end must be left out of ``links``.  A subtree that lands
     on the other side from its ``near`` moves, with its cost, to u or v,
@@ -410,7 +399,7 @@ def _split_node(
             else:
                 kept.append((far, near))
         links = kept
-        quotient = _split_quotient(tree, graph, members, links, folds)
+        quotient = contract_links(tree, graph, links, folds)
     cut, moved = cut_step(tree, quotient, links, u, v)
     if inexact and moved:
         for far, near in links:

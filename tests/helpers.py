@@ -26,8 +26,8 @@ from dyncut import (
     verify_cut_tree,
 )
 from dyncut.errors import EmptyGraph, VertexMissing
-from dyncut.graph import contract, pair_key
-from dyncut.stream import MIX_ORDER, _applicable, _draw
+from dyncut.graph import EVENT_KINDS, contract, pair_key
+from dyncut.stream import _applicable, _draw
 
 SCENARIO_MIX = {
     ADD_VERTEX: 0.05,
@@ -165,7 +165,7 @@ def random_event(graph, rng, mix, weight_max=8, max_vertices=None):
     """
     kinds: list[str] = []
     weights: list[float] = []
-    for kind in MIX_ORDER:
+    for kind in EVENT_KINDS:
         frac = mix.get(kind, 0.0)
         if frac <= 0:
             continue

@@ -27,7 +27,8 @@ from dyncut.dynamic import (
     update_decrease,
     update_increase,
 )
-from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
+from dyncut.graph import EVENT_KINDS
+from dyncut.stream import BALANCED_EDGE_MIX
 from dyncut.tree import query_value, static_build
 from helpers import (
     SCENARIO_MIX,
@@ -207,7 +208,7 @@ def test_criterion_5_savings_on_generated_stream():
 def test_savings_gate_spends_cuts():
     # Criterion 5's stream never holds more than 14 edges and spends no cut,
     # so its ratio bound cannot fail; this dense stream spends thousands.
-    mix = dict(zip(MIX_ORDER, (0, 0, 0.5, 0.1, 0.2, 0.2)))
+    mix = dict(zip(EVENT_KINDS, (0, 0, 0.5, 0.1, 0.2, 0.2)))
     params = GenParams(n_vertices=30, n_events=600, weight_max=8, mix=mix)
     report = replay(generate(params, seed=1))
     ratio = report.ratio

@@ -293,8 +293,8 @@ class TestDecrease:
         # moved onto 2, and the walk's check must refuse it.
         kept, contract_links = {}, dyncut.dynamic.contract_links
 
-        def keep_forever(tree, graph, links):
-            return kept.setdefault(links[0][1], contract_links(tree, graph, links))
+        def keep_forever(tree, graph, links, folds):
+            return kept.setdefault(links[0][1], contract_links(tree, graph, links, folds))
 
         monkeypatch.setattr(dyncut.dynamic, "contract_links", keep_forever)
         g = DynamicGraph(edges=[(1, 2, 6), (1, 3, 6), (2, 3, 3), (2, 4, 4), (3, 4, 7)])

@@ -30,7 +30,7 @@ from dyncut.dynamic import NON_BRIDGE, _bridge_kind, update_increase
 from dyncut.errors import DynCutError, VerificationFailed
 from dyncut.graph import EVENT_KINDS
 from dyncut.replay import CSV_HEADER
-from dyncut.stream import BALANCED_EDGE_MIX, MIX_ORDER
+from dyncut.stream import BALANCED_EDGE_MIX
 from dyncut.tree import complete, query_cut, query_value, static_build
 from helpers import ALL_KINDS_MIX, path, random_event, random_graph
 
@@ -134,8 +134,8 @@ def test_per_kind_totals():
 
 
 # fractions of av, rv, ae, re, iw, dw, as for ``dyncut gen --mix``
-GROW_MIX = dict(zip(MIX_ORDER, (0, 0, 0.6, 0, 0.4, 0)))
-CHURN_MIX = dict(zip(MIX_ORDER, (0, 0, 0.5, 0.1, 0.2, 0.2)))
+GROW_MIX = dict(zip(EVENT_KINDS, (0, 0, 0.6, 0, 0.4, 0)))
+CHURN_MIX = dict(zip(EVENT_KINDS, (0, 0, 0.5, 0.1, 0.2, 0.2)))
 
 
 def _digest(text):
@@ -215,9 +215,9 @@ def test_leaf_cuts_share_a_quotient(monkeypatch):
     # The stream of the dense_churn digests above.  Every cut of a leaf at
     # the same path vertex reuses one contraction until a reshape, and a
     # step whose links are all leaves does not contract at all, so the
-    # replay builds fewer quotients than it cuts.  A split's quotient whose
-    # largest node holds more than half the vertices is built by _quotient,
-    # the others by contract.
+    # replay builds fewer quotients than it cuts.  A quotient whose largest
+    # node holds more than half the vertices is built by _quotient, in a
+    # split and in the walk alike, the others by contract.
     calls = {"contract": 0, "_quotient": 0, "min_cut": 0}
     for name in calls:
         real = getattr(tree_mod, name)
@@ -228,7 +228,7 @@ def test_leaf_cuts_share_a_quotient(monkeypatch):
 
         monkeypatch.setattr(tree_mod, name, counted)
     replay(generate(GenParams(n_vertices=40, n_events=400, mix=CHURN_MIX), seed=1))
-    assert calls == {"contract": 536, "_quotient": 133, "min_cut": 1561}
+    assert calls == {"contract": 470, "_quotient": 199, "min_cut": 1561}
     assert calls["contract"] + calls["_quotient"] == 669
 
 
@@ -246,7 +246,7 @@ def test_splits_cut_folded_quotients(monkeypatch):
     def counted_split(tree, graph, members, inexact):
         node = set(members)
         links = [(far, near) for near in members for far in tree.neighbors(near) if far not in node]
-        edges["unfolded"] += tree_mod.contract_links(tree, graph, links).edge_count
+        edges["unfolded"] += tree_mod.contract_links(tree, graph, links, []).edge_count
         return split(tree, graph, members, inexact)
 
     monkeypatch.setattr(tree_mod, "min_cut", counted_cut)
@@ -356,7 +356,7 @@ def test_owner_queries_answer_as_the_tree_routines():
 
 VERTEX_IDS = st.integers(0, 7)
 # inserts outnumber removals, so the graphs fill up
-FILLING_MIX = dict(zip(MIX_ORDER, (0.1, 0.02, 0.4, 0.08, 0.2, 0.2)))
+FILLING_MIX = dict(zip(EVENT_KINDS, (0.1, 0.02, 0.4, 0.08, 0.2, 0.2)))
 
 
 @st.composite

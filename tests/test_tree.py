@@ -2,7 +2,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 import dyncut.tree as tree_mod
 from dyncut import (
@@ -16,8 +16,8 @@ from dyncut.errors import (
     SameVertex,
     VertexMissing,
 )
-from dyncut.graph import apply_change, contract
-from dyncut.stream import MIX_ORDER, GenParams, generate
+from dyncut.graph import EVENT_KINDS, apply_change, contract
+from dyncut.stream import GenParams, generate
 from dyncut.tree import complete, contract_links, query_cut, query_value, static_build
 from helpers import checked_complete, count_cuts, graphs, path
 
@@ -71,7 +71,7 @@ class TestStaticBuild:
         # the final graphs of the grow_increase benchmark workload at seed 5;
         # far past the enumeration cap, so the certificate's flows run on
         # the oracle's own Edmonds-Karp, not on the kernel under test
-        params = GenParams(100, 1500, 8, dict(zip(MIX_ORDER, (0, 0, 0.6, 0, 0.4, 0))))
+        params = GenParams(100, 1500, 8, dict(zip(EVENT_KINDS, (0, 0, 0.6, 0, 0.4, 0))))
         g = DynamicGraph()
         for event in generate(params, seed).events:
             apply_change(g, event)
@@ -310,24 +310,26 @@ def _component(nbrs, start):
 class TestContractLinks:
     def test_all_leaf_links_contract_nothing(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (1, 3, 2), (1, 4, 2)])
-        assert contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)]) is c4
+        assert contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)], []) is c4
 
     def test_multi_vertex_subtree_contracts_a_fresh_graph(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (2, 3, 2), (1, 4, 2)])
         before = c4.copy()
-        quotient = contract_links(tree, c4, [(2, 1), (4, 1)])
+        quotient = contract_links(tree, c4, [(2, 1), (4, 1)], [])
         assert quotient is not c4 and c4 == before
         assert quotient == DynamicGraph(edges=[(1, 2, 1), (2, 4, 1), (1, 4, 1)])
 
     def test_a_subtree_node_is_named_after_its_far_end(self, c4):
         # the subtree {2, 3} beyond link (3, 1) is node 3, not its smallest member 2
         tree = CutTree(edges=[(1, 3, 2), (3, 2, 2), (1, 4, 2)])
-        quotient = contract_links(tree, c4, [(3, 1), (4, 1)])
+        quotient = contract_links(tree, c4, [(3, 1), (4, 1)], [])
         assert quotient == DynamicGraph(edges=[(1, 3, 1), (1, 4, 1), (3, 4, 1)])
 
     def test_a_node_of_more_than_half_the_vertices_is_not_read(self, monkeypatch):
         # beyond (3, 2) lie exactly half the vertices, so contract builds
-        # that quotient; a node of three of the four is built by _quotient
+        # that quotient; a node of three of the four is built by _quotient.
+        # The decrease walk's node, v plus u's subtree with every link at v,
+        # takes the same path.
         built = []
         for name in ("contract", "_quotient"):
             real = getattr(tree_mod, name)
@@ -339,23 +341,34 @@ class TestContractLinks:
             monkeypatch.setattr(tree_mod, name, spy)
         g = DynamicGraph(edges=[(1, 2, 3), (2, 3, 1), (3, 4, 2), (1, 4, 5), (1, 3, 4)])
         tree = CutTree(edges=[(1, 2, 0), (2, 3, 0), (3, 4, 0)])
-        split_quotient = tree_mod._split_quotient
-        assert split_quotient(tree, g, [2], [(1, 2), (3, 2)], []) == contract(g, [[3, 4]])[0]
-        assert split_quotient(tree, g, [1], [(2, 1)], []) == contract(g, [[2, 3, 4]])[0]
-        assert split_quotient(tree, g, [2], [(1, 2)], [(3, 2)]) == contract(g, [[2, 3, 4]])[0]
-        assert built == ["contract", "_quotient", "_quotient"]
+        assert contract_links(tree, g, [(1, 2), (3, 2)], []) == contract(g, [[3, 4]])[0]
+        assert contract_links(tree, g, [(2, 1)], []) == contract(g, [[2, 3, 4]])[0]
+        assert contract_links(tree, g, [(1, 2)], [(3, 2)]) == contract(g, [[2, 3, 4]])[0]
+        # the walk cuts u = 1, whose subtree is {1, 6}, from v = 2
+        edges = [(1, 2, 3), (2, 3, 1), (3, 4, 2), (4, 5, 5), (5, 7, 1), (1, 6, 4), (6, 7, 2)]
+        g = DynamicGraph(edges=[*edges, (2, 5, 3)])
+        tree = CutTree(edges=[(6, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 7, 0)])
+        assert contract_links(tree, g, [(3, 2)], []) == contract(g, [[3, 4, 5, 7]])[0]
+        assert built == ["contract", "_quotient", "_quotient", "_quotient"]
 
-    @given(graphs(min_vertices=2, max_vertices=10), st.integers(0, 10**6))
+    @given(graphs(min_vertices=2, max_vertices=10), st.integers(0, 10**6), st.booleans())
     @settings(max_examples=60)
-    def test_the_quotient_of_a_node_equals_contract(self, g, seed):
+    def test_the_quotient_of_a_node_equals_contract(self, g, seed, walk):
         # whichever links fold and whichever node of the quotient is the
-        # largest, a split's quotient is contract's: a subtree named after
-        # its far end, a folded one merged into its near end
+        # largest, the quotient is contract's: a subtree named after its far
+        # end, a folded one merged into its near end.  A split's node is a
+        # random compound node; the decrease walk's is v plus u's subtree,
+        # with every link at v.
         rng = random.Random(seed)
         tree = static_build(g)
-        nodes, _ = _random_nodes(tree, rng)
-        node = rng.choice(nodes)
-        links = [(far, near) for near in node for far in tree.neighbors(near) if far not in node]
+        if walk:
+            u, v, _ = rng.choice(list(tree.edges()))
+            links = [(far, v) for far in tree.neighbors(v) if far != u]
+        else:
+            node = rng.choice(_random_nodes(tree, rng)[0])
+            links = [
+                (far, near) for near in node for far in tree.neighbors(near) if far not in node
+            ]
         folds = [link for link in links if rng.random() < 0.5]
         kept = [link for link in links if link not in folds]
         beyond = {far: [far, *tree.subtree(far, near) - {far}] for far, near in links}
@@ -363,9 +376,11 @@ class TestContractLinks:
         for far, near in folds:
             into.setdefault(near, [near]).extend(beyond[far])
         groups = [beyond[far] for far, _ in kept if len(beyond[far]) > 1] + list(into.values())
-        assume(groups)  # a split with nothing to merge cuts the graph itself
-        quotient = tree_mod._split_quotient(tree, g, sorted(node), kept, folds)
-        assert quotient == contract(g, groups)[0]
+        quotient = contract_links(tree, g, kept, folds)
+        if groups:
+            assert quotient == contract(g, groups)[0]
+        else:  # nothing to merge: the step cuts the graph itself
+            assert quotient is g
 
     def test_static_build_of_unit_complete_graph_never_contracts(self, monkeypatch):
         # every minimum cut of a unit complete graph is a one-vertex degree
