@@ -264,10 +264,10 @@ def contract_links(
     """A Gomory-Hu step's quotient: ``graph`` with the subtree beyond each link ``(far, near)``
     a node named far, and beyond each link of ``folds`` merged into near's node, named near.
 
-    With nothing to merge the result is ``graph`` itself, not a copy.  A
-    quotient with a node of more than half the vertices is built by
-    :func:`_quotient`, which reads none of that node's rows; every other by
-    :func:`~dyncut.graph.contract`.
+    With nothing to merge it is ``graph`` itself, which :func:`fold_links`
+    copies before an edit.  A quotient with a node of more than half the
+    vertices comes from :func:`_quotient`, which reads none of that node's
+    rows; every other from :func:`~dyncut.graph.contract`.
     """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is;
