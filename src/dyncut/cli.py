@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 
 from .errors import DynCutError
+from .graph import EVENT_KINDS
 from .replay import replay
-from .stream import GenParams, format_stream, generate, parse_mix, parse_stream
+from .stream import BALANCED_EDGE_MIX, GenParams, format_stream, generate, parse_mix, parse_stream
 from .tree import query_value
 
 _MIX_HELP = "comma-separated fractions for av,rv,ae,re,iw,dw (must sum to 1)"
@@ -69,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random event stream")
     p_gen.add_argument("--vertices", type=int, required=True)
     p_gen.add_argument("--events", type=int, required=True)
-    p_gen.add_argument("--mix", default="0,0,0.25,0.25,0.25,0.25", help=_MIX_HELP)
+    mix = ",".join(f"{BALANCED_EDGE_MIX.get(k, 0):g}" for k in EVENT_KINDS)
+    p_gen.add_argument("--mix", default=mix, help=_MIX_HELP)
     p_gen.add_argument("--weight-max", type=int, default=8)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=_cmd_gen)

@@ -14,15 +14,15 @@ vertex v cuts the same quotient, the subtrees beyond v's other neighbours,
 so the walk builds it once per v and drops every kept one when a cut moves
 a subtree.  Then, before a cut of stale cost c,
 :func:`dyncut.tree.fold_links` merges into v each of v's neighbour
-subtrees whose edge is settled, a path edge or one the walk certified, at
-a cost above c: splitting it from v costs more than c, and the stale side
-costs at most c, so no minimum cut does.  ``complete`` folds the same
-way, with the smaller weighted degree of the two vertices it cuts apart
-in place of c, but only links known to be exact: links whose cost is the
-connectivity of their own ends.  Every edge off an increase's
-b-d path is exact: its cut does not separate b and d, so it keeps its
-cost while connectivity only grows.  The raised path edge need not be, so
-``update_increase`` hands it to ``complete`` as not known to be exact.
+subtrees whose edge costs more than c.  Such an edge was popped first, so
+it is settled, a path edge or one the walk certified: splitting it from v
+costs more than c, and the stale side at most c, so no minimum cut does.
+``complete`` folds the same way, with the smaller weighted degree of the
+two vertices it cuts apart in place of c, but only exact links, whose
+cost is the connectivity of their own ends: those that leave the nodes it
+is given or stay within one.  Every edge off an increase's b-d path is
+exact: its cut does not separate b and d, so it keeps its cost while
+connectivity only grows.  The raised path edge joins the path's two parts.
 
 Every routine edits the tree it is given.  The vertex routines return
 nothing; the increase and decrease routines return the event's
@@ -172,10 +172,10 @@ def update_increase(
     # General route: every edge off the b-d path keeps its cut; the cheapest
     # path edge (nearest to b on ties) is a minimum b-d cut, so it stays
     # valid with cost +delta.  The path's two parts on either side of it are
-    # compound nodes, and complete splits them with one cut per other edge.
+    # complete's nodes: one cut per other edge, and the raised one never folds.
     i = costs.index(lam)
     tree.set_cost(*pedges[i], lam + delta)
-    cuts = complete(tree, graph, [verts[: i + 1], verts[i + 1 :]], [pedges[i]])
+    cuts = complete(tree, graph, [verts[: i + 1], verts[i + 1 :]])
     breakdown = {RULE_RECOMPUTED: cuts} if cuts else {}
     return UpdateStats(cuts, breakdown)
 
@@ -239,7 +239,6 @@ def update_decrease(
         push_frontier(v)
     # path vertex v -> the quotient that every cut of a leaf at v uses
     leaf_quotients: dict[int, DynamicGraph] = {}
-    certified: set[int] = set()  # the far end u of every edge {u, v} certified here
     cuts = 0
     breakdown: dict[str, int] = {}
     accepted: list[tuple[Pair, int, str]] = []
@@ -267,12 +266,14 @@ def update_decrease(
             # the node is v plus u's subtree; v's other subtrees hang off it
             nbrs = tree.neighbors(v)
             links = [(x, v) for x in nbrs if x != u]
-            # A settled {x, v} costs lambda(x, v) > stale, and u's subtree is
-            # a u-v cut of cost at most stale, so no minimum u-v cut splits
-            # x's node from v: merged into v, it leaves the cut as it was.
-            # The bound needs a cost strictly above stale; a link settled at
-            # stale stays apart.
-            folds = [x for x, c in nbrs.items() if c > stale and (x in pset or x in certified)]
+            # Each {x, v} above stale is settled, so it costs lambda(x, v):
+            # v's off-path edges were pushed when v joined the path, keep
+            # their costs until they join it, and move only away from v, to
+            # u, so {x, v} was popped first.  u's subtree is a u-v cut of cost
+            # at most stale, so no minimum u-v cut splits x's node from v:
+            # merged into v, it leaves the cut as it was.  An edge tied at
+            # stale may be stale, and stays apart.
+            folds = [x for x, c in nbrs.items() if c > stale]
             # A leaf u stays a singleton, so every leaf at v shares v's
             # quotient, merges and all: until a cut moves a subtree no edge
             # is pushed, so the stale costs at v only fall.
@@ -308,7 +309,6 @@ def update_decrease(
                     f"revalidated cut {{{u},{v}}} moved subtrees at {moved}"
                 )
             rule = RULE_REVALIDATED
-        certified.add(u)
         breakdown[rule] = breakdown.get(rule, 0) + _stale_subtree(tree, u, v)
 
     # each stale edge is certified once, or recomputed and so on the path

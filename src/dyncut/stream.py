@@ -109,13 +109,7 @@ def parse_stream(text: str) -> EventStream:
             raise StreamSyntaxError(ln, f"non-integer argument in {body!r}")
         try:
             # int() refuses strings of more than 4300 digits with a ValueError
-            nums = [int(a) for a in args]
-            if code in ("av", "rv"):
-                ev = ChangeEvent(KIND_OF_CODE[code], nums[0])
-            elif code == "re":
-                ev = ChangeEvent.remove_edge(nums[0], nums[1])
-            else:
-                ev = ChangeEvent(KIND_OF_CODE[code], nums[0], nums[1], nums[2])
+            ev = ChangeEvent(KIND_OF_CODE[code], *[int(a) for a in args])
         except (DynCutError, ValueError) as exc:
             raise StreamSyntaxError(ln, str(exc)) from None
         events.append(ev)

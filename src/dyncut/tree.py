@@ -25,9 +25,11 @@ would bound that by O(log n); at the depths met here they cost more.
 :func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
 :func:`contract_links` builds the quotient for both: each subtree off the
 node is one of its nodes, named after its link's far end.  Both callers
-merge into a node's member the subtrees that no minimum cut of the step
-parts from it: :func:`complete` through the builder, the walk afterwards
-through :func:`fold_links`.
+fold by one rule: a link whose cost is the connectivity of its own ends
+and above a bound on lambda(u, v) merges its subtree into its near end,
+since no minimum u-v cut parts them.  :func:`complete` tells such links
+by the nodes it was given and merges through the builder; the walk tells
+them by the order it pops them and merges through :func:`fold_links`.
 Where the step re-hangs a subtree, the cut alone decides (Gomory and Hu's
 node-level rule), so neither the member an outer edge touches nor the
 shape and costs of the edges inside a node affect the finished tree.
@@ -46,7 +48,7 @@ from .errors import (
     SameVertex,
     VertexMissing,
 )
-from .graph import Cut, DynamicGraph, Rows, contract, pair_key
+from .graph import Cut, DynamicGraph, Rows, contract
 from .mincut import min_cut
 
 
@@ -264,6 +266,7 @@ def contract_links(
     """A Gomory-Hu step's quotient: ``graph`` with the subtree beyond each link ``(far, near)``
     a node named far, and beyond each link of ``folds`` merged into near's node, named near.
 
+    The caller folds only where no minimum cut of the step parts the two.
     With nothing to merge it is ``graph`` itself, which :func:`fold_links`
     copies before an edit.  A quotient with a node of more than half the
     vertices comes from :func:`_quotient`, which reads none of that node's
@@ -371,14 +374,13 @@ def cut_step(
 
 
 def _split_node(
-    tree: CutTree, graph: DynamicGraph, members: list[int], inexact: set[tuple[int, int]]
+    tree: CutTree, graph: DynamicGraph, members: list[int], origin: dict[int, int]
 ) -> tuple[list[int], list[int]]:
     """Split a compound node along a minimum cut of its two smallest members.
 
-    ``members`` lists the node in increasing order.  ``inexact`` holds the
-    pairs of the links not known to be exact; one that the step moves is
-    replaced by its new pair.  Returns the two sides, u's and then v's, in
-    the same order.
+    ``members`` lists the node in increasing order.  ``origin`` maps each
+    vertex of the nodes :func:`complete` was given to its node's index.
+    Returns the two sides, u's and then v's, in the same order.
     """
     node = set(members)
     u, v = members[0], members[1]
@@ -392,20 +394,16 @@ def _split_node(
     if any(True for far, _ in links if len(adj[far]) > 1):
         rows = graph._adj
         bound = min(sum(rows[u].values()), sum(rows[v].values()))
+        here = origin[u]
         kept, folds = [], []
         for far, near in links:
-            if adj[far][near] > bound and pair_key(far, near) not in inexact:
+            if adj[far][near] > bound and origin.get(far, here) == here:
                 folds.append((far, near))
             else:
                 kept.append((far, near))
         links = kept
         quotient = contract_links(tree, graph, links, folds)
     cut, moved = cut_step(tree, quotient, links, u, v)
-    if inexact and moved:
-        for far, near in links:
-            if far in moved and (pair := pair_key(far, near)) in inexact:
-                inexact.remove(pair)
-                inexact.add(pair_key(far, u if far in cut.side else v))
 
     # Every edge inside the node is a member's edge to a parent in the node.
     # Each side becomes a zero-cost star on its smallest member, u or v.  An
@@ -427,12 +425,7 @@ def _split_node(
     return [w for w in members if w in cut.side], [w for w in members if w not in cut.side]
 
 
-def complete(
-    tree: CutTree,
-    graph: DynamicGraph,
-    nodes: Iterable[Iterable[int]],
-    inexact: Iterable[tuple[int, int]],
-) -> int:
+def complete(tree: CutTree, graph: DynamicGraph, nodes: Iterable[Iterable[int]]) -> int:
     """Split a partial tree's compound ``nodes``, in place, until it is a cut tree of ``graph``.
 
     The nodes must be disjoint, and each must be joined by tree edges among
@@ -447,39 +440,42 @@ def complete(
     fixes the finished tree.  Spends one min-cut computation per split,
     ``len(node) - 1`` per node, and returns their number.
 
-    An edge between two nodes is *exact* when its cost c is lambda of its own
-    two ends in ``graph``.  ``inexact`` lists, as vertex pairs, the edges
-    between two nodes not known to be exact; every other one must be exact.
-    A static build has no such edge.  An increase hands over the path edge
-    it raises: a minimum b-d cut, not always a minimum cut of its own ends.
+    An edge is *exact* when its cost c is lambda of its own two ends in
+    ``graph``.  Every edge from a node to a vertex in none must be exact.
+    An increase gives the two parts of the b-d path, joined by the raised
+    path edge: a minimum b-d cut, not always a minimum cut of its own ends.
 
-    The split of u from v folds each exact link (far, near), near in the
-    node, whose cost c is above U, the smaller weighted degree of u and v:
-    far's subtree merges into near's node of the quotient.  Either vertex
-    alone is a u-v cut, so lambda(u, v) <= U.  A cut that parts far's
-    subtree from near separates far from near, so it costs at least c > U,
-    and no minimum u-v cut does that.  The merge keeps every minimum cut,
-    and so the cut's cost and the smallest side that ``min_cut`` returns.
-    A link at exactly U stays apart, and a link in ``inexact`` never folds.
+    The split of u from v folds each link (far, near), near in the node,
+    whose cost c is above U, the smaller weighted degree of u and v, and
+    whose far end lies in no given node or in near's: far's subtree merges
+    into near's node of the quotient.  Either vertex alone is a u-v cut, so
+    lambda(u, v) <= U.  For an exact link, a cut that parts far's subtree
+    from near costs at least c > U, and no minimum u-v cut does that.  The
+    merge keeps every minimum cut, and so the cut's cost and the smallest
+    side that ``min_cut`` returns.  A link at exactly U stays apart.
 
-    A link that a split moves stays exact.  Say the cut S holds far and u,
-    and near and v, so the link moves to (far, u).  S separates far from
-    near, so lambda(u, v) >= c.  By Gomory and Hu's lemma some minimum far-u
-    cut does not split the complement of S, so lambda(far, u) may be taken
-    in ``graph`` with that complement shrunk to one vertex s.  There
-    lambda(far, u) >= min(lambda(far, s), lambda(s, u)) >= min(c, lambda(u,
-    v)) = c: a far-s cut parts far from near, and an s-u cut parts v from u.
-    Far's subtree costs c and does not hold u, so lambda(far, u) = c.  The
-    case of far with v is the mirror image.  The edge {u, v} is exact at the
-    cut's cost.  A moved link of ``inexact`` stays in it under its new pair.
+    Every link that folds is exact.  A link within one given node is the
+    edge {u, v} of an earlier split, exact at the cut's cost, or a moved
+    one.  A move keeps far, and puts near in the same given node, so a link
+    between two given nodes never folds.  A link that a split moves stays
+    exact.  Say the cut S holds far and u, and near and v, so the link
+    moves to (far, u).  S separates far from near, so lambda(u, v) >= c.
+    By Gomory and Hu's lemma some minimum far-u cut does not split the
+    complement of S, so lambda(far, u) may be taken in ``graph`` with that
+    complement shrunk to one vertex s.  There lambda(far, u) >=
+    min(lambda(far, s), lambda(s, u)) >= min(c, lambda(u, v)) = c: a far-s
+    cut parts far from near, and an s-u cut parts v from u.  Far's subtree
+    costs c and does not hold u, so lambda(far, u) = c.  The case of far
+    with v is the mirror image.
     """
+    nodes = list(map(sorted, nodes))
+    origin = {x: i for i, members in enumerate(nodes) for x in members}
     # disjoint sorted lists compare by their first, smallest members
-    heap = [members for members in map(sorted, nodes) if len(members) > 1]
+    heap = [members for members in nodes if len(members) > 1]
     heapify(heap)
-    inexact = {pair_key(x, y) for x, y in inexact}
     splits = 0
     while heap:
-        for side in _split_node(tree, graph, heappop(heap), inexact):
+        for side in _split_node(tree, graph, heappop(heap), origin):
             if len(side) > 1:
                 heappush(heap, side)
         splits += 1
@@ -493,5 +489,5 @@ def static_build(graph: DynamicGraph) -> CutTree:
     # one node of every vertex, joined by a zero-cost star on the smallest
     verts = sorted(graph.vertices)
     tree = CutTree(verts, [(verts[0], v, 0) for v in verts[1:]])
-    complete(tree, graph, [verts], ())
+    complete(tree, graph, [verts])
     return tree

@@ -276,14 +276,14 @@ def checked_complete(graph):
     Each split must fold the links this check derives itself.  Where some
     link's far end is not a leaf, they are the links whose cost is above U,
     the smaller weighted degree of the two members cut apart, less those
-    not known to be exact: the pairs ``complete`` was handed as such, each
-    following its link when a split moves it.  A folded link's cost must be
-    lambda of its ends in ``graph``.  ``min_cut`` must receive ``contract``
-    of the subtrees beyond the other links, each named after its far end,
-    with each folded subtree merged into its near end.  Its cut must have
-    the cost and, on the members and the far ends left apart, the side that
-    the kernel gives on the unfolded quotient, ``contract`` of the subtree
-    beyond every link.
+    not known to be exact: the tree edges between two of the nodes
+    ``complete`` was given, each following its link when a split moves it.
+    A folded link's cost must be lambda of its ends in ``graph``.
+    ``min_cut`` must receive ``contract`` of the subtrees beyond the other
+    links, each named after its far end, with each folded subtree merged
+    into its near end.  Its cut must have the cost and, on the members and
+    the far ends left apart, the side that the kernel gives on the unfolded
+    quotient, ``contract`` of the subtree beyond every link.
     """
     lam = _connectivity(graph)
     complete, split = dyncut.tree.complete, dyncut.tree._split_node
@@ -301,22 +301,26 @@ def checked_complete(graph):
     def lam_of(x, y):
         return nx_min_cut(graph, x, y)[0] if lam is None else lam[pair_key(x, y)]
 
-    def checked(tree, g, nodes, loose):
+    def checked(tree, g, nodes):
         nodes = [set(node) for node in nodes]
         assert sum(map(len, nodes)) == len(set().union(*nodes)), f"nodes overlap: {nodes}"
         pending[:] = [node for node in nodes if len(node) > 1]
+        given = {x: i for i, node in enumerate(nodes) for x in node}
         inexact.clear()
-        inexact.update(pair_key(x, y) for x, y in loose)
-        return complete(tree, g, nodes, loose)
+        inexact.update(
+            pair_key(x, y)
+            for x, y, _ in tree.edges()
+            if x in given and y in given and given[x] != given[y]
+        )
+        return complete(tree, g, nodes)
 
-    def checked_split(tree, g, members, loose):
+    def checked_split(tree, g, members, origin):
         node = set(members)
         assert node in pending, f"split of a node complete was not given: {members}"
         reached = [members[0]]
         for x in reached:
             reached += [y for y in tree.neighbors(x) if y in node and y not in reached]
         assert len(reached) == len(node), f"node {members} is not joined by its own edges"
-        assert loose == inexact, f"inexact links {loose}, expected {inexact}"
         check(tree, g)
 
         u, v = members[0], members[1]
@@ -338,7 +342,7 @@ def checked_complete(graph):
             into.setdefault(near, [near]).extend(beyond[far])
         fresh.append(contract(g, [*(beyond[far] for far, _ in kept), *into.values()])[0])
         reference = kernel(contract(g, beyond.values())[0], u, v)
-        sides = split(tree, g, members, loose)
+        sides = split(tree, g, members, origin)
         assert not fresh, f"the split of {members} reached no min_cut"
         seen = node | {far for far, _ in kept}
         assert cuts[-1].cost == reference.cost, f"folding changed the cut of {u} from {v}"
@@ -403,10 +407,10 @@ def checked_decrease_walk(graph, b, d, delta):
     current b-d path and the far end u off it.  The quotient that
     ``min_cut`` receives must be a fresh contraction of the subtrees beyond
     v's other links in the current tree, each named after its far end, with
-    exactly these subtrees merged into v: each link {x, v} settled at a tree
-    cost strictly above the stale cost of {u, v}, and each such cost must be
-    lambda(x, v) after the change.  The cut must be the one ``min_cut``
-    returns on the unmerged contraction.  A quotient the walk reused after a
+    exactly these subtrees merged into v: each link {x, v} at a tree cost
+    strictly above the stale cost of {u, v}.  Each such link must be
+    settled, at lambda(x, v) after the change.  The cut must be the one
+    ``min_cut`` returns on the unmerged contraction.  A quotient the walk reused after a
     reshape changed those subtrees fails here, even where the cut it yields
     happens to be right.
 
@@ -444,8 +448,9 @@ def checked_decrease_walk(graph, b, d, delta):
         unmerged = contract(graph, groups)[0]
         stale = tree.cost(u, v)
         settled = {far: tree.cost(far, v) for far, _ in links if far in on_path or far in certified}
-        folded = [far for far, c in settled.items() if c > stale]
+        folded = [far for far, _ in links if tree.cost(far, v) > stale]
         for far in folded:
+            assert far in settled, f"link {{{far},{v}}} above the stale cost {stale} is stale"
             assert settled[far] == lam(far, v), f"merged link {{{far},{v}}} is not lambda"
         merged = [group for (far, _), group in zip(links, groups) if far in folded]
         kept = [group for (far, _), group in zip(links, groups) if far not in folded]

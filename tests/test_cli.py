@@ -7,6 +7,7 @@ import pytest
 
 import dyncut
 from dyncut.cli import main
+from dyncut.stream import GenParams, format_stream, generate
 
 P3_BUILD = "av 1\nav 2\nav 3\nae 1 2 3\nae 2 3 2\n"
 
@@ -46,6 +47,11 @@ def test_gen_is_deterministic_and_replayable(tmp_path, capsys):
     assert capsys.readouterr().out == first
     stream_file = _write(tmp_path, first)
     assert main(["replay", stream_file, "--verify"]) == 0
+
+
+def test_gen_default_mix_is_the_generator_default(capsys):
+    assert main(["gen", "--vertices", "12", "--events", "50", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == format_stream(generate(GenParams(12, 50), 4))
 
 
 def test_gen_with_explicit_mix(capsys):

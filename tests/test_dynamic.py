@@ -197,9 +197,13 @@ class TestIncrease:
         assert update_increase(tree, g, 3, 4, 8).cuts_used == 1
         assert tree == CutTree(edges=[(1, 3, 0), (2, 4, 5), (3, 4, 10)])
         assert verify_cut_tree(tree, g).ok
-        # the same partial tree, with the raised edge left out of inexact
-        wrong = CutTree(edges=[(1, 3, 0), (2, 3, 10), (2, 4, 3)])
-        complete(wrong, g, [[3], [2, 4]], ())
+        # the same partial tree: given 3 as a node, complete keeps the raised
+        # edge apart; with 3 in no node, it takes the edge as exact
+        partial = CutTree(edges=[(1, 3, 0), (2, 3, 10), (2, 4, 3)])
+        right, wrong = partial.copy(), partial.copy()
+        assert complete(right, g, [[3], [2, 4]]) == 1
+        assert right == tree
+        complete(wrong, g, [[2, 4]])
         assert wrong.cost(2, 4) == 11
         assert not verify_cut_tree(wrong, g).ok
 
@@ -516,27 +520,31 @@ def test_fold_merges_a_node_by_the_sum_rule(g, data):
 
 
 def test_decrease_verify_mode_on_random_cases():
-    rng = random.Random(99)
-    done = merged = 0
-    while done < 60:
-        g = random_graph(rng, n_min=4, n_max=9)
-        if g.edge_count == 0:
-            continue
-        tree = static_build(g)
-        u, v, w = sorted(g.edges())[rng.randrange(g.edge_count)]
-        delta = rng.randint(1, w)
-        new = g.copy()
-        if delta == w:
-            new.remove_edge(u, v)
-        else:
-            new.decrease_weight(u, v, delta)
-        with checked_decrease_walk(new, u, v, delta) as log:
-            update_decrease(tree, new, u, v, delta)
-        assert verify_cut_tree(tree, new).ok
-        merged += sum(1 for cut in log if cut.folded and cut.edges[0] < cut.edges[1])
-        done += 1
-    # some cut gets a quotient that merging settled links made smaller
-    assert merged
+    # weights 1-2 tie many costs, so some settled links sit at a stale cost
+    for max_weight in (8, 2):
+        rng = random.Random(99)
+        done = merged = tied = 0
+        while done < 60:
+            g = random_graph(rng, n_min=4, n_max=9, max_weight=max_weight)
+            if g.edge_count == 0:
+                continue
+            tree = static_build(g)
+            u, v, w = sorted(g.edges())[rng.randrange(g.edge_count)]
+            delta = rng.randint(1, w)
+            new = g.copy()
+            if delta == w:
+                new.remove_edge(u, v)
+            else:
+                new.decrease_weight(u, v, delta)
+            with checked_decrease_walk(new, u, v, delta) as log:
+                update_decrease(tree, new, u, v, delta)
+            assert verify_cut_tree(tree, new).ok
+            merged += sum(1 for cut in log if cut.folded and cut.edges[0] < cut.edges[1])
+            tied += sum(1 for cut in log if cut.tied)
+            done += 1
+        # some cut gets a quotient that merging settled links made smaller,
+        # and some cut leaves apart a settled link tied at its stale cost
+        assert merged and tied, (max_weight, merged, tied)
 
 
 def test_decrease_walk_checked_beyond_the_enumeration_cap():

@@ -243,11 +243,11 @@ def test_splits_cut_folded_quotients(monkeypatch):
         edges["folded"] += quotient.edge_count
         return min_cut(quotient, s, t)
 
-    def counted_split(tree, graph, members, inexact):
+    def counted_split(tree, graph, members, origin):
         node = set(members)
         links = [(far, near) for near in members for far in tree.neighbors(near) if far not in node]
         edges["unfolded"] += tree_mod.contract_links(tree, graph, links, []).edge_count
-        return split(tree, graph, members, inexact)
+        return split(tree, graph, members, origin)
 
     monkeypatch.setattr(tree_mod, "min_cut", counted_cut)
     monkeypatch.setattr(tree_mod, "_split_node", counted_split)
@@ -274,7 +274,7 @@ def test_update_increase_edits_tree_as_complete_does():
         i = costs.index(min(costs))
         work = final.copy()
         work.set_cost(verts[i], verts[i + 1], costs[i] + 3)
-        complete(work, raised, [verts[: i + 1], verts[i + 1 :]], [(verts[i], verts[i + 1])])
+        complete(work, raised, [verts[: i + 1], verts[i + 1 :]])
         if _bridge_kind(graph.weight(b, d), min(costs)) == NON_BRIDGE:
             assert work == tree
             rebuilt += 1

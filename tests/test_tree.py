@@ -84,7 +84,7 @@ class TestComplete:
     def test_all_fat_tree_is_fixed_point(self, t3, t3_tree):
         work = t3_tree.copy()
         with count_cuts() as cuts:
-            assert complete(work, t3, [{1}, {2}, {3}], ()) == 0
+            assert complete(work, t3, [{1}, {2}, {3}]) == 0
         assert work == t3_tree
         assert cuts == []
         assert verify_cut_tree(work, t3).ok
@@ -92,7 +92,7 @@ class TestComplete:
     def test_all_thin_star_equals_static_build(self, p3):
         star = CutTree(edges=[(1, 2, 0), (1, 3, 0)])
         with count_cuts() as cuts:
-            complete(star, p3, [p3.vertices], ())
+            complete(star, p3, [p3.vertices])
         assert len(cuts) == 2
         assert star == static_build(p3)
 
@@ -104,7 +104,7 @@ class TestComplete:
         work.add_edge(2, 3, 5)
         work.add_edge(1, 3, 4)
         with count_cuts() as cuts, checked_complete(raised) as checked:
-            checked(work, raised, [{1, 3}], [(2, 3)])
+            checked(work, raised, [{1, 3}, {2}])
         assert len(cuts) == 1
         assert verify_cut_tree(work, raised).ok
         for a, b in ((1, 2), (1, 3), (2, 3)):
@@ -132,7 +132,7 @@ class TestComplete:
         verts = work.path_vertices(a, farthest(a))
         assert len(verts) > 10
         with checked_complete(g) as checked:
-            assert checked(work, g, [verts], ()) == len(verts) - 1
+            assert checked(work, g, [verts]) == len(verts) - 1
         assert verify_cut_tree(work, g).ok
 
     def test_lying_fat_label_caught_in_verify_mode(self, t3):
@@ -142,7 +142,7 @@ class TestComplete:
         work.add_edge(2, 3, 3)
         with pytest.raises(AssertionError, match=r"fat edges fail: induced-cost at \(1, 3\)"):
             with checked_complete(t3) as checked:
-                checked(work, t3, [{2, 3}], ())
+                checked(work, t3, [{2, 3}])
 
     def test_a_link_at_exactly_the_degree_bound_is_not_folded(self):
         # The split of 3 from 5 has U = 2, the weighted degree of 3.  The
@@ -152,7 +152,7 @@ class TestComplete:
         g = DynamicGraph(edges=[(1, 4, 2), (1, 5, 3), (2, 3, 1), (2, 5, 1), (3, 5, 1)])
         work = CutTree(edges=[(1, 4, 2), (1, 5, 3), (2, 3, 2), (3, 5, 2)])
         with checked_complete(g) as checked:
-            assert checked(work, g, [[3, 5]], ()) == 1
+            assert checked(work, g, [[3, 5]]) == 1
         assert work == CutTree(edges=[(1, 4, 2), (1, 5, 3), (2, 5, 2), (3, 5, 2)])
 
     @given(graphs(min_vertices=3))
@@ -170,7 +170,7 @@ class TestComplete:
             for u, v, c in work.edges()
             if {u, v} not in on_path
         }
-        complete(work, g, [verts], ())
+        complete(work, g, [verts])
         fat_after = {(_side_without(work, u, v, anchor), c) for u, v, c in work.edges()}
         assert fat_before <= fat_after
 
@@ -179,12 +179,14 @@ class TestComplete:
     def test_split_ignores_where_fat_edges_meet_a_node(self, g, seed):
         # Gomory-Hu's node-level rule: the finished tree depends neither on
         # the member of a compound node an outer edge touches nor on the
-        # costs of the edges inside the node.  A re-hung edge need not be a
-        # minimum cut of its new ends, so complete is told it is not exact.
+        # costs of the edges inside the node.  The exact side gives only
+        # its nodes of two or more vertices, so its links may fold.  A
+        # re-hung edge need not be a minimum cut of its new ends, so the
+        # re-hung side gives every node, and no link between two folds.
         rng = random.Random(seed)
         work = static_build(g)
         nodes, node_of = _random_nodes(work, rng)
-        moved, rehung = work.copy(), []
+        moved = work.copy()
         for u, v, _ in list(work.edges()):
             if node_of[u] is node_of[v]:
                 moved.set_cost(u, v, rng.randint(0, 9))
@@ -193,9 +195,9 @@ class TestComplete:
             others = sorted(node_of[near] - {near})
             if others:
                 moved.remove_edge(far, near)
-                rehung.append((far, rng.choice(others)))
-                moved.add_edge(*rehung[-1], work.cost(u, v))
-        assert complete(work, g, nodes, ()) == complete(moved, g, nodes, rehung)
+                moved.add_edge(far, rng.choice(others), work.cost(u, v))
+        compound = [node for node in nodes if len(node) > 1]
+        assert complete(work, g, compound) == complete(moved, g, nodes)
         assert work.to_lines() == moved.to_lines()
         assert verify_cut_tree(work, g).ok
         assert verify_cut_tree(moved, g).ok
@@ -204,16 +206,17 @@ class TestComplete:
     @settings(max_examples=40)
     def test_any_order_of_the_nodes_gives_one_tree(self, g, seed):
         # complete picks the node with the smallest member first, whatever
-        # order the nodes and their members come in
+        # order the nodes and their members come in.  Every link is exact,
+        # so both sides give only their nodes of two or more vertices.
         rng = random.Random(seed)
         work = static_build(g)
-        nodes, _ = _random_nodes(work, rng)
+        nodes = [node for node in _random_nodes(work, rng)[0] if len(node) > 1]
         shuffled = [rng.sample(sorted(node), len(node)) for node in nodes]
         rng.shuffle(shuffled)
         other = work.copy()
         splits = sum(len(node) - 1 for node in nodes)
-        assert complete(work, g, nodes, ()) == splits
-        assert complete(other, g, shuffled[::-1], ()) == splits
+        assert complete(work, g, nodes) == splits
+        assert complete(other, g, shuffled[::-1]) == splits
         assert work.to_lines() == other.to_lines()
         assert verify_cut_tree(work, g).ok
         assert verify_cut_tree(other, g).ok
