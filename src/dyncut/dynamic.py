@@ -279,7 +279,7 @@ def update_decrease(
             # is pushed, so the stale costs at v only fall.
             leaf = len(tree.neighbors(u)) == 1
             quotient = leaf and leaf_quotients.get(v) or contract_links(tree, graph, links, [])
-            quotient = fold_links(quotient, graph, v, folds)
+            fold_links(quotient, v, folds)
             if leaf:
                 leaf_quotients[v] = quotient
             cut, moved = cut_step(tree, quotient, links, u, v)

@@ -320,14 +320,13 @@ def contract(
                 raise OverlappingGroups(f"vertex {v} appears in two groups")
             node_of[v] = rep
         moved += rest
-    for v in adj:
-        node_of.setdefault(v, v)
 
-    # Only a vertex that names its own node gets a row, copied from its own.
-    # Then every arc of a moved vertex is re-keyed at both ends: its node's
-    # row gains the weight, and a copied row at the far end trades the moved
-    # vertex's entry for its node's.  Edges inside a node are dropped.
-    qadj = {u: nbrs.copy() for u, nbrs in adj.items() if node_of[u] == u}
+    # Only a vertex that names its own node gets a row, copied from its own;
+    # a vertex in no group is named here, as its row is copied.  Then every
+    # arc of a moved vertex is re-keyed at both ends: its node's row gains
+    # the weight, and a copied row at the far end trades the moved vertex's
+    # entry for its node's.  Edges inside a node are dropped.
+    qadj = {u: nbrs.copy() for u, nbrs in adj.items() if node_of.setdefault(u, u) == u}
     for u in moved:
         nu = node_of[u]
         row = qadj[nu]

@@ -9,10 +9,11 @@ and every vertex or edge order, so results are deterministic.
 The kernel pushes integer flow on a residual copy of the adjacency dicts,
 from whichever end has the smaller weighted degree (s on a tie), since
 that end's arcs most often bound the flow: greedily along the s-t edge,
-every two-edge path and every three-edge path from the source, then along
-shortest paths steered by distance labels, until a gap in the labels cuts
-the source off from the sink (Ahuja & Orlin 1991).  The greedy paths only
-seed the flow; the labelled search finds the rest and proves it maximum.
+then in one pass over the source's neighbours, for each neighbour x the
+path s-x-t and then every path s-x-y-t; then along shortest paths steered
+by distance labels, until a gap in the labels cuts the source off from
+the sink (Ahuja & Orlin 1991).  The greedy paths only seed the flow; the
+labelled search finds the rest and proves it maximum.
 The labels come from one search back from the sink that stops as soon as
 it labels the source.  Each vertex then reads its row through a current
 arc (Goldberg & Tarjan 1988): a dict iterator that resumes where it
@@ -94,12 +95,11 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
 
 
 def _prepush(res, s, t) -> int:
-    """Push greedily along the s-t edge, every path s-x-t, then every path s-x-y-t.
+    """Push greedily along the s-t edge, then from each neighbour x: s-x-t, then every s-x-y-t.
 
     ``s`` is the source the flow leaves and ``t`` the sink, whichever ends of
     the cut they are.  Each path takes the smallest of its residuals.  The
-    three-edge pass reads each arc of the source's neighbours once, so the
-    whole pass stays O(m).
+    pass reads each arc of the source's neighbours once, so it stays O(m).
     """
     rs, rt = res[s], res[t]
     flow = rs.get(t, 0)
@@ -107,30 +107,28 @@ def _prepush(res, s, t) -> int:
         rs[t] = 0
         rt[s] += flow
     for x, c in rs.items():
-        d = res[x].get(t) if c else None
-        if d:
-            f = min(c, d)
-            rs[x] = c - f
-            res[x][s] += f
-            res[x][t] = d - f
-            rt[x] += f
-            flow += f
-    for x, c in rs.items():
         if not c:
             continue
         rx, left = res[x], c
-        for y, b in rx.items():
-            d = res[y].get(t) if b and y != s else None
-            if d:
-                f = min(left, b, d)
-                ry = res[y]
-                rx[y] = b - f
-                ry[x] += f
-                ry[t] = d - f
-                rt[y] += f
-                left -= f
-                if not left:
-                    break
+        d = rx.get(t)
+        if d:
+            f = min(c, d)
+            rx[t] = d - f
+            rt[x] += f
+            left -= f
+        if left:
+            for y, b in rx.items():
+                d = res[y].get(t) if b and y != s else None
+                if d:
+                    f = min(left, b, d)
+                    ry = res[y]
+                    rx[y] = b - f
+                    ry[x] += f
+                    ry[t] = d - f
+                    rt[y] += f
+                    left -= f
+                    if not left:
+                        break
         if left != c:
             rs[x] = left
             rx[s] += c - left

@@ -267,10 +267,10 @@ def contract_links(
     a node named far, and beyond each link of ``folds`` merged into near's node, named near.
 
     The caller folds only where no minimum cut of the step parts the two.
-    With nothing to merge it is ``graph`` itself, which :func:`fold_links`
-    copies before an edit.  A quotient with a node of more than half the
-    vertices comes from :func:`_quotient`, which reads none of that node's
-    rows; every other from :func:`~dyncut.graph.contract`.
+    The quotient is always a graph of its own, so :func:`fold_links` may
+    edit it.  One with a node of more than half the vertices comes from
+    :func:`_quotient`, which reads none of that node's rows; every other,
+    one with nothing to merge too, from :func:`~dyncut.graph.contract`.
     """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is;
@@ -280,9 +280,7 @@ def contract_links(
     for far, near in folds:
         into.setdefault(near, [near]).extend(_reach(adj, far, {near}))
     groups += into.values()
-    if not groups:
-        return graph
-    big = max(groups, key=len)
+    big = max(groups, key=len, default=())
     if 2 * len(big) <= len(graph._adj):
         return contract(graph, groups)[0]
     # the node's own vertices lie within reach of a near end short of every far end
@@ -320,31 +318,23 @@ def _quotient(graph: DynamicGraph, node_of: dict[int, int], big: int) -> Dynamic
     return quotient
 
 
-def fold_links(
-    quotient: DynamicGraph, graph: DynamicGraph, v: int, folds: list[int]
-) -> DynamicGraph:
-    """Merge into v the node that each far end in ``folds`` names in ``quotient``; return it.
+def fold_links(quotient: DynamicGraph, v: int, folds: list[int]) -> None:
+    """Merge into node v, in place, the node that each far end in ``folds`` names in ``quotient``.
 
-    A far end no longer in the quotient was merged already, and is skipped.
-    A quotient is edited in place; ``graph`` itself is copied before the first merge.
+    Weights follow the sum rule, and v keeps its name.  A far end no longer
+    in the quotient was merged already, and is skipped.
     """
-    for x in folds:
-        if x in quotient._adj:
-            if quotient is graph:
-                quotient = graph.copy()
-            _fold(quotient._adj, v, x)
-    return quotient
-
-
-def _fold(adj: dict[int, dict[int, int]], v: int, w: int) -> None:
-    """Merge node w into node v of the rows ``adj`` by the sum rule; v keeps its name."""
-    row, into = adj.pop(w), adj[v]
-    row.pop(v, None)
-    into.pop(w, None)
-    for y, c in row.items():
-        far = adj[y]
-        del far[w]
-        far[v] = into[y] = into.get(y, 0) + c
+    adj = quotient._adj
+    into = adj[v]
+    for w in folds:
+        if w in adj:
+            row = adj.pop(w)
+            row.pop(v, None)
+            into.pop(w, None)
+            for y, c in row.items():
+                far = adj[y]
+                del far[w]
+                far[v] = into[y] = into.get(y, 0) + c
 
 
 def cut_step(
@@ -413,7 +403,10 @@ def _split_node(
     # other as a full rebuild would, which keeps tree paths as short.  No
     # split reads the cost of an edge inside its node.
     up, adj = tree._up, tree._adj
-    hub = {w: u if w in cut.side else v for w in members[2:]}
+    ours, theirs = [], []
+    for w in members:
+        (ours if w in cut.side else theirs).append(w)
+    hub = dict.fromkeys(ours[1:], u) | dict.fromkeys(theirs[1:], v)
     for w in members:
         p = up[w]
         if p in node and hub.get(w) != p and hub.get(p) != w:
@@ -422,7 +415,7 @@ def _split_node(
     for w, h in hub.items():
         if h not in adj[w]:
             tree.add_edge(h, w, 0)
-    return [w for w in members if w in cut.side], [w for w in members if w not in cut.side]
+    return ours, theirs
 
 
 def complete(tree: CutTree, graph: DynamicGraph, nodes: Iterable[Iterable[int]]) -> int:

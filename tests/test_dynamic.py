@@ -46,7 +46,7 @@ from dyncut.graph import (
     REMOVE_VERTEX,
     pair_key,
 )
-from dyncut.tree import _fold, complete, query_value, static_build
+from dyncut.tree import complete, fold_links, query_value, static_build
 from helpers import (
     SCENARIO_MIX,
     all_pairs_connectivity,
@@ -511,7 +511,7 @@ def test_random_scenarios_stay_valid(seed):
 def test_fold_merges_a_node_by_the_sum_rule(g, data):
     v, w = data.draw(st.lists(st.sampled_from(sorted(g.vertices)), min_size=2, max_size=2, unique=True))
     folded = g.copy()
-    _fold(folded._adj, v, w)
+    fold_links(folded, v, [w])
     assert folded == merged_into(g, v, [], {w})
     rest = [x for x in g.vertices if x not in (v, w)]
     for mask in range(1 << len(rest)):

@@ -18,7 +18,14 @@ from dyncut.errors import (
 )
 from dyncut.graph import EVENT_KINDS, apply_change, contract
 from dyncut.stream import GenParams, generate
-from dyncut.tree import complete, contract_links, query_cut, query_value, static_build
+from dyncut.tree import (
+    complete,
+    contract_links,
+    fold_links,
+    query_cut,
+    query_value,
+    static_build,
+)
 from helpers import checked_complete, count_cuts, graphs, path
 
 
@@ -313,7 +320,12 @@ def _component(nbrs, start):
 class TestContractLinks:
     def test_all_leaf_links_contract_nothing(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (1, 3, 2), (1, 4, 2)])
-        assert contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)], []) is c4
+        before = c4.copy()
+        quotient = contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)], [])
+        assert quotient == c4 and quotient is not c4
+        # the quotient is a graph of its own, so a merge into it leaves c4 alone
+        fold_links(quotient, 1, [2])
+        assert c4 == before
 
     def test_multi_vertex_subtree_contracts_a_fresh_graph(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (2, 3, 2), (1, 4, 2)])
@@ -382,8 +394,12 @@ class TestContractLinks:
         quotient = contract_links(tree, g, kept, folds)
         if groups:
             assert quotient == contract(g, groups)[0]
-        else:  # nothing to merge: the step cuts the graph itself
-            assert quotient is g
+        else:  # nothing to merge: a graph equal to g, but not g itself
+            before = g.copy()
+            assert quotient == g and quotient is not g
+            a, b = sorted(g.vertices)[:2]
+            fold_links(quotient, a, [b])
+            assert g == before
 
     def test_static_build_of_unit_complete_graph_never_contracts(self, monkeypatch):
         # every minimum cut of a unit complete graph is a one-vertex degree
