@@ -217,8 +217,8 @@ def test_leaf_cuts_share_a_quotient(monkeypatch):
     # split whose links are all leaves does not contract at all, so the
     # replay builds fewer quotients than it cuts.  A quotient whose largest
     # node holds more than half the vertices is built by _quotient, in a
-    # split and in the walk alike, the others by contract; a walk step with
-    # nothing to merge too, since the walk folds into its quotient in place.
+    # split and in the walk alike, the others by contract, a walk step's
+    # with nothing to merge too: the walk folds into a copy of its own.
     calls = {"contract": 0, "_quotient": 0, "min_cut": 0}
     for name in calls:
         real = getattr(tree_mod, name)

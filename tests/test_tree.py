@@ -18,14 +18,7 @@ from dyncut.errors import (
 )
 from dyncut.graph import EVENT_KINDS, apply_change, contract
 from dyncut.stream import GenParams, generate
-from dyncut.tree import (
-    complete,
-    contract_links,
-    fold_links,
-    query_cut,
-    query_value,
-    static_build,
-)
+from dyncut.tree import complete, contract_links, fold_links, query_cut, query_value, static_build
 from helpers import checked_complete, count_cuts, graphs, path
 
 
