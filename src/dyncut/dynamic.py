@@ -9,9 +9,10 @@ each by a cost threshold, a bridge/zero-cost rule, or (only when those
 fail) the Gomory-Hu step of ``complete``, :func:`dyncut.tree.cut_step`: a
 fresh min-cut that reshapes the tree only when it finds a cheaper cut.
 :func:`dyncut.tree.contract_links`, the builder of ``complete``'s splits,
-builds its quotient with no folds.  Every cut of a leaf u at the same path
-vertex v cuts the same quotient, the subtrees beyond v's other neighbours,
-so the walk builds it once per v and drops every kept one when a cut moves
+builds its quotient with no folds, and each cut spends the quotient it is
+given.  Every cut of a leaf u at the same path vertex v cuts the same
+quotient, the subtrees beyond v's other neighbours, so the walk builds it
+once per v, cuts a copy of it, and drops every kept one when a cut moves
 a subtree.  Then, before a cut of stale cost c,
 :func:`dyncut.tree.fold_links` merges into v each of v's neighbour
 subtrees whose edge costs more than c.  Such an edge was popped first, so
@@ -282,7 +283,7 @@ def update_decrease(
             fold_links(quotient, v, folds)
             if leaf:
                 leaf_quotients[v] = quotient
-            cut, moved = cut_step(tree, quotient, links, u, v)
+            cut, moved = cut_step(tree, quotient.copy() if leaf else quotient, links, u, v)
             if moved:
                 # a moved subtree changes the groups of the quotients around it
                 leaf_quotients.clear()

@@ -219,7 +219,7 @@ class DynamicGraph(Rows):
         return len(self.neighbors(v))
 
     def copy(self) -> "DynamicGraph":
-        g = DynamicGraph()
+        g = type(self)()
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         return g
 
@@ -271,6 +271,12 @@ class DynamicGraph(Rows):
             )
         self._adj[u][v] = w - delta
         self._adj[v][u] = w - delta
+
+
+class Quotient(DynamicGraph):
+    """A graph built for one cut: :func:`~dyncut.mincut.min_cut` spends its rows as its residual."""
+
+    __slots__ = ()
 
 
 def apply_change(graph: DynamicGraph, event: ChangeEvent) -> DynamicGraph:

@@ -6,23 +6,25 @@ vertices reachable from ``s`` in the residual network of a maximum flow.
 That is the smallest minimum s-t cut side, the same for every maximum flow
 and every vertex or edge order, so results are deterministic.
 
-The kernel pushes integer flow on a residual copy of the adjacency dicts,
-from whichever end has the smaller weighted degree (s on a tie), since
-that end's arcs most often bound the flow: greedily along the s-t edge,
-then in one pass over the source's neighbours, for each neighbour x the
-path s-x-t and then every path s-x-y-t; then along shortest paths steered
-by distance labels, until a gap in the labels cuts the source off from
-the sink (Ahuja & Orlin 1991).  The greedy paths only seed the flow; the
-labelled search finds the rest and proves it maximum.
+The kernel pushes integer flow in residual rows: a
+:class:`~dyncut.graph.Quotient`'s own, which the cut spends, or a copy of
+any other graph's.  It pushes from whichever end has the smaller weighted
+degree (s on a tie), since that end's arcs most often bound the flow:
+greedily along the s-t edge, then in one pass over the source's
+neighbours, for each neighbour x the path s-x-t and then every path
+s-x-y-t.  If those paths saturate the source, the source alone is a cut
+of the flow's value, so the flow is maximum.  Otherwise it follows
+shortest paths steered by distance labels, until a gap in the labels
+cuts the source off from the sink (Ahuja & Orlin 1991).
 The labels come from one search back from the sink that stops as soon as
 it labels the source.  Each vertex then reads its row through a current
 arc (Goldberg & Tarjan 1988): a dict iterator that resumes where it
 stopped and is made anew only when the vertex is relabelled.  Resuming is
 sound for two reasons.  No row changes size inside :func:`min_cut`, since
-the residual copy holds both arcs of every edge from the start.  And an
-arc passed over at label d cannot turn admissible before its tail is
-relabelled: labels only rise, and flow pushed back along it comes from a
-head one label above the tail.
+the rows hold both arcs of every edge from the start.  And an arc passed
+over at label d cannot turn admissible before its tail is relabelled:
+labels only rise, and flow pushed back along it comes from a head one
+label above the tail.
 The side is read by one search from s: over residual arcs when the flow
 left s, over reversed residual arcs (the vertices that can still send flow
 to s) when it came from t.  Either way it is the same smallest side.  t
@@ -34,7 +36,7 @@ from __future__ import annotations
 import threading
 
 from .errors import SameVertex, VertexMissing
-from .graph import Cut, DynamicGraph
+from .graph import Cut, DynamicGraph, Quotient
 
 
 class CutCounter:
@@ -64,7 +66,8 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
     The flow is pushed from the end of smaller weighted degree, so a light
     t is saturated from its own few arcs; the side is the same either way.
     Disconnected endpoints yield a zero-cost cut whose side is the connected
-    component of ``s``; that still counts as one cut computation.
+    component of ``s``; that still counts as one cut computation.  The flow
+    spends a :class:`~dyncut.graph.Quotient`'s rows; any other graph is kept.
     """
     if s == t:
         raise SameVertex(f"s and t must differ, got {s}")
@@ -72,12 +75,17 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
         raise VertexMissing(f"missing endpoint in ({s}, {t})")
     counter.increment()
     # res[x][y] is the residual capacity of arc x->y; an edge is two arcs of its weight
-    res = {x: nbrs.copy() for x, nbrs in graph._adj.items()}
+    res = graph._adj
+    if not isinstance(graph, Quotient):
+        res = {x: nbrs.copy() for x, nbrs in res.items()}
     # t never joins the side, so the search stops once only t is left out
     side, todo, rest = {s}, [s], len(res) - 1
-    if sum(res[t].values()) < sum(res[s].values()):
+    ds, dt = sum(res[s].values()), sum(res[t].values())
+    if dt < ds:
         # flow from t to s; s's side is what still reaches s over residual arcs
-        flow = _prepush(res, t, s) + _augment(res, t, s)
+        flow = _prepush(res, t, s)
+        if flow < dt:
+            flow += _augment(res, t, s)
         while todo and len(side) < rest:
             x = todo.pop()
             for y in res[x]:
@@ -85,7 +93,9 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
                     side.add(y)
                     todo.append(y)
     else:
-        flow = _prepush(res, s, t) + _augment(res, s, t)
+        flow = _prepush(res, s, t)
+        if flow < ds:
+            flow += _augment(res, s, t)
         while todo and len(side) < rest:
             for y, c in res[todo.pop()].items():
                 if c and y not in side:

@@ -48,7 +48,7 @@ from .errors import (
     SameVertex,
     VertexMissing,
 )
-from .graph import Cut, DynamicGraph, Rows, contract
+from .graph import Cut, DynamicGraph, Quotient, Rows, contract
 from .mincut import min_cut
 
 
@@ -262,15 +262,16 @@ def contract_links(
     graph: DynamicGraph,
     links: list[tuple[int, int]],
     folds: list[tuple[int, int]],
-) -> DynamicGraph:
+) -> Quotient:
     """A Gomory-Hu step's quotient: ``graph`` with the subtree beyond each link ``(far, near)``
     a node named far, and beyond each link of ``folds`` merged into near's node, named near.
 
     The caller folds only where no minimum cut of the step parts the two.
-    The quotient is always a graph of its own, so :func:`fold_links` may
-    edit it.  One with a node of more than half the vertices comes from
-    :func:`_quotient`, which reads none of that node's rows; every other,
-    one with nothing to merge too, from :func:`~dyncut.graph.contract`.
+    The quotient is always a :class:`~dyncut.graph.Quotient` of its own:
+    :func:`fold_links` may edit it, and its cut spends it.  One with a node
+    of more than half the vertices comes from :func:`_quotient`, which
+    reads none of that node's rows; every other, one with nothing to merge
+    too, from :func:`~dyncut.graph.contract`.
     """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is;
@@ -282,7 +283,9 @@ def contract_links(
     groups += into.values()
     big = max(groups, key=len, default=())
     if 2 * len(big) <= len(graph._adj):
-        return contract(graph, groups)[0]
+        quotient = Quotient()
+        quotient._adj = contract(graph, groups)[0]._adj
+        return quotient
     # the node's own vertices lie within reach of a near end short of every far end
     ends = [*links, *folds]
     node_of = {w: w for w in _reach(adj, ends[0][1], {far for far, _ in ends})}
@@ -295,7 +298,7 @@ def contract_links(
     return _quotient(graph, node_of, big[0])
 
 
-def _quotient(graph: DynamicGraph, node_of: dict[int, int], big: int) -> DynamicGraph:
+def _quotient(graph: DynamicGraph, node_of: dict[int, int], big: int) -> Quotient:
     """``graph`` contracted by ``node_of``, every vertex it does not name in one node ``big``.
 
     Reads only the rows of the vertices ``node_of`` names.  An arc between two
@@ -313,7 +316,7 @@ def _quotient(graph: DynamicGraph, node_of: dict[int, int], big: int) -> Dynamic
                 row[ny] = row.get(ny, 0) + w
                 if ny == big:
                     into[nx] = into.get(nx, 0) + w
-    quotient = DynamicGraph()
+    quotient = Quotient()
     quotient._adj = qadj
     return quotient
 
@@ -344,7 +347,8 @@ def cut_step(
 
     ``links`` are the tree edges ``(far, near)`` that leave a node holding u
     and v, ``near`` inside it.  ``quotient`` is what :func:`contract_links`
-    builds for them, so each ``far`` names its subtree's node.  A far end
+    builds for them, so each ``far`` names its subtree's node; the cut
+    spends it, so a caller that keeps a quotient passes a copy.  A far end
     folded into v is in no side, so it never moves; a link folded into
     another near end must be left out of ``links``.  A subtree that lands
     on the other side from its ``near`` moves, with its cost, to u or v,
@@ -375,25 +379,19 @@ def _split_node(
     node = set(members)
     u, v = members[0], members[1]
     adj = tree._adj
-    links = [(far, near) for near in members for far in adj[near] if far not in node]
-    quotient = graph
-    # Fold only where the step contracts anyway: a step whose far ends are
-    # all leaves cuts graph itself.  A folded link never moves, so cut_step
-    # gets only the others.  The scan yields only at a far end that is not
-    # a leaf, so a step that cannot fold pays no generator switch per link.
-    if any(True for far, _ in links if len(adj[far]) > 1):
-        rows = graph._adj
-        bound = min(sum(rows[u].values()), sum(rows[v].values()))
-        here = origin[u]
-        kept, folds = [], []
-        for far, near in links:
-            if adj[far][near] > bound and origin.get(far, here) == here:
-                folds.append((far, near))
-            else:
-                kept.append((far, near))
-        links = kept
-        quotient = contract_links(tree, graph, links, folds)
-    cut, moved = cut_step(tree, quotient, links, u, v)
+    rows = graph._adj
+    bound = min(sum(rows[u].values()), sum(rows[v].values()))
+    here = origin[u]
+    # a folded link never moves, so cut_step gets only the others
+    links, folds = [], []
+    for near in members:
+        for far, c in adj[near].items():
+            if far not in node:
+                if c > bound and origin.get(far, here) == here:
+                    folds.append((far, near))
+                else:
+                    links.append((far, near))
+    cut, moved = cut_step(tree, contract_links(tree, graph, links, folds), links, u, v)
 
     # Every edge inside the node is a member's edge to a parent in the node.
     # Each side becomes a zero-cost star on its smallest member, u or v.  An

@@ -273,11 +273,11 @@ def checked_complete(graph):
     ``update_increase`` keeps is a minimum cut of the changed pair and can
     fail it until the splits re-hang it.
 
-    Each split must fold the links this check derives itself.  Where some
-    link's far end is not a leaf, they are the links whose cost is above U,
-    the smaller weighted degree of the two members cut apart, less those
-    not known to be exact: the tree edges between two of the nodes
-    ``complete`` was given, each following its link when a split moves it.
+    Each split must fold the links this check derives itself: the links
+    whose cost is above U, the smaller weighted degree of the two members
+    cut apart, less those not known to be exact: the tree edges between two
+    of the nodes ``complete`` was given, each following its link when a
+    split moves it.
     A folded link's cost must be lambda of its ends in ``graph``.
     ``min_cut`` must receive ``contract`` of the subtrees beyond the other
     links, each named after its far end, with each folded subtree merged
@@ -326,11 +326,10 @@ def checked_complete(graph):
         u, v = members[0], members[1]
         links = [(far, near) for near in members for far in tree.neighbors(near) if far not in node]
         bound = min(sum(g.neighbors(u).values()), sum(g.neighbors(v).values()))
-        contracts = any(len(tree.neighbors(far)) > 1 for far, _ in links)
         folds = [
             (far, near)
             for far, near in links
-            if contracts and tree.cost(far, near) > bound and pair_key(far, near) not in inexact
+            if tree.cost(far, near) > bound and pair_key(far, near) not in inexact
         ]
         for far, near in folds:
             c = tree.cost(far, near)

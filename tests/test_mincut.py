@@ -7,6 +7,7 @@ from hypothesis import given
 
 from dyncut import Cut, DynamicGraph, cut_cost, min_cut
 from dyncut.errors import SameVertex, VertexMissing
+from dyncut.graph import Quotient
 from dyncut.mincut import _augment, _prepush, _sink_labels, counter
 from helpers import all_pairs_connectivity, graphs, nx_min_cut, sparse_graph
 
@@ -109,6 +110,8 @@ def test_side_is_the_smallest_minimum_cut_side(g):
     for u, v in itertools.permutations(sorted(g.vertices), 2):
         cost, side = _smallest_min_cut_side(g, u, v)
         assert min_cut(g, u, v) == Cut(side, cost)
+        # the flow runs in a Quotient's own rows, so each cut gets a fresh one
+        assert min_cut(Quotient(g.vertices, g.edges()), u, v) == Cut(side, cost)
 
 
 @given(graphs(max_vertices=7), st.integers(0, 10**6))
@@ -168,6 +171,31 @@ def test_input_graph_unchanged():
     for s, t in [(0, 59), (3, 17), (59, 0), (heavy, light)]:
         min_cut(g, s, t)
     assert g._adj == adj
+
+
+def test_quotient_is_spent_but_keeps_every_arc():
+    g = sparse_graph(random.Random(7), 60, big=False)
+    q = Quotient(g.vertices, g.edges())
+    assert min_cut(q, 0, 59) == min_cut(g, 0, 59)
+    assert q != g
+    arcs = {x: row.keys() for x, row in g._adj.items()}
+    assert {x: row.keys() for x, row in q._adj.items()} == arcs
+    assert type(q.copy()) is Quotient
+
+
+@pytest.mark.parametrize(
+    "edges, side",
+    [([(1, 2, 2), (2, 3, 5)], {1}), ([(1, 2, 5), (2, 3, 2)], {1, 2})],
+    ids=["source-lighter", "sink-lighter"],
+)
+def test_saturated_prepush_ends_the_flow(monkeypatch, edges, side):
+    # the prepush saturates the lighter end, which alone is then a cut of
+    # the flow's value, so the labelled search never runs
+    def no_augment(*args):
+        raise AssertionError("_augment ran after the prepush saturated its source")
+
+    monkeypatch.setattr("dyncut.mincut._augment", no_augment)
+    assert min_cut(DynamicGraph(edges=edges), 1, 3) == Cut(frozenset(side), 2)
 
 
 # In the cases below t is the lighter end, so the flow runs from t and

@@ -16,7 +16,7 @@ from dyncut.errors import (
     SameVertex,
     VertexMissing,
 )
-from dyncut.graph import EVENT_KINDS, apply_change, contract
+from dyncut.graph import EVENT_KINDS, Quotient, apply_change, contract
 from dyncut.stream import GenParams, generate
 from dyncut.tree import complete, contract_links, fold_links, query_cut, query_value, static_build
 from helpers import checked_complete, count_cuts, graphs, path
@@ -366,7 +366,7 @@ class TestContractLinks:
         # largest, the quotient is contract's: a subtree named after its far
         # end, a folded one merged into its near end.  A split's node is a
         # random compound node; the decrease walk's is v plus u's subtree,
-        # with every link at v.
+        # with every link at v.  Either way it is a Quotient of its own.
         rng = random.Random(seed)
         tree = static_build(g)
         if walk:
@@ -385,6 +385,7 @@ class TestContractLinks:
             into.setdefault(near, [near]).extend(beyond[far])
         groups = [beyond[far] for far, _ in kept if len(beyond[far]) > 1] + list(into.values())
         quotient = contract_links(tree, g, kept, folds)
+        assert type(quotient) is Quotient
         if groups:
             assert quotient == contract(g, groups)[0]
         else:  # nothing to merge: a graph equal to g, but not g itself
@@ -397,7 +398,9 @@ class TestContractLinks:
     def test_static_build_of_unit_complete_graph_never_contracts(self, monkeypatch):
         # every minimum cut of a unit complete graph is a one-vertex degree
         # cut, so each split peels off its smallest member and every
-        # subtree beyond the remaining node is a leaf
+        # subtree beyond the remaining node is a leaf; every link costs
+        # n - 1, the bound U itself, so nothing folds either, and each
+        # split's quotient merges no vertex
         calls = []
         real = tree_mod.contract
 
@@ -409,7 +412,7 @@ class TestContractLinks:
         n = 9
         g = DynamicGraph(edges=[(u, v, 1) for u in range(n) for v in range(u + 1, n)])
         tree = static_build(g)
-        assert calls == []
+        assert [groups for _, groups in calls] == [[]] * (n - 1)
         assert verify_cut_tree(tree, g).ok
         assert sorted(c for _, _, c in tree.edges()) == [n - 1] * (n - 1)
 
