@@ -8,9 +8,9 @@ touch the changed path from a heap, most expensive first, and re-certifies
 each by a cost threshold, a bridge/zero-cost rule, or (only when those
 fail) the Gomory-Hu step of ``complete``, :func:`dyncut.tree.cut_step`: a
 fresh min-cut that reshapes the tree only when it finds a cheaper cut.
-:func:`dyncut.tree.contract_links`, the builder of ``complete``'s splits,
-builds its quotient with no folds, and each cut spends the quotient it is
-given.  Every cut of a leaf u at the same path vertex v cuts the same
+:func:`dyncut.tree.contract_links`, which shares ``complete``'s quotient
+builder, builds its quotient with no folds, and each cut spends the
+quotient it is given.  Every cut of a leaf u at the same path vertex v cuts the same
 quotient, the subtrees beyond v's other neighbours, so the walk builds it
 once per v, cuts a copy of it, and drops every kept one when a cut moves
 a subtree.  Then, before a cut of stale cost c,
@@ -56,7 +56,7 @@ from .graph import (
     pair_key,
 )
 from .mincut import min_cut
-from .tree import CutTree, complete, contract_links, cut_step, fold_links, query_value
+from .tree import CutTree, _reach, complete, contract_links, cut_step, fold_links, query_value
 
 EXISTING_BRIDGE = "existing-bridge"
 NEW_BRIDGE = "new-bridge"
@@ -245,27 +245,25 @@ def update_decrease(
     accepted: list[tuple[Pair, int, str]] = []
     while frontier:
         neg_stale, _, _, u, v = heappop(frontier)
-        if u in pset or not tree.has_edge(u, v):
+        nbrs = tree.neighbors(v)
+        if u in pset or u not in nbrs:
             continue
         stale = -neg_stale
-        # path vertices adjacent in the tree are adjacent on the path
-        flanks = [x for x in tree.neighbors(v) if x in pset]
-        threshold = min(tree.cost(x, v) for x in flanks)
         rule = None
-        if stale == 0:
-            rule = RULE_ZERO_OR_BRIDGE
         # u is off the b-d path and b, d are on it, so {u, v} is not the
         # changed edge and its weight is the same before and after
-        elif graph.has_edge(u, v) and graph.weight(u, v) == stale:
+        if stale == 0 or graph.neighbors(u).get(v) == stale:
             rule = RULE_ZERO_OR_BRIDGE
-        elif threshold >= stale:
-            rule = RULE_THRESHOLD
+        else:
+            # path vertices adjacent in the tree are adjacent on the path
+            flanks = [x for x in nbrs if x in pset]
+            if min(nbrs[x] for x in flanks) >= stale:
+                rule = RULE_THRESHOLD
 
         if rule is not None:
             accepted.append((pair_key(u, v), stale, rule))
         else:
             # the node is v plus u's subtree; v's other subtrees hang off it
-            nbrs = tree.neighbors(v)
             links = [(x, v) for x in nbrs if x != u]
             # Each {x, v} above stale is settled, so it costs lambda(x, v):
             # v's off-path edges were pushed when v joined the path, keep
@@ -322,4 +320,4 @@ def update_decrease(
 
 def _stale_subtree(tree: CutTree, u: int, v: int) -> int:
     """How many stale edges {u, v}'s certificate covers: it and the subtree hanging at u."""
-    return len(tree.subtree(u, v))
+    return len(_reach(tree._adj, u, {v}))

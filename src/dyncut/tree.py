@@ -23,8 +23,9 @@ would bound that by O(log n); at the depths met here they cost more.
 
 :func:`cut_step` is the one Gomory-Hu step that reshapes a tree, for
 :func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
-:func:`contract_links` builds the quotient for both: each subtree off the
-node is one of its nodes, named after its link's far end.  Both callers
+Its quotient makes each subtree off the node one of its nodes, named
+after its link's far end; a split lists them in its one scan of the
+node's links, the walk through :func:`contract_links`.  Both callers
 fold by one rule: a link whose cost is the connectivity of its own ends
 and above a bound on lambda(u, v) merges its subtree into its near end,
 since no minimum u-v cut parts them.  :func:`complete` tells such links
@@ -32,14 +33,15 @@ by the nodes it was given and merges through the builder; the walk tells
 them by the order it pops them and merges through :func:`fold_links`.
 Where the step re-hangs a subtree, the cut alone decides (Gomory and Hu's
 node-level rule), so neither the member an outer edge touches nor the
-shape and costs of the edges inside a node affect the finished tree.
+shape and costs of the edges inside a node affect the finished tree.  So
+a split stars each side on its largest member, and one side keeps its star.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import inf
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     EdgeExists,
@@ -267,11 +269,7 @@ def contract_links(
     a node named far, and beyond each link of ``folds`` merged into near's node, named near.
 
     The caller folds only where no minimum cut of the step parts the two.
-    The quotient is always a :class:`~dyncut.graph.Quotient` of its own:
-    :func:`fold_links` may edit it, and its cut spends it.  One with a node
-    of more than half the vertices comes from :func:`_quotient`, which
-    reads none of that node's rows; every other, one with nothing to merge
-    too, from :func:`~dyncut.graph.contract`.
+    A split of :func:`complete` lists the same groups in its own scan.
     """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is;
@@ -280,16 +278,29 @@ def contract_links(
     into: dict[int, list[int]] = {}
     for far, near in folds:
         into.setdefault(near, [near]).extend(_reach(adj, far, {near}))
-    groups += into.values()
+
+    def named() -> list[int]:
+        # the node's own vertices lie within reach of a near end short of every far end
+        ends = [*links, *folds]
+        return [*_reach(adj, ends[0][1], {far for far, _ in ends}), *dict(links)]
+
+    return _contract_groups(graph, [*groups, *into.values()], named)
+
+
+def _contract_groups(graph: DynamicGraph, groups: list, named: Callable[[], list]) -> Quotient:
+    """``graph`` with each group one node named after its first member: a
+    :class:`~dyncut.graph.Quotient` of its own, which :func:`fold_links` may
+    edit and its cut spends.  One with a node of more than half the vertices
+    comes from :func:`_quotient`, which reads none of that node's rows, and
+    ``named()`` lists the step's node and its links' far ends for it; every
+    other, one with nothing to merge too, from :func:`~dyncut.graph.contract`.
+    """
     big = max(groups, key=len, default=())
     if 2 * len(big) <= len(graph._adj):
         quotient = Quotient()
         quotient._adj = contract(graph, groups)[0]._adj
         return quotient
-    # the node's own vertices lie within reach of a near end short of every far end
-    ends = [*links, *folds]
-    node_of = {w: w for w in _reach(adj, ends[0][1], {far for far, _ in ends})}
-    node_of.update((far, far) for far, _ in links)
+    node_of = {w: w for w in named()}
     for group in groups:
         if group is not big:
             node_of.update(dict.fromkeys(group, group[0]))
@@ -357,12 +368,13 @@ def cut_step(
     lie in the other part.  Returns the cut and the far ends that moved.
     """
     cut = min_cut(quotient, u, v)
+    side = cut.side
     moved = []
     for far, near in links:
-        if (near in cut.side) != (far in cut.side):
+        if (near in side) != (far in side):
             c = tree.cost(far, near)
             tree.remove_edge(far, near)
-            tree.add_edge(far, u if far in cut.side else v, c)
+            tree.add_edge(far, u if far in side else v, c)
             moved.append(far)
     return cut, moved
 
@@ -378,41 +390,45 @@ def _split_node(
     """
     node = set(members)
     u, v = members[0], members[1]
-    adj = tree._adj
-    rows = graph._adj
+    adj, rows = tree._adj, graph._adj
     bound = min(sum(rows[u].values()), sum(rows[v].values()))
     here = origin[u]
-    # a folded link never moves, so cut_step gets only the others
-    links, folds = [], []
+    # one scan of the links that leave the node lists contract_links' groups,
+    # a leaf's with no walk; a folded link never moves, so cut_step gets the others
+    links, groups, folded = [], [], []
     for near in members:
+        into = [near]
         for far, c in adj[near].items():
             if far not in node:
                 if c > bound and origin.get(far, here) == here:
-                    folds.append((far, near))
+                    into += [far] if len(adj[far]) == 1 else _reach(adj, far, {near})
                 else:
                     links.append((far, near))
-    cut, moved = cut_step(tree, contract_links(tree, graph, links, folds), links, u, v)
+                    if len(adj[far]) > 1:
+                        groups.append(_reach(adj, far, {near}))
+        if len(into) > 1:
+            folded.append(into)
+    quotient = _contract_groups(graph, groups + folded, lambda: [*members, *dict(links)])
+    cut, moved = cut_step(tree, quotient, links, u, v)
 
     # Every edge inside the node is a member's edge to a parent in the node.
-    # Each side becomes a zero-cost star on its smallest member, u or v.  An
-    # inside edge that already belongs to a star stays; the others go, and
-    # only the members they left re-join their centre.  {u, v} goes too and
-    # comes back at the cut's cost, so add_edge hangs one side below the
-    # other as a full rebuild would, which keeps tree paths as short.  No
-    # split reads the cost of an edge inside its node.
-    up, adj = tree._up, tree._adj
-    ours, theirs = [], []
-    for w in members:
-        (ours if w in cut.side else theirs).append(w)
-    hub = dict.fromkeys(ours[1:], u) | dict.fromkeys(theirs[1:], v)
+    # Each side becomes a zero-cost star on its largest member.  An edge from
+    # a side's centre to a member of that side stays, so the side with the
+    # old centre keeps its star; the others go, their members re-join their
+    # centre, and {u, v} comes back at the cut's cost.
+    side, up = cut.side, tree._up
+    ours = [w for w in members if w in side]
+    theirs = [w for w in members if w not in side]
+    hubs = ours[-1], theirs[-1]
     for w in members:
         p = up[w]
-        if p in node and hub.get(w) != p and hub.get(p) != w:
+        if p in node and (w not in hubs and p not in hubs or (w in side) != (p in side)):
             tree.remove_edge(w, p)
     tree.add_edge(u, v, cut.cost)
-    for w, h in hub.items():
-        if h not in adj[w]:
-            tree.add_edge(h, w, 0)
+    for part, hub in zip((ours, theirs), hubs):
+        for w in part[:-1]:
+            if hub not in adj[w]:
+                tree.add_edge(hub, w, 0)
     return ours, theirs
 
 
@@ -477,8 +493,9 @@ def static_build(graph: DynamicGraph) -> CutTree:
     """Build a cut tree from scratch with n-1 min-cut computations."""
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a cut tree of an empty graph")
-    # one node of every vertex, joined by a zero-cost star on the smallest
+    # one node of every vertex, joined by a zero-cost star on the largest,
+    # the centre that the split off each node's smallest members keeps
     verts = sorted(graph.vertices)
-    tree = CutTree(verts, [(verts[0], v, 0) for v in verts[1:]])
+    tree = CutTree(verts, [(verts[-1], v, 0) for v in verts[:-1]])
     complete(tree, graph, [verts])
     return tree

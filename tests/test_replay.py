@@ -256,6 +256,29 @@ def test_splits_cut_folded_quotients(monkeypatch):
     assert edges["folded"] < edges["unfolded"]
 
 
+def test_static_build_of_the_grow_graph_walks_no_subtree(monkeypatch):
+    # The final graph of the grow_increase digest stream.  Every link that
+    # leaves a node in its static build ends in a leaf, so a split's one
+    # scan of its links lists every group without a tree walk, and a
+    # quotient with a node of more than half the vertices names the split
+    # node from its members.  Walking each fold and each large-node
+    # quotient's node took 382 walks.
+    stream = generate(GenParams(n_vertices=40, n_events=400, mix=GROW_MIX), seed=5)
+    graph = replay(stream).final_graph
+    walks = []
+    real = tree_mod._reach
+
+    def counted(*args):
+        walks.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(tree_mod, "_reach", counted)
+    tree = static_build(graph)
+    assert walks == []
+    monkeypatch.undo()
+    assert verify_cut_tree(tree, graph).ok
+
+
 def test_update_increase_edits_tree_as_complete_does():
     report = replay(generate(GenParams(n_vertices=40, n_events=400, mix=GROW_MIX), seed=5))
     final, graph = report.final_tree, report.final_graph

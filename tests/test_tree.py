@@ -416,6 +416,26 @@ class TestContractLinks:
         assert verify_cut_tree(tree, g).ok
         assert sorted(c for _, _, c in tree.edges()) == [n - 1] * (n - 1)
 
+    @pytest.mark.parametrize("n", [9, 30])
+    def test_static_build_of_unit_complete_graph_keeps_the_star_centre(self, monkeypatch, n):
+        # Each split peels off its smallest member u, and the rest of the
+        # node keeps the star's centre, its largest member, so the split
+        # unhooks u alone.  The k-th split also moves the k - 1 leaves split
+        # off before it, from u to v.  A star on u or v would re-hang the
+        # whole rest of the node at every split, O(n^2) edits in all.
+        removed = []
+        real = CutTree.remove_edge
+
+        def counted(tree, u, v):
+            removed.append((u, v))
+            return real(tree, u, v)
+
+        monkeypatch.setattr(CutTree, "remove_edge", counted)
+        g = DynamicGraph(edges=[(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+        tree = static_build(g)
+        assert len(removed) == (n - 1) * (n - 2) // 2 + (n - 1)
+        assert verify_cut_tree(tree, g).ok
+
 
 def _bfs_path(tree, u, v):
     """The u-v path found by breadth-first search over the rows, or None."""
