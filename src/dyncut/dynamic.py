@@ -9,8 +9,8 @@ each by a cost threshold, a bridge/zero-cost rule, or (only when those
 fail) the Gomory-Hu step of ``complete``, :func:`dyncut.tree.cut_step`: a
 fresh min-cut that reshapes the tree only when it finds a cheaper cut.
 :func:`dyncut.tree.contract_links`, which shares ``complete``'s quotient
-builder, builds its quotient with no folds, and each cut spends the
-quotient it is given.  Every cut of a leaf u at the same path vertex v cuts the same
+builder, builds its quotient, and each cut spends the quotient it is
+given.  Every cut of a leaf u at the same path vertex v cuts the same
 quotient, the subtrees beyond v's other neighbours, so the walk builds it
 once per v, cuts a copy of it, and drops every kept one when a cut moves
 a subtree.  Then, before a cut of stale cost c,
@@ -277,7 +277,7 @@ def update_decrease(
             # quotient, merges and all: until a cut moves a subtree no edge
             # is pushed, so the stale costs at v only fall.
             leaf = len(tree.neighbors(u)) == 1
-            quotient = leaf and leaf_quotients.get(v) or contract_links(tree, graph, links, [])
+            quotient = leaf and leaf_quotients.get(v) or contract_links(tree, graph, links)
             fold_links(quotient, v, folds)
             if leaf:
                 leaf_quotients[v] = quotient

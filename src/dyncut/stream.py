@@ -91,7 +91,8 @@ def parse_stream(text: str) -> EventStream:
     """Parse the line format and check that every event applies to its prefix."""
     events: list[ChangeEvent] = []
     lines: list[int] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    # splitlines would also end a line, and a comment, at a form feed or U+2028
+    for ln, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue

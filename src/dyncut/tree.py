@@ -259,32 +259,21 @@ def query_cut(tree: CutTree, u: int, v: int) -> Cut:
 IntermediateTree = CutTree
 
 
-def contract_links(
-    tree: CutTree,
-    graph: DynamicGraph,
-    links: list[tuple[int, int]],
-    folds: list[tuple[int, int]],
-) -> Quotient:
+def contract_links(tree: CutTree, graph: DynamicGraph, links: list[tuple[int, int]]) -> Quotient:
     """A Gomory-Hu step's quotient: ``graph`` with the subtree beyond each link ``(far, near)``
-    a node named far, and beyond each link of ``folds`` merged into near's node, named near.
-
-    The caller folds only where no minimum cut of the step parts the two.
-    A split of :func:`complete` lists the same groups in its own scan.
+    a node named far.  The decrease walk folds into it with :func:`fold_links`;
+    a split of :func:`complete` lists and folds its groups in its own scan.
     """
     adj = tree._adj
     # a leaf is a one-vertex subtree, which contract would leave as it is;
     # _reach lists far first, so far names its node
     groups = [_reach(adj, far, {near}) for far, near in links if len(adj[far]) > 1]
-    into: dict[int, list[int]] = {}
-    for far, near in folds:
-        into.setdefault(near, [near]).extend(_reach(adj, far, {near}))
 
     def named() -> list[int]:
         # the node's own vertices lie within reach of a near end short of every far end
-        ends = [*links, *folds]
-        return [*_reach(adj, ends[0][1], {far for far, _ in ends}), *dict(links)]
+        return [*_reach(adj, links[0][1], {far for far, _ in links}), *dict(links)]
 
-    return _contract_groups(graph, [*groups, *into.values()], named)
+    return _contract_groups(graph, groups, named)
 
 
 def _contract_groups(graph: DynamicGraph, groups: list, named: Callable[[], list]) -> Quotient:
@@ -393,8 +382,8 @@ def _split_node(
     adj, rows = tree._adj, graph._adj
     bound = min(sum(rows[u].values()), sum(rows[v].values()))
     here = origin[u]
-    # one scan of the links that leave the node lists contract_links' groups,
-    # a leaf's with no walk; a folded link never moves, so cut_step gets the others
+    # one scan of the links that leave the node lists and folds the quotient's
+    # groups, a leaf's with no walk; a folded link never moves, so cut_step gets the others
     links, groups, folded = [], [], []
     for near in members:
         into = [near]

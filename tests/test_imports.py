@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "dyncut").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 # perfbench/tracer.py:62,63,69 wraps these names in dyncut.dynamic, which
-# calls none of them; ROADMAP item 2 deletes them with the hooks that read them
+# calls none of them; ROADMAP item 4 deletes them with the hooks that read them,
+# after item 3's benchmark-contract change
 ALLOWED = {("dynamic.py", "contract"), ("dynamic.py", "min_cut"), ("dynamic.py", "query_value")}
 
 

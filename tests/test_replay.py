@@ -246,7 +246,7 @@ def test_splits_cut_folded_quotients(monkeypatch):
     def counted_split(tree, graph, members, origin):
         node = set(members)
         links = [(far, near) for near in members for far in tree.neighbors(near) if far not in node]
-        edges["unfolded"] += tree_mod.contract_links(tree, graph, links, []).edge_count
+        edges["unfolded"] += tree_mod.contract_links(tree, graph, links).edge_count
         return split(tree, graph, members, origin)
 
     monkeypatch.setattr(tree_mod, "min_cut", counted_cut)

@@ -35,6 +35,17 @@ class TestParse:
         stream = parse_stream("# comment\n\nav 7\nav 8  # trailing\nae 7 8 1\n")
         assert [ev.kind for ev in stream.events] == [ADD_VERTEX, ADD_VERTEX, ADD_EDGE]
 
+    def test_only_a_newline_ends_a_line(self):
+        # a form feed or a Unicode line break inside a line neither ends a
+        # comment nor starts an event; a CRLF line ends at its "\n"
+        assert parse_stream("# note\u2028av 5\n").events == ()
+        assert parse_stream("av 1 # c\x0cav 2\n").events == (ChangeEvent.add_vertex(1),)
+        with pytest.raises(StreamSyntaxError) as err:
+            parse_stream("av 1\x85av 2\n")
+        assert err.value.line == 1
+        stream = parse_stream("av 1\r\nav 2\r\n")
+        assert stream.events == (ChangeEvent.add_vertex(1), ChangeEvent.add_vertex(2))
+
     def test_unknown_code(self):
         with pytest.raises(StreamSyntaxError) as err:
             parse_stream("zz 1\n")

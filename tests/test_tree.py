@@ -18,7 +18,15 @@ from dyncut.errors import (
 )
 from dyncut.graph import EVENT_KINDS, Quotient, apply_change, contract
 from dyncut.stream import GenParams, generate
-from dyncut.tree import complete, contract_links, fold_links, query_cut, query_value, static_build
+from dyncut.tree import (
+    _contract_groups,
+    complete,
+    contract_links,
+    fold_links,
+    query_cut,
+    query_value,
+    static_build,
+)
 from helpers import checked_complete, count_cuts, graphs, path
 
 
@@ -314,7 +322,7 @@ class TestContractLinks:
     def test_all_leaf_links_contract_nothing(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (1, 3, 2), (1, 4, 2)])
         before = c4.copy()
-        quotient = contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)], [])
+        quotient = contract_links(tree, c4, [(2, 1), (3, 1), (4, 1)])
         assert quotient == c4 and quotient is not c4
         # the quotient is a graph of its own, so a merge into it leaves c4 alone
         fold_links(quotient, 1, [2])
@@ -323,14 +331,14 @@ class TestContractLinks:
     def test_multi_vertex_subtree_contracts_a_fresh_graph(self, c4):
         tree = CutTree(edges=[(1, 2, 2), (2, 3, 2), (1, 4, 2)])
         before = c4.copy()
-        quotient = contract_links(tree, c4, [(2, 1), (4, 1)], [])
+        quotient = contract_links(tree, c4, [(2, 1), (4, 1)])
         assert quotient is not c4 and c4 == before
         assert quotient == DynamicGraph(edges=[(1, 2, 1), (2, 4, 1), (1, 4, 1)])
 
     def test_a_subtree_node_is_named_after_its_far_end(self, c4):
         # the subtree {2, 3} beyond link (3, 1) is node 3, not its smallest member 2
         tree = CutTree(edges=[(1, 3, 2), (3, 2, 2), (1, 4, 2)])
-        quotient = contract_links(tree, c4, [(3, 1), (4, 1)], [])
+        quotient = contract_links(tree, c4, [(3, 1), (4, 1)])
         assert quotient == DynamicGraph(edges=[(1, 3, 1), (1, 4, 1), (3, 4, 1)])
 
     def test_a_node_of_more_than_half_the_vertices_is_not_read(self, monkeypatch):
@@ -349,14 +357,15 @@ class TestContractLinks:
             monkeypatch.setattr(tree_mod, name, spy)
         g = DynamicGraph(edges=[(1, 2, 3), (2, 3, 1), (3, 4, 2), (1, 4, 5), (1, 3, 4)])
         tree = CutTree(edges=[(1, 2, 0), (2, 3, 0), (3, 4, 0)])
-        assert contract_links(tree, g, [(1, 2), (3, 2)], []) == contract(g, [[3, 4]])[0]
-        assert contract_links(tree, g, [(2, 1)], []) == contract(g, [[2, 3, 4]])[0]
-        assert contract_links(tree, g, [(1, 2)], [(3, 2)]) == contract(g, [[2, 3, 4]])[0]
+        assert contract_links(tree, g, [(1, 2), (3, 2)]) == contract(g, [[3, 4]])[0]
+        assert contract_links(tree, g, [(2, 1)]) == contract(g, [[2, 3, 4]])[0]
+        # a split of node {2} folds (3, 2) and lists the group itself
+        assert _contract_groups(g, [[2, 3, 4]], lambda: [2, 1]) == contract(g, [[2, 3, 4]])[0]
         # the walk cuts u = 1, whose subtree is {1, 6}, from v = 2
         edges = [(1, 2, 3), (2, 3, 1), (3, 4, 2), (4, 5, 5), (5, 7, 1), (1, 6, 4), (6, 7, 2)]
         g = DynamicGraph(edges=[*edges, (2, 5, 3)])
         tree = CutTree(edges=[(6, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 7, 0)])
-        assert contract_links(tree, g, [(3, 2)], []) == contract(g, [[3, 4, 5, 7]])[0]
+        assert contract_links(tree, g, [(3, 2)]) == contract(g, [[3, 4, 5, 7]])[0]
         assert built == ["contract", "_quotient", "_quotient", "_quotient"]
 
     @given(graphs(min_vertices=2, max_vertices=10), st.integers(0, 10**6), st.booleans())
@@ -365,8 +374,10 @@ class TestContractLinks:
         # whichever links fold and whichever node of the quotient is the
         # largest, the quotient is contract's: a subtree named after its far
         # end, a folded one merged into its near end.  A split's node is a
-        # random compound node; the decrease walk's is v plus u's subtree,
-        # with every link at v.  Either way it is a Quotient of its own.
+        # random compound node, and the split lists its groups, folds and
+        # all; the decrease walk's is v plus u's subtree, with every link at
+        # v, and the walk folds into its quotient in place.  Either way it
+        # is a Quotient of its own.
         rng = random.Random(seed)
         tree = static_build(g)
         if walk:
@@ -384,7 +395,11 @@ class TestContractLinks:
         for far, near in folds:
             into.setdefault(near, [near]).extend(beyond[far])
         groups = [beyond[far] for far, _ in kept if len(beyond[far]) > 1] + list(into.values())
-        quotient = contract_links(tree, g, kept, folds)
+        if walk:
+            quotient = contract_links(tree, g, links)
+            fold_links(quotient, v, [far for far, _ in folds])
+        else:
+            quotient = _contract_groups(g, groups, lambda: [*node, *dict(kept)])
         assert type(quotient) is Quotient
         if groups:
             assert quotient == contract(g, groups)[0]
