@@ -139,7 +139,7 @@ class Cut:
 class Rows:
     """Symmetric weighted rows: ``_adj[u][v] == _adj[v][u]``, the weight of {u, v}.
 
-    The reads and the vertex admission that graphs and cut trees share.
+    The reads, vertex admission and same-kind equality that graphs and cut trees share.
     """
 
     __slots__ = ("_adj",)
@@ -176,6 +176,11 @@ class Rows:
         if v in self._adj:
             raise VertexExists(f"vertex {v} already present")
         self._adj[v] = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._adj == other._adj
 
 
 class DynamicGraph(Rows):
@@ -223,11 +228,6 @@ class DynamicGraph(Rows):
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         return g
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DynamicGraph):
-            return NotImplemented
-        return self._adj == other._adj
-
     def __repr__(self) -> str:
         return f"DynamicGraph({self.vertex_count} vertices, {self.edge_count} edges)"
 
@@ -274,7 +274,7 @@ class DynamicGraph(Rows):
 
 
 class Quotient(DynamicGraph):
-    """A graph built for one cut: :func:`~dyncut.mincut.min_cut` spends its rows as its residual."""
+    """One cut's graph, from :func:`contract` or ``tree._quotient``: ``min_cut`` spends its rows."""
 
     __slots__ = ()
 
@@ -304,12 +304,12 @@ def apply_change(graph: DynamicGraph, event: ChangeEvent) -> DynamicGraph:
 
 def contract(
     graph: DynamicGraph, groups: Iterable[Iterable[int]]
-) -> tuple[DynamicGraph, dict[int, int]]:
+) -> tuple[Quotient, dict[int, int]]:
     """Contract each group to a single node named after its first member.
 
     Vertices outside every group become singleton nodes under their own id.
     Edge weights between nodes follow the sum rule; edges interior to a group
-    vanish.  Returns the contracted graph and the total vertex-to-node map.
+    vanish.  Returns the :class:`Quotient` a cut spends and the total vertex-to-node map.
     """
     adj = graph._adj
     node_of: dict[int, int] = {}
@@ -345,7 +345,7 @@ def contract(
                     far[nu] = far.get(nu, 0) + w
             if nv != nu:
                 row[nv] = row.get(nv, 0) + w
-    result = DynamicGraph()
+    result = Quotient()
     result._adj = qadj
     return result, node_of
 

@@ -81,11 +81,12 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
     # t never joins the side, so the search stops once only t is left out
     side, todo, rest = {s}, [s], len(res) - 1
     ds, dt = sum(res[s].values()), sum(res[t].values())
-    if dt < ds:
-        # flow from t to s; s's side is what still reaches s over residual arcs
-        flow = _prepush(res, t, s)
-        if flow < dt:
-            flow += _augment(res, t, s)
+    source, sink, out = (t, s, dt) if dt < ds else (s, t, ds)
+    flow = _prepush(res, source, sink)
+    if flow < out:
+        flow += _augment(res, source, sink)
+    if source == t:
+        # s's side is what still reaches s over residual arcs
         while todo and len(side) < rest:
             x = todo.pop()
             for y in res[x]:
@@ -93,9 +94,6 @@ def min_cut(graph: DynamicGraph, s: int, t: int) -> Cut:
                     side.add(y)
                     todo.append(y)
     else:
-        flow = _prepush(res, s, t)
-        if flow < ds:
-            flow += _augment(res, s, t)
         while todo and len(side) < rest:
             for y, c in res[todo.pop()].items():
                 if c and y not in side:

@@ -8,7 +8,8 @@ give every pair's connectivity, so n-1 flows check the whole tree.
 Those connectivities come from :func:`max_flow_value`, a plain Edmonds-Karp
 (shortest augmenting paths found by breadth-first search) on a residual copy
 of the adjacency rows.  It shares no code with the kernel that builds the
-trees, so a fault there cannot vouch for itself.
+trees, so a fault there cannot vouch for itself.  The structure check walks
+the tree with ``tree._reach``, which :meth:`CutTree.subtree` runs for it too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import SameVertex, VertexSetMismatch
 from .graph import DynamicGraph, Pair, cut_cost, pair_key
-from .tree import CutTree
+from .tree import CutTree, _reach
 
 
 def max_flow_value(graph: DynamicGraph, s: int, t: int) -> int:
@@ -89,7 +90,8 @@ def verify_cut_tree(
     if set(tree.vertices) != set(graph.vertices):
         raise VertexSetMismatch("tree and graph have different vertex sets")
     n = tree.vertex_count
-    if tree.edge_count != max(n - 1, 0) or n and len(_component(tree)) != n:
+    reached = _reach(tree._adj, tree.least_vertex, set()) if n else ()
+    if tree.edge_count != max(n - 1, 0) or len(reached) != n:
         return VerifyReport(
             False, (Violation("structure", (0, 0), max(n - 1, 0), tree.edge_count),)
         )
@@ -103,16 +105,3 @@ def verify_cut_tree(
         if c != expected:
             violations.append(Violation("edge-connectivity", (u, v), expected, c))
     return VerifyReport(not violations, tuple(violations))
-
-
-def _component(tree: CutTree) -> set[int]:
-    start = next(iter(tree.vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in tree.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen

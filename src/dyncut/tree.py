@@ -204,11 +204,6 @@ class CutTree(Rows):
         t._least = self._least
         return t
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CutTree):
-            return NotImplemented
-        return self._adj == other._adj
-
     def __repr__(self) -> str:
         return f"CutTree({self.vertex_count} vertices)"
 
@@ -282,13 +277,11 @@ def _contract_groups(graph: DynamicGraph, groups: list, named: Callable[[], list
     edit and its cut spends.  One with a node of more than half the vertices
     comes from :func:`_quotient`, which reads none of that node's rows, and
     ``named()`` lists the step's node and its links' far ends for it; every
-    other, one with nothing to merge too, from :func:`~dyncut.graph.contract`.
+    other, one with nothing to merge too, is :func:`~dyncut.graph.contract`'s own.
     """
     big = max(groups, key=len, default=())
     if 2 * len(big) <= len(graph._adj):
-        quotient = Quotient()
-        quotient._adj = contract(graph, groups)[0]._adj
-        return quotient
+        return contract(graph, groups)[0]
     node_of = {w: w for w in named()}
     for group in groups:
         if group is not big:

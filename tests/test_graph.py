@@ -20,7 +20,7 @@ from dyncut.errors import (
     VertexMissing,
     VertexNotIsolated,
 )
-from dyncut.graph import contract, pair_key
+from dyncut.graph import Quotient, contract, pair_key
 from helpers import ALL_KINDS_MIX, graphs, inverse_event, random_event
 
 
@@ -125,6 +125,18 @@ def test_shared_reads_match_a_pair_key_model(kind, n, seed):
                     rows.neighbors(u)
 
 
+def test_rows_compare_only_within_their_kind():
+    # a path is a graph and a tree on the same rows; a quotient is a graph
+    edges = [(1, 2, 3), (2, 3, 5)]
+    graph, tree = DynamicGraph(edges=edges), CutTree(edges=edges)
+    quotient = contract(graph, [])[0]
+    assert graph._adj == tree._adj == quotient._adj
+    assert graph != tree and tree != graph
+    assert quotient == graph and graph == quotient
+    assert quotient != tree and tree != quotient
+    assert tree == CutTree(edges=edges[::-1])
+
+
 class TestApplyChange:
     def test_increase_weight(self, t3):
         apply_change(t3, ChangeEvent.increase_weight(1, 2, 2))
@@ -194,6 +206,7 @@ class TestApplyChange:
 class TestContract:
     def test_sum_rule(self, t3):
         q, node_of = contract(t3, [[2, 3]])
+        assert type(q) is Quotient
         assert set(q.vertices) == {1, 2}
         assert q.weight(1, 2) == 4
         assert node_of == {1: 1, 2: 2, 3: 2}

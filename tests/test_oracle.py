@@ -149,6 +149,19 @@ class TestVerifyCutTree:
         assert not report.ok
         assert report.violations[0].kind == "structure"
 
+    def test_a_cycle_with_a_vertex_apart_is_flagged(self, t3):
+        # three edges on four vertices pass the edge count, but they close the
+        # triangle 1-2-3 and leave 4 apart; add_edge refuses a cycle, so the
+        # rows are written directly
+        graph = t3.copy()
+        graph.add_vertex(4)
+        graph.add_edge(3, 4, 1)
+        tree = CutTree(vertices=[1, 2, 3, 4])
+        for u, v, c in [(1, 2, 3), (2, 3, 3), (1, 3, 4)]:
+            tree._adj[u][v] = tree._adj[v][u] = c
+        report = verify_cut_tree(tree, graph)
+        assert [v.kind for v in report.violations] == ["structure"]
+
     @pytest.mark.parametrize("seed", range(20))
     def test_networkx_gomory_hu_tree_certified_and_tampering_caught(self, seed):
         rng = random.Random(seed)
