@@ -8,12 +8,17 @@ touch the changed path from a heap, most expensive first, and re-certifies
 each by a cost threshold, a bridge/zero-cost rule, or (only when those
 fail) the Gomory-Hu step of ``complete``, :func:`dyncut.tree.cut_step`: a
 fresh min-cut that reshapes the tree only when it finds a cheaper cut.
-:func:`dyncut.tree.contract_links`, which shares ``complete``'s quotient
-builder, builds its quotient, and each cut spends the quotient it is
-given.  Every cut of a leaf u at the same path vertex v cuts the same
-quotient, the subtrees beyond v's other neighbours, so the walk builds it
-once per v, cuts a copy of it, and drops every kept one when a cut moves
-a subtree.  Then, before a cut of stale cost c,
+Each cut spends the quotient it is given.  Every cut at the same path
+vertex v shares one quotient, v's star: each subtree off v one node,
+named after its far end, built by ``complete``'s quotient builder.  The
+first cut of a leaf at v builds it, and the walk keeps it beside the
+vertex list of each subtree.  A leaf's cut cuts a copy of it.  A cut of
+a non-leaf u opens u's node in its copy: it drops the node and adds each
+vertex of u's subtree with its own graph row, naming each other end by
+the list that holds it, or by v once that node is merged into v.  A
+non-leaf cut at a v with no kept star builds its own quotient with
+:func:`dyncut.tree.contract_links`, and a cut that moves a subtree drops
+every kept star.  Then, before a cut of stale cost c,
 :func:`dyncut.tree.fold_links` merges into v each of v's neighbour
 subtrees whose edge costs more than c.  Such an edge was popped first, so
 it is settled, a path edge or one the walk certified: splitting it from v
@@ -51,12 +56,23 @@ from .errors import (
 from .graph import (
     DynamicGraph,
     Pair,
+    Quotient,
     check_weight,
     contract,
     pair_key,
 )
 from .mincut import min_cut
-from .tree import CutTree, _reach, complete, contract_links, cut_step, fold_links, query_value
+from .tree import (
+    CutTree,
+    _open_node,
+    _reach,
+    _star_quotient,
+    complete,
+    contract_links,
+    cut_step,
+    fold_links,
+    query_value,
+)
 
 EXISTING_BRIDGE = "existing-bridge"
 NEW_BRIDGE = "new-bridge"
@@ -238,8 +254,8 @@ def update_decrease(
 
     for v in pverts:
         push_frontier(v)
-    # path vertex v -> the quotient that every cut of a leaf at v uses
-    leaf_quotients: dict[int, DynamicGraph] = {}
+    # path vertex v -> its star quotient and that quotient's subtree lists
+    kept: dict[int, tuple[Quotient, dict]] = {}
     cuts = 0
     breakdown: dict[str, int] = {}
     accepted: list[tuple[Pair, int, str]] = []
@@ -256,7 +272,7 @@ def update_decrease(
             rule = RULE_ZERO_OR_BRIDGE
         else:
             # path vertices adjacent in the tree are adjacent on the path
-            flanks = [x for x in nbrs if x in pset]
+            flanks = nbrs.keys() & pset
             if min(nbrs[x] for x in flanks) >= stale:
                 rule = RULE_THRESHOLD
 
@@ -273,18 +289,28 @@ def update_decrease(
             # merged into v, it leaves the cut as it was.  An edge tied at
             # stale may be stale, and stays apart.
             folds = [x for x, c in nbrs.items() if c > stale]
-            # A leaf u stays a singleton, so every leaf at v shares v's
-            # quotient, merges and all: until a cut moves a subtree no edge
-            # is pushed, so the stale costs at v only fall.
+            # Every cut at v cuts v's star quotient, each subtree off v a node,
+            # merges and all; a non-leaf u's node is opened in the copy, one
+            # node per vertex of its subtree.  Until a cut moves a subtree no
+            # edge is pushed, so the stale costs at v only fall, and u, at its
+            # own stale cost, was never merged.  Only a leaf cut builds it: a
+            # star built to be opened at once costs more than u's own quotient.
             leaf = len(tree.neighbors(u)) == 1
-            quotient = leaf and leaf_quotients.get(v) or contract_links(tree, graph, links)
-            fold_links(quotient, v, folds)
-            if leaf:
-                leaf_quotients[v] = quotient
-            cut, moved = cut_step(tree, quotient.copy() if leaf else quotient, links, u, v)
+            if leaf and v not in kept:
+                kept[v] = _star_quotient(tree, graph, v)
+            if v in kept:
+                quotient, lists = kept[v]
+                fold_links(quotient, v, folds)
+                quotient = quotient.copy()
+                if not leaf:
+                    _open_node(quotient, graph, v, lists, u)
+            else:
+                quotient = contract_links(tree, graph, links)
+                fold_links(quotient, v, folds)
+            cut, moved = cut_step(tree, quotient, links, u, v)
             if moved:
-                # a moved subtree changes the groups of the quotients around it
-                leaf_quotients.clear()
+                # a moved subtree changes the nodes of the quotients around it
+                kept.clear()
             cuts += 1
             if cut.cost > stale:
                 raise InternalInvariantViolation(

@@ -57,13 +57,29 @@ def max_flow_value(graph: DynamicGraph, s: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed check of the certificate.
+
+    A ``structure`` violation is one of two conditions: an edge count other
+    than n - 1, at pair (0, 0); or a tree with n - 1 edges whose search from
+    its least vertex r reaches ``actual`` of its ``expected`` n vertices, at
+    pair (r, x), x the least vertex left out.
+    """
+
     kind: str  # "structure" | "induced-cost" | "edge-connectivity"
     pair: Pair
     expected: int
     actual: int
 
     def __str__(self) -> str:
-        return f"{self.kind} at {self.pair}: expected {self.expected}, got {self.actual}"
+        if self.kind != "structure":
+            return f"{self.kind} at {self.pair}: expected {self.expected}, got {self.actual}"
+        if self.pair == (0, 0):
+            return f"structure: expected {self.expected} tree edges, got {self.actual}"
+        root, apart = self.pair
+        return (
+            f"structure: {self.actual} of {self.expected} vertices reached from {root},"
+            f" {apart} left out"
+        )
 
 
 @dataclass(frozen=True)
@@ -90,11 +106,15 @@ def verify_cut_tree(
     if set(tree.vertices) != set(graph.vertices):
         raise VertexSetMismatch("tree and graph have different vertex sets")
     n = tree.vertex_count
-    reached = _reach(tree._adj, tree.least_vertex, set()) if n else ()
-    if tree.edge_count != max(n - 1, 0) or len(reached) != n:
+    if tree.edge_count != max(n - 1, 0):
         return VerifyReport(
             False, (Violation("structure", (0, 0), max(n - 1, 0), tree.edge_count),)
         )
+    seen: set[int] = set()
+    reached = _reach(tree._adj, tree.least_vertex, seen) if n else ()
+    if len(reached) != n:
+        pair = (tree.least_vertex, min(tree.vertices - seen))
+        return VerifyReport(False, (Violation("structure", pair, n, len(reached)),))
 
     violations: list[Violation] = []
     for u, v, c in sorted(tree.edges()):

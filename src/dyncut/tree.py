@@ -25,7 +25,9 @@ would bound that by O(log n); at the depths met here they cost more.
 :func:`complete` and the decrease walk in :mod:`dyncut.dynamic` alike.
 Its quotient makes each subtree off the node one of its nodes, named
 after its link's far end; a split lists them in its one scan of the
-node's links, the walk through :func:`contract_links`.  Both callers
+node's links, the walk through :func:`contract_links`, or through
+:func:`_star_quotient` and :func:`_open_node` at a path vertex whose
+star quotient it keeps.  Both callers
 fold by one rule: a link whose cost is the connectivity of its own ends
 and above a bound on lambda(u, v) merges its subtree into its near end,
 since no minimum u-v cut parts them.  :func:`complete` tells such links
@@ -269,6 +271,41 @@ def contract_links(tree: CutTree, graph: DynamicGraph, links: list[tuple[int, in
         return [*_reach(adj, links[0][1], {far for far, _ in links}), *dict(links)]
 
     return _contract_groups(graph, groups, named)
+
+
+def _star_quotient(tree: CutTree, graph: DynamicGraph, v: int) -> tuple[Quotient, dict]:
+    """``graph`` with each subtree off v a node named after its far end, as
+    :func:`contract_links` names them, and the ``_reach`` list of each
+    subtree of two or more vertices, by its far end, for :func:`_open_node`.
+    """
+    adj = tree._adj
+    lists = {far: _reach(adj, far, {v}) for far in adj[v] if len(adj[far]) > 1}
+    return _contract_groups(graph, list(lists.values()), lambda: [v, *adj[v]]), lists
+
+
+def _open_node(quotient: Quotient, graph: DynamicGraph, v: int, lists: dict, far: int) -> None:
+    """Turn node ``far`` of a :func:`_star_quotient` at v, in place, into one node per vertex.
+
+    Drops far's row and entries, then adds a row for each vertex of its
+    subtree from the graph's rows.  ``lists`` are the star quotient's
+    subtree lists.  An end outside far's subtree lies in the node of its
+    subtree's far end, or in v once :func:`fold_links` has merged that node.
+    """
+    qadj, rows = quotient._adj, graph._adj
+    for y in qadj.pop(far):
+        del qadj[y][far]
+    node_of = {w: x for x, group in lists.items() if x != far for w in group}
+    opened = {w: {} for w in lists[far]}
+    for w, row in opened.items():
+        for y, c in rows[w].items():
+            if y in opened:
+                row[y] = c
+            else:
+                ny = node_of.get(y, y)
+                if ny not in qadj:
+                    ny = v
+                qadj[ny][w] = row[ny] = row.get(ny, 0) + c
+    qadj.update(opened)
 
 
 def _contract_groups(graph: DynamicGraph, groups: list, named: Callable[[], list]) -> Quotient:

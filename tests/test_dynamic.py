@@ -292,15 +292,15 @@ class TestDecrease:
         assert stats.reuse_breakdown == {RULE_RECOMPUTED: 1, RULE_REVALIDATED: 1}
 
     def test_walk_check_refuses_a_leaf_quotient_kept_past_a_reshape(self, monkeypatch):
-        # The case above, with every quotient at a path vertex kept for good:
-        # the cut of leaf 4 from 3 then gets the quotient from before flank 1
-        # moved onto 2, and the walk's check must refuse it.
-        kept, contract_links = {}, dyncut.dynamic.contract_links
+        # The case above, with every path vertex's star quotient kept for
+        # good: the cut of leaf 4 from 3 then gets the quotient from before
+        # flank 1 moved onto 2, and the walk's check must refuse it.
+        kept, star_quotient = {}, dyncut.dynamic._star_quotient
 
-        def keep_forever(tree, graph, links):
-            return kept.setdefault(links[0][1], contract_links(tree, graph, links))
+        def keep_forever(tree, graph, v):
+            return kept.setdefault(v, star_quotient(tree, graph, v))
 
-        monkeypatch.setattr(dyncut.dynamic, "contract_links", keep_forever)
+        monkeypatch.setattr(dyncut.dynamic, "_star_quotient", keep_forever)
         g = DynamicGraph(edges=[(1, 2, 6), (1, 3, 6), (2, 3, 3), (2, 4, 4), (3, 4, 7)])
         tree = static_build(g)
         g.decrease_weight(1, 3, 5)
@@ -347,6 +347,64 @@ class TestDecrease:
         with checked_decrease_walk(g, 3, 4, 1) as log:
             update_decrease(tree, g, 3, 4, 1)
         assert [(cut.folded, cut.tied) for cut in log] == [([], []), ([], [1])]
+        assert verify_cut_tree(tree, g).ok
+
+    @pytest.mark.parametrize(
+        "edges, change, after, opened, folded, mirrored",
+        [
+            # The cut of leaf 3 from 5 builds 5's star quotient.  The cut of
+            # 2 from 5 merges node 3 into 5 and opens 2's subtree {2, 4}, so
+            # the edge {3, 4} must meet node 5 there.
+            (
+                [(1, 2, 2), (1, 5, 9), (2, 4, 6), (2, 5, 1), (3, 4, 2), (3, 5, 6)],
+                (1, 5, 8),
+                ["1 2 3", "2 4 8", "2 5 4", "3 5 8"],
+                [(5, 2)],
+                [[], [3], []],
+                [],
+            ),
+            # 3's subtree at 4 holds 4 of the 7 vertices, so _quotient builds
+            # 4's star quotient, 3's subtree its mirror node.  The cut of 3
+            # from 4 merges leaf 6 into 4 and opens the mirror node, so the
+            # edge {1, 6} must meet node 4 there.
+            (
+                [(1, 5, 6), (1, 6, 5), (2, 4, 4), (2, 6, 3), (3, 4, 5), (3, 5, 6), (3, 7, 9),
+                 (4, 6, 9), (4, 7, 3)],
+                (2, 4, 1),
+                ["1 5 11", "2 4 6", "3 4 13", "3 5 11", "3 7 12", "4 6 17"],
+                [(4, 3)],
+                [[], [6]],
+                [3],
+            ),
+        ],
+    )
+    def test_a_non_leaf_cut_opens_its_subtree_in_the_star_quotient(
+        self, monkeypatch, edges, change, after, opened, folded, mirrored
+    ):
+        g = DynamicGraph(edges=edges)
+        tree = static_build(g)
+        opens, built = [], []
+        open_node, quotient = dyncut.dynamic._open_node, dyncut.tree._quotient
+
+        def logged_open(q, graph, v, lists, far):
+            opens.append((v, far))
+            return open_node(q, graph, v, lists, far)
+
+        def logged_quotient(graph, node_of, big):
+            built.append(big)
+            return quotient(graph, node_of, big)
+
+        monkeypatch.setattr(dyncut.dynamic, "_open_node", logged_open)
+        monkeypatch.setattr(dyncut.tree, "_quotient", logged_quotient)
+        b, d, delta = change
+        g.decrease_weight(b, d, delta)
+        with checked_decrease_walk(g, b, d, delta) as log:
+            update_decrease(tree, g, b, d, delta)
+        # the non-leaf cut opened a copy, so the walk's check judged the open path
+        assert opens == opened
+        assert [cut.folded for cut in log] == folded
+        assert built == mirrored
+        assert tree.to_lines() == after
         assert verify_cut_tree(tree, g).ok
 
 

@@ -161,6 +161,9 @@ class TestVerifyCutTree:
             tree._adj[u][v] = tree._adj[v][u] = c
         report = verify_cut_tree(tree, graph)
         assert [v.kind for v in report.violations] == ["structure"]
+        # the report names the condition that failed and the vertex left out
+        assert report.violations[0].pair == (1, 4)
+        assert str(report) == "structure: 3 of 4 vertices reached from 1, 4 left out"
 
     @pytest.mark.parametrize("seed", range(20))
     def test_networkx_gomory_hu_tree_certified_and_tampering_caught(self, seed):

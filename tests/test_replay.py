@@ -211,9 +211,10 @@ def test_golden_static_build_digests(weight_max, seed, tree_digest):
     assert _digest("\n".join(static_build(graph).to_lines())) == tree_digest
 
 
-def test_leaf_cuts_share_a_quotient(monkeypatch):
-    # The stream of the dense_churn digests above.  Every cut of a leaf at
-    # the same path vertex reuses one contraction until a reshape, so the
+def test_cuts_at_a_path_vertex_share_a_quotient(monkeypatch):
+    # The stream of the dense_churn digests above.  Every cut at the same
+    # path vertex reuses one contraction, of all its subtrees, until a
+    # reshape; a cut of a non-leaf opens its own subtree in a copy.  So the
     # replay builds fewer quotients than it cuts.  A quotient whose largest
     # node holds more than half the vertices is built by _quotient, in a
     # split and in the walk alike, the others by contract, a walk step's
@@ -228,8 +229,8 @@ def test_leaf_cuts_share_a_quotient(monkeypatch):
 
         monkeypatch.setattr(tree_mod, name, counted)
     replay(generate(GenParams(n_vertices=40, n_events=400, mix=CHURN_MIX), seed=1))
-    assert calls == {"contract": 495, "_quotient": 201, "min_cut": 1561}
-    assert calls["contract"] + calls["_quotient"] == 696
+    assert calls == {"contract": 392, "_quotient": 195, "min_cut": 1561}
+    assert calls["contract"] + calls["_quotient"] == 587
 
 
 def test_splits_cut_folded_quotients(monkeypatch):
