@@ -17,7 +17,9 @@ A tree is plain cost rows (``dict[int, dict[int, int]]``) and a parent
 map.  ``remove_edge`` makes the child a root, and ``add_edge`` is the one
 edit that re-roots: it everts the shallower end's path, hangs it below the
 other end, and refuses an edge that would close a cycle.  So a tree path
-is two walks up to the lowest common ancestor, O(depth).  Link-cut trees
+is two walks up to the lowest common ancestor, O(depth); a query reads a
+parent or sibling pair off the parent map, and climbs any other pair by
+depth, both ends together, with no map of ancestors.  Link-cut trees
 (Sleator and Tarjan, "A data structure for dynamic trees", JCSS 1983)
 would bound that by O(log n); at the depths met here they cost more.
 
@@ -215,24 +217,46 @@ class CutTree(Rows):
 
 
 def query_value(tree: CutTree, u: int, v: int) -> int:
-    """Connectivity of {u, v}: the cheapest edge cost on the tree path, in O(depth)."""
+    """Connectivity of {u, v}: the cheapest edge cost on the tree path, in O(depth).
+
+    A vertex and its parent, or two children of one parent, are answered
+    from the parent map in one read.  Any other pair lifts its deeper end
+    to the other's depth, then climbs both ends together until they meet;
+    it builds no map of ancestors.
+    """
     up, adj = tree._up, tree._adj
     _check_ends(up, u, v)
-    low, best, x = {u: inf}, inf, u  # cheapest cost from u up to each ancestor
-    while (p := up[x]) is not None:
-        c = adj[x][p]
-        if c < best:
-            best = c
-        low[p], x = best, p
-    c, x = inf, v
-    while x not in low:
-        if (p := up[x]) is None:
+    pu, pv = up[u], up[v]
+    if pu == v:
+        return adj[u][v]
+    if pv == u:
+        return adj[v][u]
+    if pu == pv and pu is not None:
+        a, b = adj[u][pu], adj[v][pv]
+        return a if a < b else b
+    # climb both parents in step: the steps one has left once the other is
+    # past its root are how much deeper its end lies; a is lifted by them
+    x, y = pu, pv
+    while x is not None and y is not None:
+        x, y = up[x], up[y]
+    best, a, b = inf, u, v
+    if y is not None:
+        a, b, x = v, u, y
+    while x is not None:
+        p = up[a]
+        if adj[a][p] < best:
+            best = adj[a][p]
+        a, x = p, up[x]
+    while a != b:
+        pa, pb = up[a], up[b]
+        if pa is None:  # both roots, since the two ends climb at one depth
             raise VertexMissing(f"no tree path between {u} and {v}")
-        if adj[x][p] < c:
-            c = adj[x][p]
-        x = p
-    best = low[x]
-    return c if c < best else best
+        if adj[a][pa] < best:
+            best = adj[a][pa]
+        if adj[b][pb] < best:
+            best = adj[b][pb]
+        a, b = pa, pb
+    return best
 
 
 def query_cut(tree: CutTree, u: int, v: int) -> Cut:

@@ -486,19 +486,24 @@ def _check_parent_map(tree, rng):
             assert steps <= tree.vertex_count
     assert sum(p is not None for p in up.values()) == tree.edge_count
     verts = sorted(tree.vertices)
-    # ancestor/descendant pairs both ways, then random pairs, which may lie
-    # in different components
+    # ancestor/descendant pairs, every pair of siblings and every pair of
+    # roots, each both ways, then random pairs, which may lie in different
+    # components
     pairs = [(x, _root_of(tree, x)) for x in verts if up[x] is not None]
+    pairs += [(a, b) for a in verts for b in verts if a < b and up[a] == up[b]]
     pairs += [(b, a) for a, b in pairs]
     if len(verts) > 1:
         pairs += [tuple(rng.sample(verts, 2)) for _ in range(6)]
     for u, v in pairs:
         expected = _bfs_path(tree, u, v)
         if expected is None:
-            with pytest.raises(VertexMissing):
+            message = f"no tree path between {u} and {v}"
+            with pytest.raises(VertexMissing) as raised:
                 tree.path_vertices(u, v)
-            with pytest.raises(VertexMissing):
+            assert str(raised.value) == message
+            with pytest.raises(VertexMissing) as raised:
                 query_value(tree, u, v)
+            assert str(raised.value) == message
         else:
             assert tree.path_vertices(u, v) == expected
             costs = [tree.cost(a, b) for a, b in zip(expected, expected[1:])]
