@@ -13,8 +13,9 @@ with ``time.perf_counter``, and the previous event's stats are freed
 outside the timing.  One line per n gives the seconds ``generate`` took
 and the mean µs per event, with the number of events averaged, of the
 vertex inserts (``av``) and of the decreases (``dw`` and ``re``) that
-spent no cut.  ``generate`` is timed apart from the replay: it costs
-O(m) per event.
+spent no cut.  ``generate`` is timed apart from the replay; it keeps its
+draws in sorted lists, so it costs a few binary searches and list inserts
+per event, not a sort of the whole graph.
 """
 
 from __future__ import annotations

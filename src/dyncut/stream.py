@@ -8,12 +8,17 @@ All numbers are non-negative decimal integers; weights and deltas are
 positive.  A stream is valid when every event is applicable to the graph
 state produced by its prefix; :func:`parse_stream` checks both, always.
 :func:`parse_mix` reads the ``--mix`` text that the generator's callers take.
+A load costs one split, one digit test and one ``ChangeEvent`` per line, then
+one :func:`apply_change` per event.  :func:`generate` draws each event from
+sorted lists that it updates with ``bisect``: a few binary searches and list
+inserts per event, not a sort of the whole graph.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -35,6 +40,7 @@ from .graph import (
     ChangeEvent,
     DynamicGraph,
     apply_change,
+    pair_key,
 )
 
 CODE_OF_KIND = {
@@ -93,24 +99,30 @@ def parse_stream(text: str) -> EventStream:
     lines: list[int] = []
     # splitlines would also end a line, and a comment, at a form feed or U+2028
     for ln, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = body.split()
         code = tokens[0]
-        if code not in _ARITY:
+        arity = _ARITY.get(code)
+        if arity is None:
             raise StreamSyntaxError(ln, f"unknown event code {code!r}")
-        args = tokens[1:]
-        if len(args) != _ARITY[code]:
-            raise StreamSyntaxError(
-                ln, f"{code} takes {_ARITY[code]} arguments, got {len(args)}"
-            )
+        if len(tokens) != arity + 1:
+            raise StreamSyntaxError(ln, f"{code} takes {arity} arguments, got {len(tokens) - 1}")
         # str.isdigit alone also accepts non-ASCII digits, e.g. U+0663 and U+00B2
-        if not all(a.isascii() and a.isdigit() for a in args):
-            raise StreamSyntaxError(ln, f"non-integer argument in {body!r}")
+        digits = "".join(tokens[1:])
+        if not (digits.isascii() and digits.isdigit()):
+            raise StreamSyntaxError(ln, f"non-integer argument in {raw.strip()!r}")
+        kind = KIND_OF_CODE[code]
         try:
             # int() refuses strings of more than 4300 digits with a ValueError
-            ev = ChangeEvent(KIND_OF_CODE[code], *[int(a) for a in args])
+            if arity == 3:
+                ev = ChangeEvent(kind, int(tokens[1]), int(tokens[2]), int(tokens[3]))
+            elif arity == 1:
+                ev = ChangeEvent(kind, int(tokens[1]))
+            else:
+                ev = ChangeEvent(kind, int(tokens[1]), int(tokens[2]))
         except (DynCutError, ValueError) as exc:
             raise StreamSyntaxError(ln, str(exc)) from None
         events.append(ev)
@@ -160,56 +172,78 @@ def _normalized_mix(mix: Mapping[str, float]) -> dict[str, float]:
     return out
 
 
-def _applicable(kind: str, g: DynamicGraph) -> bool:
-    if kind == ADD_VERTEX:
-        return True
-    if kind == REMOVE_VERTEX:
-        return any(g.degree(v) == 0 for v in g.vertices)
-    n = g.vertex_count
-    if kind == ADD_EDGE:
-        return n >= 2 and g.edge_count < n * (n - 1) // 2
-    if kind in (REMOVE_EDGE, INCREASE_WEIGHT):
-        return g.edge_count > 0
-    if kind == DECREASE_WEIGHT:
-        return any(w >= 2 for _, _, w in g.edges())
-    raise ValueError(f"unknown event kind {kind!r}")
+class _Sampler:
+    """A graph and the sequences that :func:`generate` draws from, kept sorted by ``bisect``."""
 
+    def __init__(self):
+        self.g = DynamicGraph()
+        self.verts: list[int] = []
+        self.isolated: list[int] = []
+        self.edges: list[tuple[int, int, int]] = []  # sorted(g.edges())
+        self.heavy: list[tuple[int, int, int]] = []  # its edges of weight at least 2
 
-def _fresh_vertex(g: DynamicGraph) -> int:
-    return max(g.vertices) + 1 if g.vertex_count else 1
+    def applicable(self, kind: str) -> bool:
+        if kind == ADD_VERTEX:
+            return True
+        if kind == REMOVE_VERTEX:
+            return bool(self.isolated)
+        if kind == ADD_EDGE:
+            n = len(self.verts)
+            return len(self.edges) < n * (n - 1) // 2
+        return bool(self.heavy if kind == DECREASE_WEIGHT else self.edges)
 
-
-def _draw(kind: str, g: DynamicGraph, rng: random.Random, weight_max: int) -> ChangeEvent:
-    if kind == ADD_VERTEX:
-        return ChangeEvent.add_vertex(_fresh_vertex(g))
-    if kind == REMOVE_VERTEX:
-        isolated = sorted(v for v in g.vertices if g.degree(v) == 0)
-        return ChangeEvent.remove_vertex(rng.choice(isolated))
-    if kind == ADD_EDGE:
-        verts = sorted(g.vertices)
-        for _ in range(64):
-            u, v = rng.choice(verts), rng.choice(verts)
-            if u != v and not g.has_edge(u, v):
-                return ChangeEvent.add_edge(u, v, rng.randint(1, weight_max))
-        missing = [
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if not g.has_edge(u, v)
-        ]
-        u, v = rng.choice(missing)
-        return ChangeEvent.add_edge(u, v, rng.randint(1, weight_max))
-    edges = sorted(g.edges())
-    if kind == REMOVE_EDGE:
-        u, v, _ = rng.choice(edges)
-        return ChangeEvent.remove_edge(u, v)
-    if kind == INCREASE_WEIGHT:
-        u, v, _ = rng.choice(edges)
+    def draw(self, kind: str, rng: random.Random, weight_max: int) -> ChangeEvent:
+        verts, g = self.verts, self.g
+        if kind == ADD_VERTEX:
+            return ChangeEvent.add_vertex(verts[-1] + 1 if verts else 1)
+        if kind == REMOVE_VERTEX:
+            return ChangeEvent.remove_vertex(rng.choice(self.isolated))
+        if kind == ADD_EDGE:
+            for _ in range(64):
+                u, v = rng.choice(verts), rng.choice(verts)
+                if u != v and not g.has_edge(u, v):
+                    return ChangeEvent.add_edge(u, v, rng.randint(1, weight_max))
+            pairs = ((u, v) for i, u in enumerate(verts) for v in verts[i + 1 :])
+            u, v = rng.choice([(u, v) for u, v in pairs if not g.has_edge(u, v)])
+            return ChangeEvent.add_edge(u, v, rng.randint(1, weight_max))
+        if kind == DECREASE_WEIGHT:
+            u, v, w = rng.choice(self.heavy)
+            return ChangeEvent.decrease_weight(u, v, rng.randint(1, w - 1))
+        u, v, _ = rng.choice(self.edges)
+        if kind == REMOVE_EDGE:
+            return ChangeEvent.remove_edge(u, v)
         return ChangeEvent.increase_weight(u, v, rng.randint(1, weight_max))
-    if kind == DECREASE_WEIGHT:
-        u, v, w = rng.choice([e for e in edges if e[2] >= 2])
-        return ChangeEvent.decrease_weight(u, v, rng.randint(1, w - 1))
-    raise ValueError(f"unknown event kind {kind!r}")
+
+    def apply(self, ev: ChangeEvent) -> None:
+        if ev.v is None:  # a drawn vertex is one above the largest; a removed one is isolated
+            apply_change(self.g, ev)
+            for seq in (self.verts, self.isolated):
+                if ev.kind == ADD_VERTEX:
+                    seq.append(ev.u)
+                else:
+                    del seq[bisect_left(seq, ev.u)]
+            return
+        g, (u, v) = self.g, pair_key(ev.u, ev.v)
+        w0 = g.neighbors(u).get(v)
+        apply_change(g, ev)
+        w1 = g.neighbors(u).get(v)
+        _resort(self.edges, w0 and (u, v, w0), w1 and (u, v, w1))
+        _resort(self.heavy, w0 and w0 > 1 and (u, v, w0), w1 and w1 > 1 and (u, v, w1))
+        for x in (u, v):  # only an edge that comes or goes changes who is isolated
+            if w0 is None and g.degree(x) == 1:
+                del self.isolated[bisect_left(self.isolated, x)]
+            elif w1 is None and g.degree(x) == 0:
+                insort(self.isolated, x)
+
+
+def _resort(seq: list, was, now) -> None:
+    """Swap entry ``was`` of sorted ``seq`` for ``now`` at its place; a falsy one is no entry."""
+    if was and now:
+        seq[bisect_left(seq, was)] = now
+    elif was:
+        del seq[bisect_left(seq, was)]
+    elif now:
+        insort(seq, now)
 
 
 def _quota_schedule(mix: dict[str, float], m: int, rng: random.Random) -> list[str]:
@@ -237,23 +271,21 @@ def generate(params: GenParams, seed: int) -> EventStream:
     if params.weight_max < 1:
         raise InvalidGenParams("weight_max must be at least 1")
     rng = random.Random(seed)
-    g = DynamicGraph()
-    events: list[ChangeEvent] = []
-    for i in range(1, params.n_vertices + 1):
-        ev = ChangeEvent.add_vertex(i)
-        apply_change(g, ev)
-        events.append(ev)
+    sampler = _Sampler()
+    events = [ChangeEvent.add_vertex(i) for i in range(1, params.n_vertices + 1)]
+    for ev in events:
+        sampler.apply(ev)
     schedule = _quota_schedule(mix, params.n_events, rng)
     for i in range(len(schedule)):
-        if not _applicable(schedule[i], g):
+        if not sampler.applicable(schedule[i]):
             for j in range(i + 1, len(schedule)):
-                if _applicable(schedule[j], g):
+                if sampler.applicable(schedule[j]):
                     schedule[i], schedule[j] = schedule[j], schedule[i]
                     break
             else:
-                schedule[i] = ADD_EDGE if _applicable(ADD_EDGE, g) else ADD_VERTEX
-        ev = _draw(schedule[i], g, rng, params.weight_max)
-        apply_change(g, ev)
+                schedule[i] = ADD_EDGE if sampler.applicable(ADD_EDGE) else ADD_VERTEX
+        ev = sampler.draw(schedule[i], rng, params.weight_max)
+        sampler.apply(ev)
         events.append(ev)
     return EventStream(tuple(events))
 

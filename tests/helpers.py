@@ -25,9 +25,9 @@ from dyncut import (
     cut_cost,
     verify_cut_tree,
 )
-from dyncut.errors import EmptyGraph, VertexMissing
-from dyncut.graph import EVENT_KINDS, contract, pair_key
-from dyncut.stream import _applicable, _draw
+from dyncut.errors import EmptyGraph, InvalidGenParams, VertexMissing
+from dyncut.graph import EVENT_KINDS, ChangeEvent, apply_change, contract, pair_key
+from dyncut.stream import EventStream, GenParams, _normalized_mix, _quota_schedule
 
 SCENARIO_MIX = {
     ADD_VERTEX: 0.05,
@@ -141,8 +141,6 @@ def sparse_graph(rng, n, big):
 
 def inverse_event(graph, event):
     """The event undoing ``event`` on the state before it was applied."""
-    from dyncut import ChangeEvent
-
     if event.kind == ADD_VERTEX:
         return ChangeEvent.remove_vertex(event.u)
     if event.kind == REMOVE_VERTEX:
@@ -154,6 +152,100 @@ def inverse_event(graph, event):
     if event.kind == INCREASE_WEIGHT:
         return ChangeEvent.decrease_weight(event.u, event.v, event.delta)
     return ChangeEvent.increase_weight(event.u, event.v, event.delta)
+
+
+# The stream generator's draws from before it kept sorted lists: they re-read the
+# whole graph for every event.  random_event draws with them against a live graph,
+# and reference_generate is the generator's oracle.
+
+
+def _applicable(kind: str, g: DynamicGraph) -> bool:
+    if kind == ADD_VERTEX:
+        return True
+    if kind == REMOVE_VERTEX:
+        return any(g.degree(v) == 0 for v in g.vertices)
+    n = g.vertex_count
+    if kind == ADD_EDGE:
+        return n >= 2 and g.edge_count < n * (n - 1) // 2
+    if kind in (REMOVE_EDGE, INCREASE_WEIGHT):
+        return g.edge_count > 0
+    if kind == DECREASE_WEIGHT:
+        return any(w >= 2 for _, _, w in g.edges())
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
+def _fresh_vertex(g: DynamicGraph) -> int:
+    return max(g.vertices) + 1 if g.vertex_count else 1
+
+
+def _draw(kind: str, g: DynamicGraph, rng: random.Random, weight_max: int) -> ChangeEvent:
+    if kind == ADD_VERTEX:
+        return ChangeEvent.add_vertex(_fresh_vertex(g))
+    if kind == REMOVE_VERTEX:
+        isolated = sorted(v for v in g.vertices if g.degree(v) == 0)
+        return ChangeEvent.remove_vertex(rng.choice(isolated))
+    if kind == ADD_EDGE:
+        verts = sorted(g.vertices)
+        for _ in range(64):
+            u, v = rng.choice(verts), rng.choice(verts)
+            if u != v and not g.has_edge(u, v):
+                return ChangeEvent.add_edge(u, v, rng.randint(1, weight_max))
+        missing = [
+            (u, v)
+            for i, u in enumerate(verts)
+            for v in verts[i + 1 :]
+            if not g.has_edge(u, v)
+        ]
+        u, v = rng.choice(missing)
+        return ChangeEvent.add_edge(u, v, rng.randint(1, weight_max))
+    edges = sorted(g.edges())
+    if kind == REMOVE_EDGE:
+        u, v, _ = rng.choice(edges)
+        return ChangeEvent.remove_edge(u, v)
+    if kind == INCREASE_WEIGHT:
+        u, v, _ = rng.choice(edges)
+        return ChangeEvent.increase_weight(u, v, rng.randint(1, weight_max))
+    if kind == DECREASE_WEIGHT:
+        u, v, w = rng.choice([e for e in edges if e[2] >= 2])
+        return ChangeEvent.decrease_weight(u, v, rng.randint(1, w - 1))
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
+def reference_generate(params: GenParams, seed: int) -> EventStream:
+    """``dyncut.stream.generate`` as it was when it re-read the graph for every event.
+
+    It sorts every vertex and edge per draw; the oracle for the sorted lists
+    the library keeps instead.  All vertices first, then mixed events.
+
+    Kind counts follow the mix up to integer rounding.  A scheduled kind
+    that is inapplicable at its slot swaps places with the next applicable
+    scheduled kind; if none remains, an add-edge (or add-vertex) stands in.
+    """
+    mix = _normalized_mix(params.mix)
+    if params.n_vertices < 0 or params.n_events < 0:
+        raise InvalidGenParams("sizes must be non-negative")
+    if params.weight_max < 1:
+        raise InvalidGenParams("weight_max must be at least 1")
+    rng = random.Random(seed)
+    g = DynamicGraph()
+    events: list[ChangeEvent] = []
+    for i in range(1, params.n_vertices + 1):
+        ev = ChangeEvent.add_vertex(i)
+        apply_change(g, ev)
+        events.append(ev)
+    schedule = _quota_schedule(mix, params.n_events, rng)
+    for i in range(len(schedule)):
+        if not _applicable(schedule[i], g):
+            for j in range(i + 1, len(schedule)):
+                if _applicable(schedule[j], g):
+                    schedule[i], schedule[j] = schedule[j], schedule[i]
+                    break
+            else:
+                schedule[i] = ADD_EDGE if _applicable(ADD_EDGE, g) else ADD_VERTEX
+        ev = _draw(schedule[i], g, rng, params.weight_max)
+        apply_change(g, ev)
+        events.append(ev)
+    return EventStream(tuple(events))
 
 
 def random_event(graph, rng, mix, weight_max=8, max_vertices=None):

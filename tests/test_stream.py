@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -16,10 +18,13 @@ from dyncut.graph import (
     ADD_EDGE,
     ADD_VERTEX,
     DECREASE_WEIGHT,
+    EVENT_KINDS,
     INCREASE_WEIGHT,
     REMOVE_EDGE,
 )
 from dyncut.stream import BALANCED_EDGE_MIX, format_event
+
+from helpers import reference_generate
 
 
 class TestParse:
@@ -81,6 +86,49 @@ class TestParse:
             parse_stream("av 1\nre 1 2\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("zz 1\n", 1, "unknown event code 'zz'"),
+            ("av 1\nae 1 2\n", 2, "ae takes 3 arguments, got 2"),
+            ("av x # c\n", 1, "non-integer argument in 'av x'"),
+            (" \tae 1\x0c2 x\u2028# c\n", 1, "non-integer argument in 'ae 1\\x0c2 x'"),
+            ("av 1\nav 2\nae 1 2 0\n", 3, "weights must be positive integers, got 0"),
+            ("av 1\ndw 1 1 2\n", 2, "self-loops are not allowed"),
+        ],
+        ids=["unknown-code", "arity", "comment", "edge-whitespace", "zero-delta", "self-loop"],
+    )
+    def test_syntax_messages(self, text, line, message):
+        with pytest.raises(StreamSyntaxError) as err:
+            parse_stream(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_over_4300_digits_message(self):
+        with pytest.raises(ValueError) as refused:
+            int("1" * 5000)
+        with pytest.raises(StreamSyntaxError) as err:
+            parse_stream("av 1\nav " + "1" * 5000 + "\n")
+        assert str(err.value) == f"line 2: {refused.value}"
+
+    def test_syntax_error_wins_over_earlier_validation_error(self):
+        with pytest.raises(StreamValidationError) as err:
+            parse_stream("av 1\nre 1 2\nav 3\n")
+        assert str(err.value) == "line 2: no edge {1,2}"
+        # every line is read before any event is applied
+        with pytest.raises(StreamSyntaxError) as err:
+            parse_stream("av 1\nre 1 2\nav 3\nav 4 5\n")
+        assert str(err.value) == "line 4: av takes 1 arguments, got 2"
+
+    def test_whitespace_inside_a_line(self):
+        # tab, form feed and U+2028 separate tokens; only "\n" ends a line
+        stream = parse_stream("av\t1\nav\x0c2\nae 1\u20282\t\x0c3\u2028\n")
+        assert stream.events == (
+            ChangeEvent.add_vertex(1),
+            ChangeEvent.add_vertex(2),
+            ChangeEvent.add_edge(1, 2, 3),
+        )
+
 
 class TestGenerate:
     def test_vertices_only(self):
@@ -126,6 +174,45 @@ class TestGenerate:
         stream = generate(GenParams(n_vertices=10, n_events=150), seed=77)
         again = parse_stream(format_stream(stream))
         assert again.events == stream.events
+
+    @given(
+        n=st.integers(0, 15),
+        m=st.integers(0, 300),
+        shares=st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(any),
+        weight_max=st.integers(1, 9),
+        seed=st.integers(0, 2**64),
+    )
+    def test_matches_reference(self, n, m, shares, weight_max, seed):
+        mix = {k: share / sum(shares) for k, share in zip(EVENT_KINDS, shares)}
+        params = GenParams(n_vertices=n, n_events=m, weight_max=weight_max, mix=mix)
+        assert format_stream(generate(params, seed)) == format_stream(
+            reference_generate(params, seed)
+        )
+
+    def test_matches_reference_where_add_edge_lists_missing_pairs(self, monkeypatch):
+        # after 64 failed tries an add-edge draws from the list of missing
+        # pairs, the one draw of a sequence of vertex pairs; a nearly complete
+        # 15-vertex graph takes that path
+        fallbacks = []
+
+        class CountingRandom(random.Random):
+            def choice(self, seq):
+                if isinstance(seq[0], tuple) and len(seq[0]) == 2:
+                    fallbacks.append(len(seq))
+                return super().choice(seq)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        mix = {ADD_EDGE: 0.8, DECREASE_WEIGHT: 0.1, REMOVE_EDGE: 0.1}
+        taken = 0
+        for seed in range(4):
+            params = GenParams(n_vertices=15, n_events=160, weight_max=3, mix=mix)
+            fallbacks.clear()
+            got = format_stream(generate(params, seed))
+            by_generate = len(fallbacks)
+            assert got == format_stream(reference_generate(params, seed))
+            assert fallbacks[:by_generate] == fallbacks[by_generate:]
+            taken += by_generate
+        assert taken > 0
 
 
 class TestMixValidation:
